@@ -211,7 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--m", type=int, default=m, help="number of bins")
         sp.add_argument("--out", default=out, help="output CSV path")
         sp.add_argument("--workers", type=int, default=1, help="parallel workers")
-        sp.add_argument("--budget", type=int, default=None, help="notional work budget")
+        sp.add_argument(
+            "--budget", type=int, default=None, help="cap on exhaustive work (see README)"
+        )
         if seed is not None:
             sp.add_argument("--seed", type=int, default=seed, help="random seed")
         if samples is not None:

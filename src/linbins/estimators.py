@@ -23,6 +23,14 @@ GENERATOR_NAME = "philox4x64"
 # The exact dynamic program below is only intended for calibration scale.
 MAX_EXACT_BINS = 64
 
+# Seeds are Philox key words: unsigned 64-bit integers.
+SEED_SPACE = 2**64
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < SEED_SPACE:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -36,8 +44,7 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -57,7 +64,10 @@ class McEstimate:
 
 def _sample_rng(seed: int, index: int) -> np.random.Generator:
     """Independent substream for one sample, derived only from (seed, index)."""
-    return np.random.Generator(np.random.Philox(key=[seed, index]))
+    # An explicit uint64 key: a list would go through float64 for seeds
+    # >= 2^63 and merge neighbouring seeds into one stream.
+    key = np.array([seed, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _summarize(maxima: np.ndarray, seed: int) -> McEstimate:
@@ -96,6 +106,7 @@ def mc_fully_random_maxload(m: int, balls: int, samples: int, seed: int) -> McEs
         raise ValueError(f"balls must be >= 1, got {balls}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    _check_seed(seed)
     maxima = np.empty(samples, dtype=np.int64)
     for i in range(samples):
         rng = _sample_rng(seed, i)
@@ -153,16 +164,19 @@ def scaling_study(m_values: list[int], samples: int, seed: int) -> list[ScalingR
     """Compare E[max load] of the linear family on [m] against uniform throws.
 
     For each m the prime is the next prime at or above m^2 and the two
-    estimators get disjoint seeds derived from the base seed.
+    estimators get disjoint seeds derived from the base seed, seed + 2k and
+    seed + 2k + 1 for the k-th m, wrapped modulo 2^64.
     """
+    _check_seed(seed)
     rows = []
     for k, m in enumerate(m_values):
         if m < 2:
             raise ValueError(f"scaling study needs m >= 2, got {m}")
         p = next_prime_at_least(m * m)
-        cfg = McConfig(samples=samples, seed=seed + 2 * k, mod=Modulus(p, m), key_set=Interval(m))
+        linear_seed = (seed + 2 * k) % SEED_SPACE
+        cfg = McConfig(samples=samples, seed=linear_seed, mod=Modulus(p, m), key_set=Interval(m))
         linear = mc_linear_maxload(cfg)
-        random = mc_fully_random_maxload(m, m, samples, seed + 2 * k + 1)
+        random = mc_fully_random_maxload(m, m, samples, (linear_seed + 1) % SEED_SPACE)
         rows.append(ScalingRow(m=m, p=p, linear=linear, random=random))
     return rows
 

@@ -1,4 +1,4 @@
-"""Exact collision counting over all (a, b) parameter pairs.
+"""Exact collision counting and max-load histograms over all (a, b) pairs.
 
 Every count here is an exact enumeration result over the p^2 parameter pairs.
 The enumeration is a-major: for a fixed multiplier a, the full value of
@@ -6,8 +6,12 @@ element x is (v_x + b) mod p with v_x = a*x mod p, which wraps exactly once
 as b sweeps [0, p), at b = p - v_x.  Between consecutive wrap points the
 collision/mapping conditions do not depend on b (only residues mod m do), so
 the inner loop over b collapses to a handful of whole segments per a.  The
-resulting counts are identical to the literal double loop, which the test
-suite keeps as an independent reference.
+all-(a, b) max-load histogram uses the same segmentation: between wraps the
+bins are the classes v_x mod m rotated by b, so the max load is constant, and
+each wrap moves one key between classes.  Sorting the n wrap points and
+replaying them costs O(n log n) per a instead of the O(p*n) of scanning every
+b.  The resulting counts are identical to the literal double loop, which the
+test suite keeps as an independent reference.
 """
 
 from __future__ import annotations
@@ -22,8 +26,10 @@ import numpy as np
 from .field import MAX_MODULUS, Modulus, mod_inverse
 from .loads import KeySet, materialize
 
-# Refuse exhaustive calls whose notional cost (hash evaluations of the
-# literal enumeration) exceeds this, unless the caller raises the budget.
+# Refuse exhaustive calls whose cost exceeds this, unless the caller raises
+# the budget.  Collision counts are charged the hash evaluations of the
+# literal (a, b) enumeration; max-load histograms the p*n key placements
+# their kernels make.
 DEFAULT_WORK_BUDGET = 2**33
 
 # Below this notional cost a worker pool costs more than it saves.
@@ -325,12 +331,59 @@ def maxloads_for_a(mod: Modulus, ks: KeySet, a: int) -> np.ndarray:
     return _maxloads_for_a_raw(p, mod.m, materialize(ks, mod), a)
 
 
+# Cap on cells per array in the wrap-event kernel; smaller blocks stay in
+# cache, larger ones pay less per-event interpreter overhead.
+_EVENT_BLOCK_CELLS = 1 << 19
+
+
 def _maxload_hist_all_b_chunk(p, m, elements, lo_a, hi_a):
-    n = len(elements)
+    """Max-load histogram over a in [lo_a, hi_a) and every b, by wrap events.
+
+    For fixed a, key x sits in class r_x = v_x mod m of the b-rotated bins
+    until b reaches its wrap point c_x = p - v_x (p when v_x = 0, i.e. never),
+    where it moves to class (r_x - p) mod m.  Rows of a block are replayed in
+    lockstep, one event per step; per-class counts plus a count of classes
+    at each load keep the running max exact in O(1) per event, and each
+    segment [c_{k-1}, c_k) credits its length to the max in force on it.
+    """
+    s = np.asarray(elements, dtype=np.int64)
+    n = len(s)
     hist = np.zeros(n + 1, dtype=np.int64)
-    for a in range(lo_a, hi_a):
-        maxima = _maxloads_for_a_raw(p, m, elements, a)
-        hist += np.bincount(maxima, minlength=n + 1)
+    step = max(1, _EVENT_BLOCK_CELLS // (n + m + 1))
+    for blk in range(lo_a, hi_a, step):
+        a = np.arange(blk, min(blk + step, hi_a), dtype=np.int64)
+        rows = np.arange(len(a), dtype=np.int64)
+        v = a[:, None] * s[None, :] % p
+        r = v % m
+        # One sort orders each row by wrap point and carries the class along.
+        events = np.sort((p - v) * m + r, axis=1)
+        wrap, cls = np.divmod(np.ascontiguousarray(events.T), m)
+        cls_base = rows * m
+        load_base = rows * (n + 1)
+        cnt = np.bincount((cls_base[:, None] + r).ravel(), minlength=len(a) * m)
+        n_at = np.bincount(
+            (load_base[:, None] + cnt.reshape(-1, m)).ravel(), minlength=len(a) * (n + 1)
+        )
+        top = cnt.reshape(-1, m).max(axis=1)
+        credit = np.zeros(len(a) * (n + 1), dtype=np.int64)
+        prev = 0
+        for k in range(n):
+            credit[load_base + top] += wrap[k] - prev
+            prev = wrap[k]
+            i = cls_base + cls[k]
+            old = cnt[i]
+            n_at[load_base + old] -= 1
+            n_at[load_base + old - 1] += 1
+            cnt[i] = old - 1
+            top -= n_at[load_base + top] == 0
+            j = cls_base + (cls[k] - p) % m
+            new = cnt[j] + 1
+            n_at[load_base + new - 1] -= 1
+            n_at[load_base + new] += 1
+            cnt[j] = new
+            np.maximum(top, new, out=top)
+        credit[load_base + top] += p - prev
+        hist += credit.reshape(-1, n + 1).sum(axis=0)
     return hist
 
 
@@ -344,7 +397,11 @@ def exact_maxload_histogram(
     """Histogram of the max load over every a (b_zero) or every (a, b) (all_b).
 
     Keys are max-load values, values are the number of parameter tuples
-    attaining them; tail probabilities follow by suffix sums.
+    attaining them; tail probabilities follow by suffix sums.  b_zero bins
+    every key once per a.  all_b never scans b: per a it sorts the n wrap
+    points of the keys and replays them as class moves (see
+    _maxload_hist_all_b_chunk).  Both modes make p*n key placements, which
+    is what the budget and the pool decision charge.
     """
     p, m = mod.p, mod.m
     _require_enumerable(p)
@@ -355,10 +412,8 @@ def exact_maxload_histogram(
         maxima = maxloads_b_zero(mod, ks, workers=workers)
         hist = np.bincount(maxima, minlength=n + 1)
     elif b_mode == "all_b":
-        _check_budget(p * p * n, budget, "all-(a,b) max-load histogram")
-        parts = _map_chunks(
-            _maxload_hist_all_b_chunk, p, workers, p * p * n, (p, m, elements)
-        )
+        _check_budget(p * n, budget, "all-(a,b) max-load histogram")
+        parts = _map_chunks(_maxload_hist_all_b_chunk, p, workers, p * n, (p, m, elements))
         hist = sum(parts)
     else:
         raise ValueError(f"b_mode must be 'all_b' or 'b_zero', got {b_mode!r}")

@@ -4,10 +4,12 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from linbins.estimators import (
     McConfig,
+    _sample_rng,
     fully_random_exact_mean,
     max_load_distribution,
     mc_fully_random_maxload,
@@ -94,6 +96,28 @@ def test_fully_random_validation():
         mc_fully_random_maxload(3, 0, 10, 0)
     with pytest.raises(ValueError):
         mc_fully_random_maxload(3, 3, 0, 0)
+    with pytest.raises(ValueError):
+        mc_fully_random_maxload(3, 3, 10, -1)
+    with pytest.raises(ValueError):
+        mc_fully_random_maxload(3, 3, 10, 2**64)
+
+
+def test_sample_streams_distinct_above_2_63():
+    # A list key went through float64 here, so these two seeds collided.
+    high = _sample_rng(2**63, 0).integers(0, 2**62, size=4)
+    next_up = _sample_rng(2**63 + 1, 0).integers(0, 2**62, size=4)
+    assert not np.array_equal(high, next_up)
+    top = _sample_rng(2**64 - 1, 5).integers(0, 2**62, size=4)
+    assert not np.array_equal(top, _sample_rng(2**64 - 2, 5).integers(0, 2**62, size=4))
+
+
+def test_sample_stream_unchanged_below_2_63():
+    for seed, index in ((0, 0), (42, 7), (2**63 - 1, 123456)):
+        legacy = np.random.Generator(np.random.Philox(key=[seed, index]))
+        assert np.array_equal(
+            _sample_rng(seed, index).integers(0, 2**62, size=4),
+            legacy.integers(0, 2**62, size=4),
+        )
 
 
 def test_max_load_distribution_small_cases():
@@ -150,6 +174,16 @@ def test_scaling_study_shape():
         assert r.linear.samples == 500
     with pytest.raises(ValueError):
         scaling_study([1], samples=10, seed=0)
+
+
+def test_scaling_study_wraps_derived_seeds():
+    rows = scaling_study([2, 4], samples=20, seed=2**64 - 2)
+    assert [r.linear.seed for r in rows] == [2**64 - 2, 0]
+    assert [r.random.seed for r in rows] == [2**64 - 1, 1]
+    with pytest.raises(ValueError):
+        scaling_study([2], samples=20, seed=-1)
+    with pytest.raises(ValueError):
+        scaling_study([2], samples=20, seed=2**64)
 
 
 def test_tail_log_slope_recovers_quadratic_decay():

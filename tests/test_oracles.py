@@ -3,12 +3,16 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from linbins import oracles
 from linbins.field import HashParams, Modulus, is_prime, next_prime_at_least
-from linbins.loads import Interval, load_profile
+from linbins.loads import AffineImage, Explicit, Interval, load_profile, materialize
 from linbins.oracles import (
     WorkBudgetError,
+    _chunk_bounds,
+    _maxload_hist_all_b_chunk,
     canonicalize_triple,
     count_interval_collision,
     count_prescribed_triple,
@@ -37,6 +41,19 @@ def naive_prescribed(p, m, x, y, z, ix, iy, iz):
         for a in range(p)
         for b in range(p)
     )
+
+
+def literal_maxload_hist(p, m, elements):
+    """Max-load histogram by binning the keys under every (a, b), b by b."""
+    s = np.asarray(elements, dtype=np.int64)
+    hist = np.zeros(len(s) + 1, dtype=np.int64)
+    b = np.arange(p, dtype=np.int64)
+    rows = np.arange(p)[:, None] * m
+    for a in range(p):
+        bins = (a * s[None, :] + b[:, None]) % p % m
+        counts = np.bincount((rows + bins).ravel(), minlength=p * m).reshape(p, m)
+        hist += np.bincount(counts.max(axis=1), minlength=len(s) + 1)
+    return {load: int(cnt) for load, cnt in enumerate(hist) if cnt > 0}
 
 
 def naive_interval(p, m, d):
@@ -242,6 +259,72 @@ def test_exact_histogram_matches_naive():
             top = load_profile(HashParams(a, b), mod, ks).max_load
             naive[top] = naive.get(top, 0) + 1
     assert exact_maxload_histogram(mod, ks, b_mode="all_b") == naive
+
+
+def _all_b_cases():
+    yield Modulus(13, 1), Interval(4)
+    yield Modulus(13, 13), Explicit((0, 2, 5, 9))
+    yield Modulus(13, 3), Explicit((0, 4, 7, 12))
+    for m in (16, 24, 32):
+        mod = Modulus(next_prime_at_least(m * m), m)
+        yield mod, Interval(m)
+        yield mod, AffineImage(m, 77, 5)
+        yield mod, Explicit((0, 3, 4, 10, mod.p // 2, mod.p - 1))
+
+
+ALL_B_CASES = list(_all_b_cases())
+
+
+@pytest.mark.parametrize(
+    "mod,ks",
+    ALL_B_CASES,
+    ids=[f"p{mod.p}-m{mod.m}-{type(ks).__name__}" for mod, ks in ALL_B_CASES],
+)
+def test_all_b_histogram_matches_literal_scan(mod, ks):
+    expected = literal_maxload_hist(mod.p, mod.m, materialize(ks, mod))
+    assert exact_maxload_histogram(mod, ks, b_mode="all_b") == expected
+
+
+def test_all_b_chunks_sum_to_unchunked():
+    mod = Modulus(577, 24)
+    elements = materialize(AffineImage(24, 77, 5), mod)
+    whole = _maxload_hist_all_b_chunk(mod.p, mod.m, elements, 0, mod.p)
+    assert whole.sum() == mod.p * mod.p
+    for k in (2, 3, 7):
+        parts = [
+            _maxload_hist_all_b_chunk(mod.p, mod.m, elements, lo, hi)
+            for lo, hi in _chunk_bounds(mod.p, k)
+        ]
+        assert np.array_equal(sum(parts), whole), k
+
+
+def test_all_b_histogram_independent_of_block_size(monkeypatch):
+    mod = Modulus(257, 16)
+    ks = Explicit((0, 1, 5, 17, 100, 256))
+    whole = exact_maxload_histogram(mod, ks, b_mode="all_b")
+    # Blocks of 7 rows: many blocks, the last one partial.
+    monkeypatch.setattr(oracles, "_EVENT_BLOCK_CELLS", 7 * (6 + 16 + 1))
+    assert exact_maxload_histogram(mod, ks, b_mode="all_b") == whole
+
+
+def test_all_b_histogram_regression_m64():
+    p = next_prime_at_least(64 * 64)
+    assert p == 4099
+    hist = exact_maxload_histogram(Modulus(p, 64), Interval(64), b_mode="all_b")
+    assert sum(hist.values()) == p * p
+    total_load = sum(load * cnt for load, cnt in hist.items())
+    assert total_load == 45349020
+    assert round(total_load / (p * p), 6) == 2.699057
+
+
+def test_all_b_budget_charges_kernel_work():
+    mod = Modulus(next_prime_at_least(128 * 128), 128)
+    assert mod.p == 16411
+    work = mod.p * 128
+    with pytest.raises(WorkBudgetError):
+        exact_maxload_histogram(mod, Interval(128), b_mode="all_b", budget=work - 1)
+    hist = exact_maxload_histogram(mod, Interval(128), b_mode="all_b")
+    assert sum(hist.values()) == mod.p * mod.p
 
 
 def test_exact_histogram_worker_determinism():
