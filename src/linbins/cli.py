@@ -206,14 +206,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, p, m, out, seed=None, samples=None):
+    def common(sp, p, m, out, seed=None, samples=None, budget=True):
         sp.add_argument("--p", type=int, default=p, help="prime modulus")
         sp.add_argument("--m", type=int, default=m, help="number of bins")
         sp.add_argument("--out", default=out, help="output CSV path")
         sp.add_argument("--workers", type=int, default=1, help="parallel workers")
-        sp.add_argument(
-            "--budget", type=int, default=None, help="cap on exhaustive work (see README)"
-        )
+        if budget:
+            sp.add_argument("--budget", type=int, help="cap on exhaustive work (see README)")
         if seed is not None:
             sp.add_argument("--seed", type=int, default=seed, help="random seed")
         if samples is not None:
@@ -250,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_maxload_exact)
 
     sp = sub.add_parser("maxload-mc", help="Monte Carlo max-load estimate on [m]")
-    common(sp, 1031, 32, "maxload_mc.csv", seed=0, samples=20_000)
+    common(sp, 1031, 32, "maxload_mc.csv", seed=0, samples=20_000, budget=False)
     sp.set_defaults(func=cmd_maxload_mc)
 
     sp = sub.add_parser("collide3", help="exact collision count of one triple")

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import Modulus, next_prime_at_least
-from .loads import Interval, KeySet, materialize
+from .field import MAX_MODULUS, Modulus, next_prime_at_least
+from .loads import Interval, KeySet, materialize, max_loads
 
 # Algorithm name recorded in output metadata alongside every estimate.
 GENERATOR_NAME = "philox4x64"
@@ -44,6 +44,9 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
+        # Bins are computed as a*x + b in int64, exact only while p <= 2^31.
+        if self.mod.p > MAX_MODULUS:
+            raise ValueError(f"p={self.mod.p} exceeds the supported range ({MAX_MODULUS})")
         _check_seed(self.seed)
 
 
@@ -89,13 +92,12 @@ def mc_linear_maxload(cfg: McConfig) -> McEstimate:
             stacklevel=2,
         )
     s = np.asarray(materialize(cfg.key_set, cfg.mod), dtype=np.int64)
-    maxima = np.empty(cfg.samples, dtype=np.int64)
-    for i in range(cfg.samples):
-        rng = _sample_rng(cfg.seed, i)
-        a, b = rng.integers(0, p, size=2)
-        bins = (int(a) * s + int(b)) % p % m
-        maxima[i] = np.bincount(bins, minlength=m).max()
-    return _summarize(maxima, cfg.seed)
+
+    def bins_of(lo: int, hi: int) -> np.ndarray:
+        ab = np.array([_sample_rng(cfg.seed, i).integers(0, p, size=2) for i in range(lo, hi)])
+        return (ab[:, :1] * s + ab[:, 1:]) % p % m
+
+    return _summarize(max_loads(cfg.samples, len(s), m, bins_of), cfg.seed)
 
 
 def mc_fully_random_maxload(m: int, balls: int, samples: int, seed: int) -> McEstimate:
@@ -107,12 +109,11 @@ def mc_fully_random_maxload(m: int, balls: int, samples: int, seed: int) -> McEs
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     _check_seed(seed)
-    maxima = np.empty(samples, dtype=np.int64)
-    for i in range(samples):
-        rng = _sample_rng(seed, i)
-        throws = rng.integers(0, m, size=balls)
-        maxima[i] = np.bincount(throws, minlength=m).max()
-    return _summarize(maxima, seed)
+
+    def throws(lo: int, hi: int) -> np.ndarray:
+        return np.array([_sample_rng(seed, i).integers(0, m, size=balls) for i in range(lo, hi)])
+
+    return _summarize(max_loads(samples, balls, m, throws), seed)
 
 
 def max_load_distribution(m: int, balls: int) -> dict[int, Fraction]:

@@ -1,9 +1,11 @@
-"""Key-set representations and per-bin load accounting for one hash function."""
+"""Key-set representations, per-bin load accounting, and the max-load kernel."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
+
+import numpy as np
 
 from .field import HashParams, Modulus, eval_binned
 
@@ -107,3 +109,24 @@ def max_load_b_zero_bounds(params: HashParams, mod: Modulus, ks: KeySet) -> tupl
     """
     full = load_profile(params, mod, ks).max_load
     return full // 2, 2 * full
+
+
+# Cells per block of max_loads: rows times max(n, m), which bounds both the
+# placed keys and the per-row bin counts.
+_BLOCK_CELLS = 1 << 14
+
+
+def max_loads(rows: int, n: int, m: int, bins_of: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """Max load of each of `rows` hash functions placing n keys into m bins.
+
+    bins_of(lo, hi) returns the (hi - lo, n) bin indices of rows lo..hi-1.  It
+    is called once per block, in row order, so callers build blocks lazily.
+    """
+    out = np.empty(rows, dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // max(n, m))
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        codes = (np.arange(hi - lo)[:, None] * m + bins_of(lo, hi)).ravel()
+        counts = np.bincount(codes, minlength=(hi - lo) * m)
+        out[lo:hi] = counts.reshape(hi - lo, m).max(axis=1)
+    return out

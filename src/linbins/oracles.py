@@ -5,13 +5,15 @@ The enumeration is a-major: for a fixed multiplier a, the full value of
 element x is (v_x + b) mod p with v_x = a*x mod p, which wraps exactly once
 as b sweeps [0, p), at b = p - v_x.  Between consecutive wrap points the
 collision/mapping conditions do not depend on b (only residues mod m do), so
-the inner loop over b collapses to a handful of whole segments per a.  The
-all-(a, b) max-load histogram uses the same segmentation: between wraps the
-bins are the classes v_x mod m rotated by b, so the max load is constant, and
-each wrap moves one key between classes.  Sorting the n wrap points and
-replaying them costs O(n log n) per a instead of the O(p*n) of scanning every
-b.  The resulting counts are identical to the literal double loop, which the
-test suite keeps as an independent reference.
+the inner loop over b collapses to a handful of whole segments per a.  One
+pass, _segments, yields them for a triple with offsets o_t such that h(t) =
+(o_t + b) mod m on each; both triple counters test one predicate on those.
+The all-(a, b) max-load histogram uses the same wrap points: between wraps
+the bins are the classes v_x mod m rotated by b, so the max load is
+constant, and each wrap moves one key between classes.  Sorting the n wrap
+points and replaying them costs O(n log n) per a instead of the O(p*n) of
+scanning every b.  The resulting counts are identical to the literal double
+loop, which the test suite keeps as an independent reference.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .field import MAX_MODULUS, Modulus, mod_inverse
-from .loads import KeySet, materialize
+from .loads import KeySet, materialize, max_loads
 
 # Refuse exhaustive calls whose cost exceeds this, unless the caller raises
 # the budget.  Collision counts are charged the hash evaluations of the
@@ -109,26 +111,31 @@ def _require_enumerable(p: int) -> None:
         raise ValueError(f"p={p} exceeds the enumerable range ({MAX_MODULUS})")
 
 
-def _segments(p, cx, cy, cz):
-    """Wrap-point segmentation of the b axis, per a (vectorized over a)."""
-    s1 = np.minimum(np.minimum(cx, cy), cz)
-    s3 = np.maximum(np.maximum(cx, cy), cz)
-    s2 = cx + cy + cz - s1 - s3
-    zero = np.zeros_like(cx)
-    full = np.full_like(cx, p)
-    return [(zero, s1), (s1, s2), (s2, s3), (s3, full)]
+def _segments(p, x, y, z, lo_a, hi_a):
+    """The one wrap-point pass over the b axis, vectorised over a in [lo_a, hi_a).
 
-
-def _triple_chunk(p, m, x, y, z, lo_a, hi_a):
+    Yields (lo, hi, o_x, o_y, o_z) for the four segments between the sorted
+    wrap points c_t = p - v_t; on lo <= b < hi, h(t) = (o_t + b) mod m with
+    o_t = v_t - p*[c_t <= lo].
+    """
     a = np.arange(lo_a, hi_a, dtype=np.int64)
     vx, vy, vz = a * x % p, a * y % p, a * z % p
     cx, cy, cz = p - vx, p - vy, p - vz
+    s1 = np.minimum(np.minimum(cx, cy), cz)
+    s3 = np.maximum(np.maximum(cx, cy), cz)
+    s2 = cx + cy + cz - s1 - s3
+    # Every c_t is at least 1, so nothing has wrapped on the first segment,
+    # and everything has by the last.
+    yield 0, s1, vx, vy, vz
+    for lo, hi in ((s1, s2), (s2, s3)):
+        yield lo, hi, vx - p * (cx <= lo), vy - p * (cy <= lo), vz - p * (cz <= lo)
+    yield s3, p, vx - p, vy - p, vz - p
+
+
+def _triple_chunk(p, m, x, y, z, lo_a, hi_a):
     total = 0
-    for lo, hi in _segments(p, cx, cy, cz):
-        dx = (cx <= lo).astype(np.int64)
-        dy = (cy <= lo).astype(np.int64)
-        dz = (cz <= lo).astype(np.int64)
-        ok = ((vy - vx - p * (dy - dx)) % m == 0) & ((vz - vx - p * (dz - dx)) % m == 0)
+    for lo, hi, ox, oy, oz in _segments(p, x, y, z, lo_a, hi_a):
+        ok = ((oy - ox) % m == 0) & ((oz - ox) % m == 0)
         total += int(((hi - lo) * ok).sum())
     return total
 
@@ -153,19 +160,11 @@ def count_triple_collisions(
 
 
 def _prescribed_chunk(p, m, x, y, z, ix, iy, iz, lo_a, hi_a):
-    a = np.arange(lo_a, hi_a, dtype=np.int64)
-    vx, vy, vz = a * x % p, a * y % p, a * z % p
-    cx, cy, cz = p - vx, p - vy, p - vz
     total = 0
-    for lo, hi in _segments(p, cx, cy, cz):
-        dx = (cx <= lo).astype(np.int64)
-        dy = (cy <= lo).astype(np.int64)
-        dz = (cz <= lo).astype(np.int64)
+    for lo, hi, ox, oy, oz in _segments(p, x, y, z, lo_a, hi_a):
         # Within a segment, h(x) = ix pins b to one residue class mod m.
-        rx = (ix - vx + p * dx) % m
-        ry = (iy - vy + p * dy) % m
-        rz = (iz - vz + p * dz) % m
-        same = (rx == ry) & (ry == rz)
+        rx = (ix - ox) % m
+        same = (rx == (iy - oy) % m) & (rx == (iz - oz) % m)
         in_class = (hi - rx + m - 1) // m - (lo - rx + m - 1) // m
         total += int(np.where(same, in_class, 0).sum())
     return total
@@ -279,22 +278,10 @@ def interval_lower_bound(mod: Modulus, d: int) -> Fraction:
     return Fraction(1, 6 * d * m)
 
 
-# Cap on cells touched per array block in the load-scan helpers.
-_BLOCK_CELLS = 1 << 22
-
-
 def _maxloads_b_zero_chunk(p, m, elements, lo_a, hi_a):
     s = np.asarray(elements, dtype=np.int64)
-    n = len(s)
-    out = np.empty(hi_a - lo_a, dtype=np.int64)
-    step = max(1, _BLOCK_CELLS // max(1, n))
-    for blk in range(lo_a, hi_a, step):
-        a = np.arange(blk, min(blk + step, hi_a), dtype=np.int64)
-        bins = (a[:, None] * s[None, :] % p) % m
-        codes = (np.arange(len(a))[:, None] * m + bins).ravel()
-        counts = np.bincount(codes, minlength=len(a) * m).reshape(len(a), m)
-        out[blk - lo_a : blk - lo_a + len(a)] = counts.max(axis=1)
-    return out
+    a = np.arange(lo_a, hi_a, dtype=np.int64)
+    return max_loads(len(a), len(s), m, lambda lo, hi: a[lo:hi, None] * s % p % m)
 
 
 def maxloads_b_zero(mod: Modulus, ks: KeySet, workers: int = 1) -> np.ndarray:
@@ -308,27 +295,15 @@ def maxloads_b_zero(mod: Modulus, ks: KeySet, workers: int = 1) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _maxloads_for_a_raw(p, m, elements, a):
-    s = np.asarray(elements, dtype=np.int64)
-    v = a * s % p
-    out = np.empty(p, dtype=np.int64)
-    step = max(1, _BLOCK_CELLS // max(1, len(s)))
-    for blk in range(0, p, step):
-        b = np.arange(blk, min(blk + step, p), dtype=np.int64)
-        bins = (v[None, :] + b[:, None]) % p % m
-        codes = (np.arange(len(b))[:, None] * m + bins).ravel()
-        counts = np.bincount(codes, minlength=len(b) * m).reshape(len(b), m)
-        out[blk : blk + len(b)] = counts.max(axis=1)
-    return out
-
-
 def maxloads_for_a(mod: Modulus, ks: KeySet, a: int) -> np.ndarray:
     """Max load of h_{a,b} on the key set, for every b in [p] at fixed a."""
-    p = mod.p
+    p, m = mod.p, mod.m
     _require_enumerable(p)
     if not 0 <= a < p:
         raise ValueError(f"a={a} out of range for p={p}")
-    return _maxloads_for_a_raw(p, mod.m, materialize(ks, mod), a)
+    v = a * np.asarray(materialize(ks, mod), dtype=np.int64) % p
+    b = np.arange(p, dtype=np.int64)
+    return max_loads(p, len(v), m, lambda lo, hi: (v + b[lo:hi, None]) % p % m)
 
 
 # Cap on cells per array in the wrap-event kernel; smaller blocks stay in

@@ -3,6 +3,10 @@
 import subprocess
 import sys
 
+import pytest
+
+from linbins.cli import build_parser
+
 
 def run_cli(*args, cwd):
     return subprocess.run(
@@ -47,6 +51,18 @@ def test_budget_refusal_exits_two(tmp_path):
     proc = run_cli("figure1", "--budget", "1000", "--out", "x.csv", cwd=tmp_path)
     assert proc.returncode == 2
     assert "budget" in proc.stderr
+
+
+def test_budget_only_on_exhaustive_subcommands():
+    parser = build_parser()
+    exhaustive = ("figure1", "lemmas", "transform", "maxload-exact", "collide3", "interval-collide")
+    for command in exhaustive:
+        assert parser.parse_args([command, "--budget", "7"]).budget == 7, command
+    # Sampling alone does no exhaustive work, so there is nothing to cap.
+    for command in ("maxload-mc", "scaling"):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--budget", "7"])
+    assert parser.parse_args(["maxload-mc", "--workers", "2"]).workers == 2
 
 
 def test_maxload_exact_b_zero_partitions(tmp_path):

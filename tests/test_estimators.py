@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from linbins import estimators, loads
 from linbins.estimators import (
     McConfig,
     _sample_rng,
+    _summarize,
     fully_random_exact_mean,
     max_load_distribution,
     mc_fully_random_maxload,
@@ -17,9 +19,29 @@ from linbins.estimators import (
     scaling_study,
     tail_log_slope,
 )
-from linbins.field import Modulus
-from linbins.loads import Interval
+from linbins.field import MAX_MODULUS, Modulus, next_prime_at_least
+from linbins.loads import AffineImage, Explicit, Interval, materialize
 from linbins.oracles import exact_maxload_histogram
+
+
+def literal_linear_maxima(cfg):
+    """One Philox substream per sample: draw (a, b), bin the keys, take the max."""
+    p, m = cfg.mod.p, cfg.mod.m
+    s = np.asarray(materialize(cfg.key_set, cfg.mod), dtype=np.int64)
+    maxima = np.empty(cfg.samples, dtype=np.int64)
+    for i in range(cfg.samples):
+        a, b = _sample_rng(cfg.seed, i).integers(0, p, size=2)
+        maxima[i] = np.bincount((int(a) * s + int(b)) % p % m, minlength=m).max()
+    return maxima
+
+
+def literal_random_maxima(m, balls, samples, seed):
+    """One Philox substream per sample: throw the balls, take the max."""
+    maxima = np.empty(samples, dtype=np.int64)
+    for i in range(samples):
+        throws = _sample_rng(seed, i).integers(0, m, size=balls)
+        maxima[i] = np.bincount(throws, minlength=m).max()
+    return maxima
 
 
 def test_mc_config_validation():
@@ -118,6 +140,80 @@ def test_sample_stream_unchanged_below_2_63():
             _sample_rng(seed, index).integers(0, 2**62, size=4),
             legacy.integers(0, 2**62, size=4),
         )
+
+
+def test_mc_config_rejects_moduli_that_overflow_int64():
+    # a*x wraps in int64 once p*max(key) >= 2^63; this run used to report
+    # a mean of 2.793 where the exact arithmetic on the same draws gives 2.543.
+    p = 4294967311
+    with pytest.raises(ValueError, match="exceeds"):
+        McConfig(
+            samples=300, seed=1, mod=Modulus(p, 32), key_set=AffineImage(32, 3000000001, 5)
+        )
+    first_too_large = Modulus(next_prime_at_least(MAX_MODULUS), 2)
+    with pytest.raises(ValueError):
+        McConfig(samples=1, seed=0, mod=first_too_large, key_set=Interval(2))
+
+
+def test_mc_linear_exact_at_largest_modulus():
+    p = 2147483647  # the largest prime below MAX_MODULUS
+    cfg = McConfig(samples=200, seed=1, mod=Modulus(p, 32), key_set=AffineImage(32, p - 2, p - 1))
+    elements = materialize(cfg.key_set, cfg.mod)
+    maxima = []
+    for i in range(cfg.samples):
+        a, b = (int(v) for v in _sample_rng(cfg.seed, i).integers(0, p, size=2))
+        bins = [(a * x + b) % p % 32 for x in elements]
+        maxima.append(max(bins.count(j) for j in range(32)))
+    assert mc_linear_maxload(cfg) == _summarize(np.array(maxima), cfg.seed)
+
+
+# Rows per max-load block: None keeps the default block size.
+STREAM_BLOCKS = (None, 7)
+
+
+@pytest.fixture
+def maxima_seen(monkeypatch):
+    """Per-sample maxima, in sample order, that each estimate summarises."""
+    seen = []
+
+    def recording(maxima, seed):
+        seen.append(maxima.tolist())
+        return _summarize(maxima, seed)
+
+    monkeypatch.setattr(estimators, "_summarize", recording)
+    return seen
+
+
+@pytest.mark.parametrize("block_rows", STREAM_BLOCKS)
+@pytest.mark.parametrize(
+    "mod,ks,samples",
+    [
+        (Modulus(257, 16), Interval(16), 2500),
+        (Modulus(13, 1), Interval(5), 40),
+        (Modulus(577, 24), AffineImage(24, 77, 5), 1100),
+        (Modulus(1031, 32), Explicit((0, 3, 4, 10, 515, 1030)), 300),
+    ],
+)
+def test_mc_linear_stream_locked(monkeypatch, maxima_seen, block_rows, mod, ks, samples):
+    cfg = McConfig(samples=samples, seed=2**63 + 5, mod=mod, key_set=ks)
+    if block_rows is not None:
+        width = max(len(materialize(ks, mod)), mod.m)
+        monkeypatch.setattr(loads, "_BLOCK_CELLS", block_rows * width)
+    expected = literal_linear_maxima(cfg)
+    assert mc_linear_maxload(cfg) == _summarize(expected, cfg.seed)
+    assert maxima_seen == [expected.tolist()]
+
+
+@pytest.mark.parametrize("block_rows", STREAM_BLOCKS)
+@pytest.mark.parametrize(
+    "m,balls,samples", [(16, 16, 2500), (1, 7, 40), (5, 12, 300), (40, 9, 300)]
+)
+def test_mc_fully_random_stream_locked(monkeypatch, maxima_seen, block_rows, m, balls, samples):
+    if block_rows is not None:
+        monkeypatch.setattr(loads, "_BLOCK_CELLS", block_rows * max(balls, m))
+    expected = literal_random_maxima(m, balls, samples, 3)
+    assert mc_fully_random_maxload(m, balls, samples, 3) == _summarize(expected, 3)
+    assert maxima_seen == [expected.tolist()]
 
 
 def test_max_load_distribution_small_cases():

@@ -2,8 +2,10 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from linbins import loads
 from linbins.field import HashParams, Modulus
 from linbins.loads import (
     AffineImage,
@@ -13,6 +15,7 @@ from linbins.loads import (
     load_profile,
     materialize,
     max_load_b_zero_bounds,
+    max_loads,
 )
 
 
@@ -93,3 +96,31 @@ def test_max_load_b_zero_bounds_arithmetic():
     ks = Interval(3)
     assert load_profile(params, mod, ks).max_load == 1
     assert max_load_b_zero_bounds(params, mod, ks) == (0, 2)
+
+
+def test_max_loads_asks_for_blocks_in_row_order(monkeypatch):
+    monkeypatch.setattr(loads, "_BLOCK_CELLS", 3 * 5)
+    rng = np.random.default_rng(0)
+    bins = rng.integers(0, 5, size=(11, 4))
+    asked = []
+
+    def bins_of(lo, hi):
+        asked.append((lo, hi))
+        return bins[lo:hi]
+
+    out = max_loads(11, 4, 5, bins_of)
+    assert asked == [(0, 3), (3, 6), (6, 9), (9, 11)]
+    assert out.tolist() == [np.bincount(row, minlength=5).max() for row in bins]
+
+
+def test_max_loads_caps_blocks_by_bin_count(monkeypatch):
+    # One key into many bins: the per-row counts, not the keys, set the block.
+    monkeypatch.setattr(loads, "_BLOCK_CELLS", 40)
+    asked = []
+
+    def bins_of(lo, hi):
+        asked.append(hi - lo)
+        return np.full((hi - lo, 1), 19)
+
+    assert max_loads(5, 1, 20, bins_of).tolist() == [1] * 5
+    assert max(asked) == 2

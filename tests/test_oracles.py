@@ -13,6 +13,7 @@ from linbins.oracles import (
     WorkBudgetError,
     _chunk_bounds,
     _maxload_hist_all_b_chunk,
+    _maxloads_b_zero_chunk,
     canonicalize_triple,
     count_interval_collision,
     count_prescribed_triple,
@@ -235,6 +236,47 @@ def test_maxloads_b_zero_matches_load_profile():
     loads = maxloads_b_zero(mod, ks)
     for a in range(13):
         assert loads[a] == load_profile(HashParams(a, 0), mod, ks).max_load
+
+
+def _block_edge_cases():
+    for m in (16, 24):
+        mod = Modulus(next_prime_at_least(m * m), m)
+        yield mod, AffineImage(m, 77, 5)
+        yield mod, Explicit((0, 3, 4, 10, mod.p // 2, mod.p - 1))
+
+
+BLOCK_EDGE_CASES = list(_block_edge_cases())
+BLOCK_EDGE_IDS = [f"p{mod.p}-m{mod.m}-{type(ks).__name__}" for mod, ks in BLOCK_EDGE_CASES]
+
+
+def _split_blocks(monkeypatch, mod, ks, rows):
+    """Shrink max-load blocks to `rows` rows; p = 257 and 577 leave a partial last block."""
+    width = max(len(materialize(ks, mod)), mod.m)
+    monkeypatch.setattr("linbins.loads._BLOCK_CELLS", rows * width)
+
+
+@pytest.mark.parametrize("rows", (7, 50))
+@pytest.mark.parametrize("mod,ks", BLOCK_EDGE_CASES, ids=BLOCK_EDGE_IDS)
+def test_maxloads_b_zero_at_block_edges(monkeypatch, rows, mod, ks):
+    _split_blocks(monkeypatch, mod, ks, rows)
+    expected = [load_profile(HashParams(a, 0), mod, ks).max_load for a in range(mod.p)]
+    assert maxloads_b_zero(mod, ks).tolist() == expected
+    # Worker chunks count their blocks from their own first a.
+    elements = materialize(ks, mod)
+    chunks = [
+        _maxloads_b_zero_chunk(mod.p, mod.m, elements, lo, hi)
+        for lo, hi in _chunk_bounds(mod.p, 3)
+    ]
+    assert np.concatenate(chunks).tolist() == expected
+
+
+@pytest.mark.parametrize("rows", (7, 50))
+@pytest.mark.parametrize("mod,ks", BLOCK_EDGE_CASES, ids=BLOCK_EDGE_IDS)
+def test_maxloads_for_a_at_block_edges(monkeypatch, rows, mod, ks):
+    _split_blocks(monkeypatch, mod, ks, rows)
+    for a in (0, 1, 77, mod.p - 1):
+        expected = [load_profile(HashParams(a, b), mod, ks).max_load for b in range(mod.p)]
+        assert maxloads_for_a(mod, ks, a).tolist() == expected, a
 
 
 def test_exact_histogram_single_bin():
