@@ -2,7 +2,8 @@
 
 Every experiment prints its acceptance report and exits nonzero when a
 required check fails; refused exhaustive runs (over the work budget) exit
-with status 2 and a hint to lower p or raise --budget.
+with status 2 and a hint to lower p or raise --budget, and invalid values
+(p not prime, m out of range) exit with status 2 and a one-line error.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def cmd_maxload_exact(args) -> int:
 def cmd_maxload_mc(args) -> int:
     mod = Modulus(args.p, args.m)
     cfg = McConfig(samples=args.samples, seed=args.seed, mod=mod, key_set=Interval(args.m))
-    est = mc_linear_maxload(cfg)
+    est = mc_linear_maxload(cfg, args.workers)
     rows = [("mean", est.mean), ("std_error", est.std_error), ("samples", est.samples)]
     rows += [(f"tail_{l}", value) for l, value in sorted(est.tail.items())]
     meta = _base_meta(
@@ -134,6 +135,7 @@ def cmd_maxload_mc(args) -> int:
         samples=args.samples,
         seed=args.seed,
         generator=GENERATOR_NAME,
+        workers=args.workers,
     )
     write_csv(args.out, ("metric", "value"), rows, meta)
     print(f"wrote {args.out}")
@@ -273,6 +275,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except WorkBudgetError as err:
         print(f"refused: {err}", file=sys.stderr)
+        return 2
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
 
 

@@ -594,7 +594,7 @@ def run_scaling(
     workers: int = 1,
 ) -> AcceptanceReport:
     """Scaling study CSV plus spread/monotonicity/separation/tail checks."""
-    rows = scaling_study(m_values, samples, seed)
+    rows = scaling_study(m_values, samples, seed, workers)
     tail_ls = list(range(2, 11))
     columns = ["m", "p", "linear_mean", "linear_se", "random_mean", "random_se"]
     columns += [f"linear_tail_{l}" for l in tail_ls]
@@ -673,9 +673,12 @@ def run_transform_demo(
 ) -> AcceptanceReport:
     """Compare max-load estimates for [m] against its affine image."""
     mod = Modulus(p, m)
-    plain = mc_linear_maxload(McConfig(samples=samples, seed=seed, mod=mod, key_set=Interval(m)))
+    plain = mc_linear_maxload(
+        McConfig(samples=samples, seed=seed, mod=mod, key_set=Interval(m)), workers
+    )
     moved = mc_linear_maxload(
-        McConfig(samples=samples, seed=seed, mod=mod, key_set=AffineImage(m, alpha, beta))
+        McConfig(samples=samples, seed=seed, mod=mod, key_set=AffineImage(m, alpha, beta)),
+        workers,
     )
     gap = abs(plain.mean - moved.mean)
     combined = math.hypot(plain.std_error, moved.std_error)

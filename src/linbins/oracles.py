@@ -58,7 +58,11 @@ def _chunk_bounds(p: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _map_chunks(func, p: int, workers: int, notional: int, args: tuple) -> list:
-    """Apply func(*args, lo_a, hi_a) over a partition of [0, p)."""
+    """Apply func(*args, lo, hi) over a partition of [0, p).
+
+    The range holds multipliers a for the exhaustive counters and sample
+    blocks for the Monte Carlo estimators.
+    """
     if notional < _MIN_PARALLEL_WORK:
         workers = 1
     chunks = _chunk_bounds(p, workers)

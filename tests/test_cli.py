@@ -53,6 +53,21 @@ def test_budget_refusal_exits_two(tmp_path):
     assert "budget" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("maxload-exact", "--p", "12", "--m", "3"),
+        ("scaling", "--m-values", "46341", "--samples", "1"),
+    ],
+)
+def test_invalid_value_exits_two(tmp_path, args):
+    proc = run_cli(*args, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_budget_only_on_exhaustive_subcommands():
     parser = build_parser()
     exhaustive = ("figure1", "lemmas", "transform", "maxload-exact", "collide3", "interval-collide")
@@ -86,6 +101,10 @@ def test_maxload_mc_reproducible(tmp_path):
     assert first.returncode == second.returncode == 0
     assert body(tmp_path / "a.csv") == body(tmp_path / "b.csv")
     assert "mean=" in first.stdout
+    third = run_cli(*args, "--workers", "2", "--out", "c.csv", cwd=tmp_path)
+    assert third.returncode == 0
+    assert body(tmp_path / "a.csv") == body(tmp_path / "c.csv")
+    assert "# workers=2\n" in (tmp_path / "c.csv").read_text()
 
 
 def test_collide3_prints_counts(tmp_path):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from linbins import estimators, loads
+from linbins import estimators, loads, oracles
 from linbins.estimators import (
     McConfig,
     _sample_rng,
@@ -24,23 +24,31 @@ from linbins.loads import AffineImage, Explicit, Interval, materialize
 from linbins.oracles import exact_maxload_histogram
 
 
+# The stream layout these tests pin: sample i is row i % 64 of a 64-row draw
+# from the substream of block i // 64, also when the last block is partial.
+BLOCK = 64
+
+
+def sample_draw(seed, i, high, width):
+    return _sample_rng(seed, i // BLOCK).integers(0, high, size=(BLOCK, width))[i % BLOCK]
+
+
 def literal_linear_maxima(cfg):
-    """One Philox substream per sample: draw (a, b), bin the keys, take the max."""
+    """Per sample: take its (a, b) row from its block's draw, bin the keys, take the max."""
     p, m = cfg.mod.p, cfg.mod.m
     s = np.asarray(materialize(cfg.key_set, cfg.mod), dtype=np.int64)
     maxima = np.empty(cfg.samples, dtype=np.int64)
     for i in range(cfg.samples):
-        a, b = _sample_rng(cfg.seed, i).integers(0, p, size=2)
+        a, b = sample_draw(cfg.seed, i, p, 2)
         maxima[i] = np.bincount((int(a) * s + int(b)) % p % m, minlength=m).max()
     return maxima
 
 
 def literal_random_maxima(m, balls, samples, seed):
-    """One Philox substream per sample: throw the balls, take the max."""
+    """Per sample: take its row of throws from its block's draw, take the max."""
     maxima = np.empty(samples, dtype=np.int64)
     for i in range(samples):
-        throws = _sample_rng(seed, i).integers(0, m, size=balls)
-        maxima[i] = np.bincount(throws, minlength=m).max()
+        maxima[i] = np.bincount(sample_draw(seed, i, m, balls), minlength=m).max()
     return maxima
 
 
@@ -155,16 +163,22 @@ def test_mc_config_rejects_moduli_that_overflow_int64():
         McConfig(samples=1, seed=0, mod=first_too_large, key_set=Interval(2))
 
 
-def test_mc_linear_exact_at_largest_modulus():
+def test_mc_linear_exact_at_largest_modulus(maxima_seen):
     p = 2147483647  # the largest prime below MAX_MODULUS
     cfg = McConfig(samples=200, seed=1, mod=Modulus(p, 32), key_set=AffineImage(32, p - 2, p - 1))
     elements = materialize(cfg.key_set, cfg.mod)
     maxima = []
     for i in range(cfg.samples):
-        a, b = (int(v) for v in _sample_rng(cfg.seed, i).integers(0, p, size=2))
+        a, b = (int(v) for v in sample_draw(cfg.seed, i, p, 2))
         bins = [(a * x + b) % p % 32 for x in elements]
         maxima.append(max(bins.count(j) for j in range(32)))
     assert mc_linear_maxload(cfg) == _summarize(np.array(maxima), cfg.seed)
+    assert maxima_seen == [maxima]
+
+
+def test_generator_name_records_block_layout():
+    assert estimators.GENERATOR_NAME == f"philox4x64/block{BLOCK}"
+    assert estimators.SAMPLES_PER_BLOCK == BLOCK
 
 
 # Rows per max-load block: None keeps the default block size.
@@ -192,6 +206,10 @@ def maxima_seen(monkeypatch):
         (Modulus(13, 1), Interval(5), 40),
         (Modulus(577, 24), AffineImage(24, 77, 5), 1100),
         (Modulus(1031, 32), Explicit((0, 3, 4, 10, 515, 1030)), 300),
+        (Modulus(257, 16), Interval(16), 1),
+        (Modulus(577, 24), AffineImage(24, 77, 5), 63),
+        (Modulus(1031, 32), Explicit((0, 3, 4, 10, 515, 1030)), 64),
+        (Modulus(257, 16), Interval(16), 65),
     ],
 )
 def test_mc_linear_stream_locked(monkeypatch, maxima_seen, block_rows, mod, ks, samples):
@@ -206,7 +224,17 @@ def test_mc_linear_stream_locked(monkeypatch, maxima_seen, block_rows, mod, ks, 
 
 @pytest.mark.parametrize("block_rows", STREAM_BLOCKS)
 @pytest.mark.parametrize(
-    "m,balls,samples", [(16, 16, 2500), (1, 7, 40), (5, 12, 300), (40, 9, 300)]
+    "m,balls,samples",
+    [
+        (16, 16, 2500),
+        (1, 7, 40),
+        (5, 12, 300),
+        (40, 9, 300),
+        (16, 16, 1),
+        (5, 12, 63),
+        (40, 9, 64),
+        (16, 16, 65),
+    ],
 )
 def test_mc_fully_random_stream_locked(monkeypatch, maxima_seen, block_rows, m, balls, samples):
     if block_rows is not None:
@@ -214,6 +242,40 @@ def test_mc_fully_random_stream_locked(monkeypatch, maxima_seen, block_rows, m, 
     expected = literal_random_maxima(m, balls, samples, 3)
     assert mc_fully_random_maxload(m, balls, samples, 3) == _summarize(expected, 3)
     assert maxima_seen == [expected.tolist()]
+
+
+def test_mc_samples_are_prefix_stable(maxima_seen):
+    cfg = McConfig(samples=100, seed=8, mod=Modulus(577, 24), key_set=AffineImage(24, 77, 5))
+    mc_linear_maxload(cfg)
+    mc_linear_maxload(McConfig(samples=130, seed=8, mod=cfg.mod, key_set=cfg.key_set))
+    mc_fully_random_maxload(40, 9, 100, 8)
+    mc_fully_random_maxload(40, 9, 130, 8)
+    linear_short, linear_long, random_short, random_long = maxima_seen
+    assert linear_long[:100] == linear_short
+    assert random_long[:100] == random_short
+
+
+def test_mc_independent_of_workers(monkeypatch, maxima_seen):
+    # Zero threshold: every worker count above one forks a pool.  200 samples
+    # are four blocks, the last partial, so three workers get unequal shares.
+    monkeypatch.setattr(oracles, "_MIN_PARALLEL_WORK", 0)
+    pools = []
+
+    class CountingPool(oracles.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(oracles, "ProcessPoolExecutor", CountingPool)
+    cfg = McConfig(samples=200, seed=2**64 - 1, mod=Modulus(577, 24), key_set=Interval(24))
+    linear = [mc_linear_maxload(cfg, workers=w) for w in (1, 2, 3)]
+    random = [mc_fully_random_maxload(24, 30, 200, 5, workers=w) for w in (1, 2, 3)]
+    assert linear[0] == linear[1] == linear[2]
+    assert random[0] == random[1] == random[2]
+    assert pools == [2, 3, 2, 3]
+    assert maxima_seen[0] == maxima_seen[1] == maxima_seen[2]
+    assert maxima_seen[3] == maxima_seen[4] == maxima_seen[5]
+    assert maxima_seen[0] == literal_linear_maxima(cfg).tolist()
 
 
 def test_max_load_distribution_small_cases():
