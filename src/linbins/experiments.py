@@ -28,13 +28,13 @@ from .estimators import (
     scaling_study,
     tail_log_slope,
 )
-from .field import HashParams, Modulus
-from .loads import AffineImage, Explicit, Interval, key_set_size, load_profile
+from .field import MAX_MODULUS, Modulus
+from .loads import AffineImage, Explicit, Interval, bin_counts, key_set_size, materialize
 from .oracles import (
     _chunk_bounds,
     _triple_chunk,
     canonicalize_triple,
-    count_interval_collision,
+    count_interval_collisions,
     count_prescribed_triple,
     count_triple_collisions,
     exact_maxload_histogram,
@@ -233,20 +233,31 @@ def _lemma_key_sets(mod: Modulus, alpha: int, beta: int):
 
 
 def check_load_sums(mod: Modulus, alpha: int, beta: int) -> tuple[int, int]:
-    """Per-bin loads must sum to |S|; exhaustive over (a, b) at small p."""
-    p = mod.p
+    """Per-bin loads must sum to |S|; exhaustive over (a, b) at small p.
+
+    The loads come from loads.bin_counts, the kernel behind every max load
+    in the package.  Above p^2 = 90000 only b in {0, 1, p//2, p-1} is checked.
+    """
+    p, m = mod.p, mod.m
+    if p > MAX_MODULUS:
+        raise ValueError(f"p={p} exceeds the enumerable range ({MAX_MODULUS})")
     if p * p <= 90_000:
-        pairs = [(a, b) for a in range(p) for b in range(p)]
+        bs = np.arange(p, dtype=np.int64)
     else:
-        pairs = [(a, b) for a in range(p) for b in (0, 1, p // 2, p - 1)]
+        bs = np.array([0, 1, p // 2, p - 1], dtype=np.int64)
+    rows = p * len(bs)  # row r is the pair (r div |bs|, bs[r mod |bs|])
     checked = violations = 0
     for ks in _lemma_key_sets(mod, alpha, beta):
         size = key_set_size(ks)
-        for a, b in pairs:
-            profile = load_profile(HashParams(a, b), mod, ks)
-            if sum(profile.loads) != size:
-                violations += 1
-            checked += 1
+        s = np.asarray(materialize(ks, mod), dtype=np.int64)
+
+        def bins_of(lo, hi):
+            a, j = np.divmod(np.arange(lo, hi, dtype=np.int64), len(bs))
+            return (a[:, None] * s + bs[j, None]) % p % m
+
+        for _, _, counts in bin_counts(rows, len(s), m, bins_of):
+            violations += int(np.count_nonzero(counts.sum(axis=1) != size))
+        checked += rows
     return checked, violations
 
 
@@ -360,13 +371,14 @@ def check_interval_lower_bound(
     mod: Modulus, workers: int = 1, budget: int | None = None
 ) -> tuple[int, int]:
     """Exhaustive P[[d] collides] >= 1/(6dm) for every d in [2, m]."""
-    checked = violations = 0
-    for d in range(2, mod.m + 1):
-        prob = count_interval_collision(mod, d, workers=workers, budget=budget).probability
-        if prob < interval_lower_bound(mod, d):
-            violations += 1
-        checked += 1
-    return checked, violations
+    if mod.m < 2:
+        return 0, 0
+    sweep = count_interval_collisions(mod, mod.m, workers=workers, budget=budget)
+    violations = sum(
+        stats.probability < interval_lower_bound(mod, d)
+        for d, stats in enumerate(sweep, start=2)
+    )
+    return len(sweep), violations
 
 
 def check_interval_containment(
@@ -380,10 +392,16 @@ def check_interval_containment(
     p = mod.p
     if d_max is None:
         d_max = p if p <= 300 else 128
+    d_max = min(d_max, p)
+    sweep = (
+        count_interval_collisions(mod, d_max, workers=workers, budget=budget)
+        if d_max >= 2
+        else []
+    )
     checked = containment_violations = monotone_violations = 0
     previous = None
-    for d in range(2, min(d_max, p) + 1):
-        count = count_interval_collision(mod, d, workers=workers, budget=budget).satisfying_pairs
+    for d, stats in enumerate(sweep, start=2):
+        count = stats.satisfying_pairs
         if previous is not None and count > previous:
             monotone_violations += 1
         previous = count

@@ -1,9 +1,9 @@
-"""Key-set representations, per-bin load accounting, and the max-load kernel."""
+"""Key-set representations, per-bin load accounting, and the bin-count kernel."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -111,22 +111,31 @@ def max_load_b_zero_bounds(params: HashParams, mod: Modulus, ks: KeySet) -> tupl
     return full // 2, 2 * full
 
 
-# Cells per block of max_loads: rows times max(n, m), which bounds both the
+# Cells per block of bin_counts: rows times max(n, m), which bounds both the
 # placed keys and the per-row bin counts.
 _BLOCK_CELLS = 1 << 14
 
 
-def max_loads(rows: int, n: int, m: int, bins_of: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """Max load of each of `rows` hash functions placing n keys into m bins.
+def bin_counts(
+    rows: int, n: int, m: int, bins_of: Callable[[int, int], np.ndarray]
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Per-bin loads of `rows` hash functions placing n keys into m bins.
 
     bins_of(lo, hi) returns the (hi - lo, n) bin indices of rows lo..hi-1.  It
     is called once per block, in row order, so callers build blocks lazily.
+    Yields (lo, hi, counts) with counts of shape (hi - lo, m), from one
+    bincount per block.
     """
-    out = np.empty(rows, dtype=np.int64)
     step = max(1, _BLOCK_CELLS // max(n, m))
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
         codes = (np.arange(hi - lo)[:, None] * m + bins_of(lo, hi)).ravel()
-        counts = np.bincount(codes, minlength=(hi - lo) * m)
-        out[lo:hi] = counts.reshape(hi - lo, m).max(axis=1)
+        yield lo, hi, np.bincount(codes, minlength=(hi - lo) * m).reshape(hi - lo, m)
+
+
+def max_loads(rows: int, n: int, m: int, bins_of: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """Max load of each of `rows` hash functions: the row max of bin_counts."""
+    out = np.empty(rows, dtype=np.int64)
+    for lo, hi, counts in bin_counts(rows, n, m, bins_of):
+        out[lo:hi] = counts.max(axis=1)
     return out

@@ -8,6 +8,9 @@ collision/mapping conditions do not depend on b (only residues mod m do), so
 the inner loop over b collapses to a handful of whole segments per a.  One
 pass, _segments, yields them for a triple with offsets o_t such that h(t) =
 (o_t + b) mod m on each; both triple counters test one predicate on those.
+The b values on which h(t) = h(0) form one interval per t, so the interval
+counter intersects them for t = 1, 2, ... and reads off the count for every
+length of [d] along the way.
 The all-(a, b) max-load histogram uses the same wrap points: between wraps
 the bins are the classes v_x mod m rotated by b, so the max load is
 constant, and each wrap moves one key between classes.  Sorting the n wrap
@@ -19,6 +22,7 @@ loop, which the test suite keeps as an independent reference.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +38,8 @@ from .loads import KeySet, materialize, max_loads
 # their kernels make.
 DEFAULT_WORK_BUDGET = 2**33
 
-# Below this notional cost a worker pool costs more than it saves.
+# Below this much kernel work (array cells touched, not the notional cost
+# charged to the budget) a worker pool costs more than it saves.
 _MIN_PARALLEL_WORK = 2**26
 
 
@@ -57,14 +62,25 @@ def _chunk_bounds(p: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
-def _map_chunks(func, p: int, workers: int, notional: int, args: tuple) -> list:
+def _available_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_chunks(func, p: int, workers: int, work: int, args: tuple) -> list:
     """Apply func(*args, lo, hi) over a partition of [0, p).
 
     The range holds multipliers a for the exhaustive counters and sample
-    blocks for the Monte Carlo estimators.
+    blocks for the Monte Carlo estimators.  `work` is what the kernel does
+    over the whole range; a pool starts only once it reaches
+    _MIN_PARALLEL_WORK, and never with more processes than available cores.
     """
-    if notional < _MIN_PARALLEL_WORK:
+    if work < _MIN_PARALLEL_WORK:
         workers = 1
+    else:
+        workers = min(workers, _available_cores())
     chunks = _chunk_bounds(p, workers)
     if len(chunks) == 1:
         return [func(*args, *chunks[0])]
@@ -157,9 +173,8 @@ def count_triple_collisions(
     _require_enumerable(p)
     if len({x, y, z}) != 3 or not all(0 <= t < p for t in (x, y, z)):
         raise ValueError(f"elements must be distinct and in [0, {p})")
-    notional = 3 * p * p
-    _check_budget(notional, budget, "triple collision count")
-    parts = _map_chunks(_triple_chunk, p, workers, notional, (p, m, x, y, z))
+    _check_budget(3 * p * p, budget, "triple collision count")
+    parts = _map_chunks(_triple_chunk, p, workers, 3 * p, (p, m, x, y, z))
     return CollisionStats(sum(parts), p * p)
 
 
@@ -192,22 +207,24 @@ def count_prescribed_triple(
         raise ValueError(f"elements must be distinct and in [0, {p})")
     if not all(0 <= i < m for i in (ix, iy, iz)):
         raise ValueError(f"bin targets must lie in [0, {m})")
-    notional = 3 * p * p
-    _check_budget(notional, budget, "prescribed triple count")
+    _check_budget(3 * p * p, budget, "prescribed triple count")
     parts = _map_chunks(
-        _prescribed_chunk, p, workers, notional, (p, m, x, y, z, ix, iy, iz)
+        _prescribed_chunk, p, workers, 3 * p, (p, m, x, y, z, ix, iy, iz)
     )
     return CollisionStats(sum(parts), p * p)
 
 
-def _interval_chunk(p, m, d, lo_a, hi_a):
+def _interval_chunk(p, m, d_max, lo_a, hi_a):
+    """Counts of pairs colliding all of [d], for d = 2..d_max, over a in [lo_a, hi_a)."""
     a = np.arange(lo_a, hi_a, dtype=np.int64)
     # Valid b values for "h(t) = h(0)" form one interval per element t (for
     # 1 < m <= p the prefix and suffix cases exclude each other since m does
-    # not divide p); the whole interval [d] collides on the intersection.
+    # not divide p); the interval [t + 1] collides on the intersection over
+    # 1..t, so one pass over t yields every length.
     lo = np.zeros_like(a)
     hi = np.full_like(a, p)
-    for t in range(1, d):
+    counts = np.empty(d_max - 1, dtype=np.int64)
+    for t in range(1, d_max):
         vt = a * t % p
         ct = p - vt
         pre = vt % m == 0
@@ -217,24 +234,36 @@ def _interval_chunk(p, m, d, lo_a, hi_a):
         dead = ~pre & ~suf
         hi = np.where(dead, 0, hi)
         lo = np.where(dead, 0, lo)
-    return int(np.maximum(0, hi - lo).sum())
+        counts[t - 1] = np.maximum(0, hi - lo).sum()
+    return counts
+
+
+def count_interval_collisions(
+    mod: Modulus, d_max: int, workers: int = 1, budget: int | None = None
+) -> list[CollisionStats]:
+    """Exact interval collision counts for every length d = 2..d_max, in one pass.
+
+    Entry d - 2 counts the (a, b) pairs mapping all of {0, ..., d-1} to one
+    bin.  The pass costs O(d_max * p); the budget is charged d_max * p^2, the
+    most that one literal count among them would cost.
+    """
+    p, m = mod.p, mod.m
+    _require_enumerable(p)
+    if not 2 <= d_max <= p:
+        raise ValueError(f"d must satisfy 2 <= d <= p, got {d_max}")
+    if m == 1:
+        # One bin: prefix and suffix cases coincide and every (a, b) collides.
+        return [CollisionStats(p * p, p * p)] * (d_max - 1)
+    _check_budget(d_max * p * p, budget, "interval collision count")
+    parts = _map_chunks(_interval_chunk, p, workers, d_max * p, (p, m, d_max))
+    return [CollisionStats(int(c), p * p) for c in sum(parts)]
 
 
 def count_interval_collision(
     mod: Modulus, d: int, workers: int = 1, budget: int | None = None
 ) -> CollisionStats:
     """Exact number of (a, b) pairs mapping all of {0, ..., d-1} to one bin."""
-    p, m = mod.p, mod.m
-    _require_enumerable(p)
-    if not 2 <= d <= p:
-        raise ValueError(f"d must satisfy 2 <= d <= p, got {d}")
-    if m == 1:
-        # One bin: prefix and suffix cases coincide and every (a, b) collides.
-        return CollisionStats(p * p, p * p)
-    notional = d * p * p
-    _check_budget(notional, budget, "interval collision count")
-    parts = _map_chunks(_interval_chunk, p, workers, notional, (p, m, d))
-    return CollisionStats(sum(parts), p * p)
+    return count_interval_collisions(mod, d, workers, budget)[-1]
 
 
 @dataclass(frozen=True)

@@ -258,7 +258,9 @@ def test_mc_samples_are_prefix_stable(maxima_seen):
 def test_mc_independent_of_workers(monkeypatch, maxima_seen):
     # Zero threshold: every worker count above one forks a pool.  200 samples
     # are four blocks, the last partial, so three workers get unequal shares.
+    # Four notional cores keep the pool cap from merging the three shares.
     monkeypatch.setattr(oracles, "_MIN_PARALLEL_WORK", 0)
+    monkeypatch.setattr(oracles, "_available_cores", lambda: 4)
     pools = []
 
     class CountingPool(oracles.ProcessPoolExecutor):

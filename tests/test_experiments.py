@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from linbins import experiments, loads
 from linbins.experiments import (
     AcceptanceReport,
     CheckRow,
@@ -123,6 +124,29 @@ def test_check_functions_small_config():
     assert check_interval_containment(mod) == (11, 0, 0)
     assert check_decomposition(mod) == (1716, 0)
     assert check_partition_determinism(mod) == (4, 0)
+
+
+def test_check_load_sums_counts_dropped_keys(monkeypatch):
+    # Seven-row blocks; every row of each key set's first block loses a key.
+    monkeypatch.setattr(loads, "_BLOCK_CELLS", 7 * 3)
+    real = experiments.bin_counts
+
+    def dropping(rows, n, m, bins_of):
+        def first_block_short(lo, hi):
+            bins = bins_of(lo, hi)
+            return bins[:, 1:] if lo == 0 else bins
+
+        return real(rows, n, m, first_block_short)
+
+    monkeypatch.setattr(experiments, "bin_counts", dropping)
+    assert check_load_sums(Modulus(13, 3), alpha=5, beta=2) == (507, 3 * 7)
+
+
+def test_check_load_sums_sampled_b_and_range_guard():
+    # Above p^2 = 90000 only four b values per multiplier are checked.
+    assert check_load_sums(Modulus(331, 16), alpha=5, beta=2) == (3 * 4 * 331, 0)
+    with pytest.raises(ValueError):
+        check_load_sums(Modulus(2147483659, 4), alpha=1, beta=0)
 
 
 def test_interval_lower_bound_activation():

@@ -11,6 +11,7 @@ from linbins.loads import (
     AffineImage,
     Explicit,
     Interval,
+    bin_counts,
     key_set_size,
     load_profile,
     materialize,
@@ -124,3 +125,13 @@ def test_max_loads_caps_blocks_by_bin_count(monkeypatch):
 
     assert max_loads(5, 1, 20, bins_of).tolist() == [1] * 5
     assert max(asked) == 2
+
+
+def test_bin_counts_yields_per_bin_loads_block_by_block(monkeypatch):
+    monkeypatch.setattr(loads, "_BLOCK_CELLS", 3 * 5)
+    rng = np.random.default_rng(1)
+    bins = rng.integers(0, 5, size=(11, 4))
+    blocks = list(bin_counts(11, 4, 5, lambda lo, hi: bins[lo:hi]))
+    assert [(lo, hi) for lo, hi, _ in blocks] == [(0, 3), (3, 6), (6, 9), (9, 11)]
+    counts = np.concatenate([c for _, _, c in blocks])
+    assert counts.tolist() == [np.bincount(row, minlength=5).tolist() for row in bins]

@@ -1,6 +1,8 @@
 """Exhaustive counting oracles, checked against literal double loops."""
 
 import itertools
+import os
+from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -12,10 +14,12 @@ from linbins.loads import AffineImage, Explicit, Interval, load_profile, materia
 from linbins.oracles import (
     WorkBudgetError,
     _chunk_bounds,
+    _interval_chunk,
     _maxload_hist_all_b_chunk,
     _maxloads_b_zero_chunk,
     canonicalize_triple,
     count_interval_collision,
+    count_interval_collisions,
     count_prescribed_triple,
     count_triple_collisions,
     exact_maxload_histogram,
@@ -92,6 +96,35 @@ def test_interval_counts_match_naive_enumeration():
             for d in range(2, p + 1):
                 fast = count_interval_collision(mod, d).satisfying_pairs
                 assert fast == naive_interval(p, m, d), (p, m, d)
+
+
+def test_interval_sweep_matches_naive_enumeration():
+    for p in (5, 7, 13):
+        for m in sorted({1, 2, 3, p // 2 + 1, p}):
+            sweep = count_interval_collisions(Modulus(p, m), p)
+            expected = [naive_interval(p, m, d) for d in range(2, p + 1)]
+            assert [s.satisfying_pairs for s in sweep] == expected, (p, m)
+            assert {s.total_pairs for s in sweep} == {p * p}
+
+
+def test_interval_sweep_chunks_sum_to_unchunked():
+    for p, m in ((13, 3), (257, 16)):
+        whole = _interval_chunk(p, m, p, 0, p)
+        for k in (2, 3, 7):
+            parts = [_interval_chunk(p, m, p, lo, hi) for lo, hi in _chunk_bounds(p, k)]
+            assert np.array_equal(sum(parts), whole), (p, m, k)
+
+
+def test_interval_sweep_budget_charged_once():
+    mod = Modulus(13, 3)
+    work = 6 * 13 * 13
+    with pytest.raises(WorkBudgetError):
+        count_interval_collisions(mod, 6, budget=work - 1)
+    with pytest.raises(WorkBudgetError):
+        count_interval_collision(mod, 6, budget=work - 1)
+    sweep = count_interval_collisions(mod, 6, budget=work)
+    assert sweep[-1] == count_interval_collision(mod, 6, budget=work)
+    assert len(sweep) == 5
 
 
 def test_triple_count_regressions():
@@ -217,6 +250,10 @@ def test_interval_domain():
         count_interval_collision(mod, 1)
     with pytest.raises(ValueError):
         count_interval_collision(mod, 14)
+    with pytest.raises(ValueError):
+        count_interval_collisions(mod, 1)
+    with pytest.raises(ValueError):
+        count_interval_collisions(mod, 14)
 
 
 def test_maxloads_for_a_matches_load_profile():
@@ -398,3 +435,67 @@ def test_enumeration_range_guard():
     assert is_prime(p)
     with pytest.raises(ValueError):
         count_triple_collisions(Modulus(p, 4), 0, 1, 2)
+
+
+def test_pool_capped_at_available_cores(monkeypatch):
+    sizes = []
+
+    class StandInPool:
+        """Records its size and runs each task in this process; starts nothing."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(oracles, "ProcessPoolExecutor", StandInPool)
+    p = 21787
+    # Figure scale: the triple kernel's 3p cells stay under the pool threshold.
+    count_triple_collisions(Modulus(p, 512), 0, 1, 5, workers=100_000)
+    assert sizes == []
+
+    monkeypatch.setattr(oracles, "_MIN_PARALLEL_WORK", 0)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parts = oracles._map_chunks(lambda lo, hi: (lo, hi), p, 100_000, 1, ())
+    assert parts == _chunk_bounds(p, cores)
+    assert sizes == ([cores] if cores > 1 else [])
+
+    monkeypatch.setattr(oracles, "_available_cores", lambda: 4)
+    parts = oracles._map_chunks(lambda lo, hi: (lo, hi), p, 100_000, 1, ())
+    assert parts == _chunk_bounds(p, 4)
+    assert sizes[-1] == 4
+
+
+def test_pooled_counts_match_serial(monkeypatch):
+    # Zero threshold and four notional cores: workers 2 and 3 fork pools of
+    # that size for every count, so the pooled path stays tested.
+    monkeypatch.setattr(oracles, "_MIN_PARALLEL_WORK", 0)
+    monkeypatch.setattr(oracles, "_available_cores", lambda: 4)
+    pools = []
+
+    class CountingPool(oracles.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(oracles, "ProcessPoolExecutor", CountingPool)
+    mod = Modulus(31, 5)
+    results = [
+        (
+            count_triple_collisions(mod, 0, 1, 7, workers=w),
+            count_prescribed_triple(mod, 2, 9, 30, 1, 4, 1, workers=w),
+            count_interval_collisions(mod, 31, workers=w),
+        )
+        for w in (1, 2, 3)
+    ]
+    assert results[0] == results[1] == results[2]
+    assert pools == [2, 2, 2, 3, 3, 3]
