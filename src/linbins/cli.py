@@ -3,7 +3,8 @@
 Every experiment prints its acceptance report and exits nonzero when a
 required check fails; refused exhaustive runs (over the work budget) exit
 with status 2 and a hint to lower p or raise --budget, and invalid values
-(p not prime, m out of range) exit with status 2 and a one-line error.
+(p not prime, m out of range, --workers below 1) exit with status 2 and a
+one-line error.
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ def cmd_maxload_mc(args) -> int:
 def cmd_collide3(args) -> int:
     mod = Modulus(args.p, args.m)
     stats = count_triple_collisions(
-        mod, args.x, args.y, args.z, workers=args.workers, budget=args.budget
-    )
+        mod, [(args.x, args.y, args.z)], workers=args.workers, budget=args.budget
+    )[0]
     canon = canonicalize_triple(args.p, args.x, args.y, args.z)
     bounds = triple_bound_formula(mod, canon.d)
     print(
@@ -272,6 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except WorkBudgetError as err:
         print(f"refused: {err}", file=sys.stderr)

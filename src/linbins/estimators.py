@@ -202,6 +202,8 @@ def scaling_study(
     seed + 2k + 1 for the k-th m, wrapped modulo 2^64.
     """
     _check_seed(seed)
+    if not m_values:
+        raise ValueError("scaling study needs at least one m value, got an empty list")
     rows = []
     for k, m in enumerate(m_values):
         if m < 2:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -32,6 +33,7 @@ from .field import MAX_MODULUS, Modulus
 from .loads import AffineImage, Explicit, Interval, bin_counts, key_set_size, materialize
 from .oracles import (
     _chunk_bounds,
+    _maxload_credits,
     _triple_chunk,
     canonicalize_triple,
     count_interval_collisions,
@@ -40,7 +42,6 @@ from .oracles import (
     exact_maxload_histogram,
     interval_lower_bound,
     maxloads_b_zero,
-    maxloads_for_a,
     triple_bound_formula,
 )
 
@@ -184,10 +185,12 @@ def run_figure1(
     if not ds or ds[0] < 2 or ds[-1] >= p:
         raise ValueError(f"d values must lie in [2, {p - 1}]")
 
+    counts = count_triple_collisions(
+        mod, [(0, 1, d) for d in ds], workers=workers, budget=budget
+    )
     exact: dict[int, Fraction] = {}
     rows = []
-    for d in ds:
-        stats = count_triple_collisions(mod, 0, 1, d, workers=workers, budget=budget)
+    for d, stats in zip(ds, counts):
         bounds = triple_bound_formula(mod, d)
         exact[d] = stats.probability
         rows.append((d, stats.probability, bounds.statement, bounds.proof))
@@ -279,16 +282,19 @@ def check_zero_slack(mod: Modulus, workers: int = 1) -> tuple[int, int]:
 
 
 def check_b_shift_containment(mod: Modulus) -> tuple[int, int]:
-    """floor(L_{a,b}/2) <= L_{a,0} <= 2 L_{a,b} for every (a, b) on [m]."""
-    p = mod.p
-    ks = Interval(mod.m)
-    checked = violations = 0
-    for a in range(p):
-        row = maxloads_for_a(mod, ks, a)
-        at_zero = row[0]
-        violations += int(np.count_nonzero((row // 2 > at_zero) | (at_zero > 2 * row)))
-        checked += p
-    return checked, violations
+    """floor(L_{a,b}/2) <= L_{a,0} <= 2 L_{a,b} for every (a, b) on [m].
+
+    The wrap-event kernel gives, per a, how many b have each max load L, so
+    the violating pairs are counted per (a, L), not per b.
+    """
+    p, m = mod.p, mod.m
+    at_zero = maxloads_b_zero(mod, Interval(m))
+    load = np.arange(m + 1)
+    violations = 0
+    for lo, hi, credit in _maxload_credits(p, m, range(m), 0, p):
+        l0 = at_zero[lo:hi, None]
+        violations += int(credit[(load // 2 > l0) | (l0 > 2 * load)].sum())
+    return p * p, violations
 
 
 def check_affine_histogram(
@@ -315,34 +321,23 @@ def check_canonical_equality(
     if all_triples is None:
         all_triples = p <= 31
     if all_triples:
-        triples = [
-            (x, y, z)
-            for x in range(p)
-            for y in range(p)
-            for z in range(p)
-            if x != y and y != z and x != z
-        ]
+        triples = list(itertools.permutations(range(p), 3))
     else:
         triples = [
             tuple(int(v) for v in rng.choice(p, size=3, replace=False))
             for _ in range(triple_samples)
         ]
-    cache: dict[tuple[int, int, int, int], int] = {}
-    checked = violations = 0
-    for x, y, z in triples:
-        d = canonicalize_triple(p, x, y, z).d
-        for _ in range(targets_per_triple):
-            ix, iy, iz = (int(v) for v in rng.integers(0, m, size=3))
-            key = (d, ix, iy, iz)
-            if key not in cache:
-                cache[key] = count_prescribed_triple(
-                    mod, 0, 1, d, ix, iy, iz
-                ).satisfying_pairs
-            direct = count_prescribed_triple(mod, x, y, z, ix, iy, iz).satisfying_pairs
-            if direct != cache[key]:
-                violations += 1
-            checked += 1
-    return checked, violations
+    canonical = [(0, 1, canonicalize_triple(p, *t).d) for t in triples]
+    # One draw for every target: the same stream as one draw per (triple, target).
+    targets = rng.integers(0, m, size=(len(triples) * targets_per_triple, 3))
+
+    def queries(rows):
+        rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        return np.hstack([rows.repeat(targets_per_triple, axis=0), targets]).tolist()
+
+    direct = count_prescribed_triple(mod, queries(triples))
+    reduced = count_prescribed_triple(mod, queries(canonical))
+    return len(direct), sum(a != b for a, b in zip(direct, reduced))
 
 
 def check_triple_bounds(
@@ -350,16 +345,16 @@ def check_triple_bounds(
 ) -> tuple[int, int, int]:
     """Exhaustive P[{0,1,d} collide] against both bound forms, every d."""
     p = mod.p
-    checked = statement_violations = proof_violations = 0
-    for d in range(2, p):
-        prob = count_triple_collisions(mod, 0, 1, d, workers=workers, budget=budget).probability
+    ds = range(2, p)
+    counts = count_triple_collisions(
+        mod, [(0, 1, d) for d in ds], workers=workers, budget=budget
+    )
+    statement_violations = proof_violations = 0
+    for d, stats in zip(ds, counts):
         bounds = triple_bound_formula(mod, d)
-        if prob > bounds.statement:
-            statement_violations += 1
-        if prob > bounds.proof:
-            proof_violations += 1
-        checked += 1
-    return checked, statement_violations, proof_violations
+        statement_violations += stats.probability > bounds.statement
+        proof_violations += stats.probability > bounds.proof
+    return len(ds), statement_violations, proof_violations
 
 
 def interval_lower_bound_active(mod: Modulus) -> bool:
@@ -398,59 +393,46 @@ def check_interval_containment(
         if d_max >= 2
         else []
     )
-    checked = containment_violations = monotone_violations = 0
-    previous = None
-    for d, stats in enumerate(sweep, start=2):
-        count = stats.satisfying_pairs
-        if previous is not None and count > previous:
-            monotone_violations += 1
-        previous = count
-        if d >= 3:
-            triple = count_triple_collisions(
-                mod, 0, 1, d - 1, workers=workers, budget=budget
-            ).satisfying_pairs
-            if count > triple:
-                containment_violations += 1
-            checked += 1
-    return checked, containment_violations, monotone_violations
+    counts = [stats.satisfying_pairs for stats in sweep]
+    monotone_violations = sum(b > a for a, b in zip(counts, counts[1:]))
+    # Entry i of counts is the interval of length i + 2; from length 3 on,
+    # the interval [d] holds {0, 1, d - 1}.
+    triples = count_triple_collisions(
+        mod, [(0, 1, d - 1) for d in range(3, d_max + 1)], workers=workers, budget=budget
+    )
+    containment_violations = sum(
+        count > triple.satisfying_pairs for count, triple in zip(counts[1:], triples)
+    )
+    return len(triples), containment_violations, monotone_violations
 
 
 def check_decomposition(mod: Modulus) -> tuple[int, int]:
     """Summing prescribed equal-bin counts over bins gives the collision count."""
     p, m = mod.p, mod.m
     if p <= 13:
-        triples = [
-            (x, y, z)
-            for x in range(p)
-            for y in range(p)
-            for z in range(p)
-            if x != y and y != z and x != z
-        ]
+        triples = list(itertools.permutations(range(p), 3))
     else:
         triples = [(0, 1, 2), (0, 2, p - 2), (1, p // 2, p - 3)]
-    checked = violations = 0
-    for x, y, z in triples:
-        total = sum(
-            count_prescribed_triple(mod, x, y, z, i, i, i).satisfying_pairs
-            for i in range(m)
-        )
-        if total != count_triple_collisions(mod, x, y, z).satisfying_pairs:
-            violations += 1
-        checked += 1
-    return checked, violations
+    prescribed = count_prescribed_triple(
+        mod, [(*t, i, i, i) for t in triples for i in range(m)]
+    )
+    collisions = count_triple_collisions(mod, triples)
+    per_bin = np.array([s.satisfying_pairs for s in prescribed]).reshape(-1, m)
+    totals = per_bin.sum(axis=1).tolist()
+    violations = sum(t != c.satisfying_pairs for t, c in zip(totals, collisions))
+    return len(triples), violations
 
 
 def check_partition_determinism(mod: Modulus) -> tuple[int, int]:
     """Counts must not depend on how the a-range is chunked across workers."""
     p, m = mod.p, mod.m
     d = (p - 1) // 2 if p > 5 else 2
-    base = count_triple_collisions(mod, 0, 1, d).satisfying_pairs
+    base = count_triple_collisions(mod, [(0, 1, d)])[0].satisfying_pairs
+    rows = np.array([(0, 1, d)], dtype=np.int64)
     checked = violations = 0
     for chunks in (2, 3, 7):
-        split = sum(
-            _triple_chunk(p, m, 0, 1, d, lo, hi) for lo, hi in _chunk_bounds(p, chunks)
-        )
-        if split != base:
+        split = sum(_triple_chunk(p, m, rows, lo, hi) for lo, hi in _chunk_bounds(p, chunks))
+        if split[0] != base:
             violations += 1
         checked += 1
     one = exact_maxload_histogram(mod, Interval(m), "all_b", workers=1)
@@ -471,6 +453,8 @@ def run_lemma_checks(
 ) -> AcceptanceReport:
     """Run every exhaustive invariant at one (p, m) and write the report CSV."""
     mod = Modulus(p, m)
+    if p < 3:
+        raise ValueError(f"lemmas needs p >= 3 to form distinct triples, got p={p}")
     rng = np.random.default_rng(seed + 1)
     alpha = 1 + int(rng.integers(p - 1))
     beta = int(rng.integers(p))

@@ -103,12 +103,3 @@ def eval_full(params: HashParams, mod: Modulus, x: int) -> int:
 def eval_binned(params: HashParams, mod: Modulus, x: int) -> int:
     """Bin index ((a*x + b) mod p) mod m."""
     return eval_full(params, mod, x) % mod.m
-
-
-def leaps(params: HashParams, mod: Modulus, x: int) -> int:
-    """Number of wrap-arounds floor((a*x + b) / p); always in [0, x] for b < p.
-
-    Satisfies eval_binned(x) == (a*x + b - leaps(x)*p) mod m.
-    """
-    _check_args(params, mod, x)
-    return (params.a * x + params.b) // mod.p

@@ -99,18 +99,6 @@ def load_profile(params: HashParams, mod: Modulus, ks: KeySet) -> LoadProfile:
     return LoadProfile(tuple(loads), max(loads), params, mod)
 
 
-def max_load_b_zero_bounds(params: HashParams, mod: Modulus, ks: KeySet) -> tuple[int, int]:
-    """Interval [floor(L/2), 2*L] that must contain the b=0 max load.
-
-    L is the max load of the given (a, b); dropping b to 0 can at most split
-    every bin in two or merge pairs of bins, so the b=0 max load stays within
-    a factor of two.  The lower bound uses integer floor, the weakest integer
-    reading of L/2.
-    """
-    full = load_profile(params, mod, ks).max_load
-    return full // 2, 2 * full
-
-
 # Cells per block of bin_counts: rows times max(n, m), which bounds both the
 # placed keys and the per-row bin counts.
 _BLOCK_CELLS = 1 << 14

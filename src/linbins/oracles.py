@@ -6,8 +6,9 @@ element x is (v_x + b) mod p with v_x = a*x mod p, which wraps exactly once
 as b sweeps [0, p), at b = p - v_x.  Between consecutive wrap points the
 collision/mapping conditions do not depend on b (only residues mod m do), so
 the inner loop over b collapses to a handful of whole segments per a.  One
-pass, _segments, yields them for a triple with offsets o_t such that h(t) =
-(o_t + b) mod m on each; both triple counters test one predicate on those.
+pass, _segments, yields them for a block of triples as (rows, a) arrays of
+offsets o_t with h(t) = (o_t + b) mod m on each; both triple counters take
+rows of queries and test one predicate on those, one call per batch.
 The b values on which h(t) = h(0) form one interval per t, so the interval
 counter intersects them for t = 1, 2, ... and reads off the count for every
 length of [d] along the way.
@@ -16,7 +17,8 @@ the bins are the classes v_x mod m rotated by b, so the max load is
 constant, and each wrap moves one key between classes.  Sorting the n wrap
 points and replaying them costs O(n log n) per a instead of the O(p*n) of
 scanning every b.  The resulting counts are identical to the literal double
-loop, which the test suite keeps as an independent reference.
+loop, which the test suite keeps as an independent reference.  The replay
+yields each a's own histogram over b, which the b-shift check also reads.
 """
 
 from __future__ import annotations
@@ -131,87 +133,104 @@ def _require_enumerable(p: int) -> None:
         raise ValueError(f"p={p} exceeds the enumerable range ({MAX_MODULUS})")
 
 
-def _segments(p, x, y, z, lo_a, hi_a):
-    """The one wrap-point pass over the b axis, vectorised over a in [lo_a, hi_a).
+# Cap on rows times multipliers per array of the segment pass: larger blocks
+# raise the peak memory of small-p batches and gain no speed.
+_ROW_BLOCK_CELLS = 1 << 12
 
-    Yields (lo, hi, o_x, o_y, o_z) for the four segments between the sorted
-    wrap points c_t = p - v_t; on lo <= b < hi, h(t) = (o_t + b) mod m with
-    o_t = v_t - p*[c_t <= lo].
+
+def _segments(p, rows, lo_a, hi_a):
+    """The one wrap-point pass over the b axis, for a in [lo_a, hi_a).
+
+    Takes rows (x, y, z, ...) in blocks of at most _ROW_BLOCK_CELLS rows times
+    multipliers (one row at least).  Per block it yields (blk, lo, hi, o_x,
+    o_y, o_z), arrays shaped (rows in blk, multipliers), for the four segments
+    between the sorted wrap points c_t = p - v_t; on lo <= b < hi,
+    h(t) = (o_t + b) mod m with o_t = v_t - p*[c_t <= lo].
     """
     a = np.arange(lo_a, hi_a, dtype=np.int64)
-    vx, vy, vz = a * x % p, a * y % p, a * z % p
-    cx, cy, cz = p - vx, p - vy, p - vz
-    s1 = np.minimum(np.minimum(cx, cy), cz)
-    s3 = np.maximum(np.maximum(cx, cy), cz)
-    s2 = cx + cy + cz - s1 - s3
-    # Every c_t is at least 1, so nothing has wrapped on the first segment,
-    # and everything has by the last.
-    yield 0, s1, vx, vy, vz
-    for lo, hi in ((s1, s2), (s2, s3)):
-        yield lo, hi, vx - p * (cx <= lo), vy - p * (cy <= lo), vz - p * (cz <= lo)
-    yield s3, p, vx - p, vy - p, vz - p
+    step = max(1, _ROW_BLOCK_CELLS // max(1, len(a)))
+    for r in range(0, len(rows), step):
+        blk = slice(r, r + step)
+        x, y, z = rows[blk, 0:3].T[:, :, None]
+        vx, vy, vz = a * x % p, a * y % p, a * z % p
+        cx, cy, cz = p - vx, p - vy, p - vz
+        s1 = np.minimum(np.minimum(cx, cy), cz)
+        s3 = np.maximum(np.maximum(cx, cy), cz)
+        s2 = cx + cy + cz - s1 - s3
+        # Every c_t is at least 1, so nothing has wrapped on the first
+        # segment, and everything has by the last.
+        yield blk, 0, s1, vx, vy, vz
+        for lo, hi in ((s1, s2), (s2, s3)):
+            yield blk, lo, hi, vx - p * (cx <= lo), vy - p * (cy <= lo), vz - p * (cz <= lo)
+        yield blk, s3, p, vx - p, vy - p, vz - p
 
 
-def _triple_chunk(p, m, x, y, z, lo_a, hi_a):
-    total = 0
-    for lo, hi, ox, oy, oz in _segments(p, x, y, z, lo_a, hi_a):
+def _triple_chunk(p, m, rows, lo_a, hi_a):
+    """Per-row collision counts of (x, y, z) rows over a in [lo_a, hi_a)."""
+    out = np.zeros(len(rows), dtype=np.int64)
+    for blk, lo, hi, ox, oy, oz in _segments(p, rows, lo_a, hi_a):
         ok = ((oy - ox) % m == 0) & ((oz - ox) % m == 0)
-        total += int(((hi - lo) * ok).sum())
-    return total
+        out[blk] += ((hi - lo) * ok).sum(axis=1)
+    return out
 
 
-def count_triple_collisions(
-    mod: Modulus,
-    x: int,
-    y: int,
-    z: int,
-    workers: int = 1,
-    budget: int | None = None,
-) -> CollisionStats:
-    """Exact number of (a, b) pairs mapping x, y, z all to one bin."""
-    p, m = mod.p, mod.m
-    _require_enumerable(p)
-    if len({x, y, z}) != 3 or not all(0 <= t < p for t in (x, y, z)):
-        raise ValueError(f"elements must be distinct and in [0, {p})")
-    _check_budget(3 * p * p, budget, "triple collision count")
-    parts = _map_chunks(_triple_chunk, p, workers, 3 * p, (p, m, x, y, z))
-    return CollisionStats(sum(parts), p * p)
-
-
-def _prescribed_chunk(p, m, x, y, z, ix, iy, iz, lo_a, hi_a):
-    total = 0
-    for lo, hi, ox, oy, oz in _segments(p, x, y, z, lo_a, hi_a):
+def _prescribed_chunk(p, m, rows, lo_a, hi_a):
+    """Per-row counts of (x, y, z, ix, iy, iz) rows over a in [lo_a, hi_a)."""
+    out = np.zeros(len(rows), dtype=np.int64)
+    for blk, lo, hi, ox, oy, oz in _segments(p, rows, lo_a, hi_a):
+        ix, iy, iz = rows[blk, 3:6].T[:, :, None]
         # Within a segment, h(x) = ix pins b to one residue class mod m.
         rx = (ix - ox) % m
         same = (rx == (iy - oy) % m) & (rx == (iz - oz) % m)
         in_class = (hi - rx + m - 1) // m - (lo - rx + m - 1) // m
-        total += int(np.where(same, in_class, 0).sum())
-    return total
+        out[blk] += np.where(same, in_class, 0).sum(axis=1)
+    return out
+
+
+def _count_rows(chunk, width, mod, queries, workers, budget, what):
+    """Validate (x, y, z[, ix, iy, iz]) rows, then count them all in one pass over a."""
+    p, m = mod.p, mod.m
+    _require_enumerable(p)
+    for q in queries:
+        if len(q) != width:
+            raise ValueError(f"each row needs {width} entries, got {q}")
+        if len(set(q[:3])) != 3 or not all(0 <= t < p for t in q[:3]):
+            raise ValueError(f"elements must be distinct and in [0, {p})")
+        if not all(0 <= i < m for i in q[3:]):
+            raise ValueError(f"bin targets must lie in [0, {m})")
+    rows = np.array(queries, dtype=np.int64).reshape(len(queries), width)
+    # Every row costs one literal query, 3p^2, so a batch is charged that
+    # once; the pool decision sees the kernel work of the whole batch.
+    if len(rows):
+        _check_budget(3 * p * p, budget, what)
+    parts = _map_chunks(chunk, p, workers, 3 * p * len(rows), (p, m, rows))
+    return [CollisionStats(int(c), p * p) for c in sum(parts)]
+
+
+def count_triple_collisions(
+    mod: Modulus, triples, workers: int = 1, budget: int | None = None
+) -> list[CollisionStats]:
+    """Exact number of (a, b) pairs mapping x, y, z all to one bin, per row.
+
+    triples is a sequence of (x, y, z) rows, answered in one pass.  The
+    budget is charged 3p^2, the literal cost of one row, once per batch.
+    """
+    return _count_rows(
+        _triple_chunk, 3, mod, triples, workers, budget, "triple collision count"
+    )
 
 
 def count_prescribed_triple(
-    mod: Modulus,
-    x: int,
-    y: int,
-    z: int,
-    ix: int,
-    iy: int,
-    iz: int,
-    workers: int = 1,
-    budget: int | None = None,
-) -> CollisionStats:
-    """Exact number of (a, b) pairs with h(x) = ix, h(y) = iy, h(z) = iz."""
-    p, m = mod.p, mod.m
-    _require_enumerable(p)
-    if len({x, y, z}) != 3 or not all(0 <= t < p for t in (x, y, z)):
-        raise ValueError(f"elements must be distinct and in [0, {p})")
-    if not all(0 <= i < m for i in (ix, iy, iz)):
-        raise ValueError(f"bin targets must lie in [0, {m})")
-    _check_budget(3 * p * p, budget, "prescribed triple count")
-    parts = _map_chunks(
-        _prescribed_chunk, p, workers, 3 * p, (p, m, x, y, z, ix, iy, iz)
+    mod: Modulus, queries, workers: int = 1, budget: int | None = None
+) -> list[CollisionStats]:
+    """Exact number of (a, b) pairs with h(x) = ix, h(y) = iy, h(z) = iz, per row.
+
+    queries is a sequence of (x, y, z, ix, iy, iz) rows; the budget is
+    charged 3p^2 once per batch.
+    """
+    return _count_rows(
+        _prescribed_chunk, 6, mod, queries, workers, budget, "prescribed triple count"
     )
-    return CollisionStats(sum(parts), p * p)
 
 
 def _interval_chunk(p, m, d_max, lo_a, hi_a):
@@ -344,9 +363,11 @@ def maxloads_for_a(mod: Modulus, ks: KeySet, a: int) -> np.ndarray:
 _EVENT_BLOCK_CELLS = 1 << 19
 
 
-def _maxload_hist_all_b_chunk(p, m, elements, lo_a, hi_a):
-    """Max-load histogram over a in [lo_a, hi_a) and every b, by wrap events.
+def _maxload_credits(p, m, elements, lo_a, hi_a):
+    """Per-a histograms of the max load over every b, by wrap events.
 
+    Yields (lo, hi, credit) per block of multipliers a in [lo_a, hi_a);
+    credit[r, L] is the number of b with max load L at a = lo + r.
     For fixed a, key x sits in class r_x = v_x mod m of the b-rotated bins
     until b reaches its wrap point c_x = p - v_x (p when v_x = 0, i.e. never),
     where it moves to class (r_x - p) mod m.  Rows of a block are replayed in
@@ -356,7 +377,6 @@ def _maxload_hist_all_b_chunk(p, m, elements, lo_a, hi_a):
     """
     s = np.asarray(elements, dtype=np.int64)
     n = len(s)
-    hist = np.zeros(n + 1, dtype=np.int64)
     step = max(1, _EVENT_BLOCK_CELLS // (n + m + 1))
     for blk in range(lo_a, hi_a, step):
         a = np.arange(blk, min(blk + step, hi_a), dtype=np.int64)
@@ -391,7 +411,14 @@ def _maxload_hist_all_b_chunk(p, m, elements, lo_a, hi_a):
             cnt[j] = new
             np.maximum(top, new, out=top)
         credit[load_base + top] += p - prev
-        hist += credit.reshape(-1, n + 1).sum(axis=0)
+        yield blk, blk + len(a), credit.reshape(-1, n + 1)
+
+
+def _maxload_hist_all_b_chunk(p, m, elements, lo_a, hi_a):
+    """Max-load histogram over a in [lo_a, hi_a) and every b."""
+    hist = np.zeros(len(elements) + 1, dtype=np.int64)
+    for _, _, credit in _maxload_credits(p, m, elements, lo_a, hi_a):
+        hist += credit.sum(axis=0)
     return hist
 
 

@@ -58,6 +58,9 @@ def test_budget_refusal_exits_two(tmp_path):
     [
         ("maxload-exact", "--p", "12", "--m", "3"),
         ("scaling", "--m-values", "46341", "--samples", "1"),
+        ("collide3", "--workers", "0"),
+        ("lemmas", "--p", "2", "--m", "2"),
+        ("scaling", "--m-values", ","),
     ],
 )
 def test_invalid_value_exits_two(tmp_path, args):

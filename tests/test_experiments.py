@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import numpy as np
+
 from linbins import experiments, loads
 from linbins.experiments import (
     AcceptanceReport,
@@ -32,6 +34,8 @@ from linbins.experiments import (
     write_csv,
 )
 from linbins.field import Modulus
+from linbins.loads import Interval
+from linbins.oracles import maxloads_for_a
 
 
 def test_fmt_values():
@@ -124,6 +128,31 @@ def test_check_functions_small_config():
     assert check_interval_containment(mod) == (11, 0, 0)
     assert check_decomposition(mod) == (1716, 0)
     assert check_partition_determinism(mod) == (4, 0)
+
+
+@pytest.mark.parametrize("skew", (lambda l0: 3 * l0 - 2, lambda l0: l0 // 3))
+def test_b_shift_containment_counts_violating_pairs(monkeypatch, skew):
+    # A skewed b = 0 max load breaks the containment for some (a, b); the count
+    # from per-a histograms must equal a b-by-b scan of every pair.
+    mod = Modulus(257, 16)
+    real = experiments.maxloads_b_zero
+    monkeypatch.setattr(experiments, "maxloads_b_zero", lambda *args: skew(real(*args)))
+    expected = 0
+    for a in range(mod.p):
+        row = maxloads_for_a(mod, Interval(16), a)
+        l0 = skew(row[0])
+        expected += int(np.count_nonzero((row // 2 > l0) | (l0 > 2 * row)))
+    assert expected > 0
+    assert check_b_shift_containment(mod) == (mod.p * mod.p, expected)
+
+
+def test_triple_checks_without_distinct_triples():
+    # p = 2 has no distinct triple: every triple check checks nothing.
+    mod = Modulus(2, 1)
+    assert check_canonical_equality(mod) == (0, 0)
+    assert check_decomposition(mod) == (0, 0)
+    assert check_triple_bounds(mod) == (0, 0, 0)
+    assert check_interval_containment(mod) == (0, 0, 0)
 
 
 def test_check_load_sums_counts_dropped_keys(monkeypatch):

@@ -8,7 +8,6 @@ from linbins.field import (
     eval_binned,
     eval_full,
     is_prime,
-    leaps,
     mod_inverse,
     next_prime_at_least,
 )
@@ -106,23 +105,6 @@ def test_eval_exhaustive_reduction():
                 full = (a * x + b) % 13
                 assert eval_full(params, mod, x) == full
                 assert eval_binned(params, mod, x) == full % 5
-
-
-def test_leaps_identity_and_range():
-    mod = Modulus(13, 5)
-    for a in range(13):
-        for b in range(13):
-            params = HashParams(a, b)
-            for x in range(13):
-                l = leaps(params, mod, x)
-                assert 0 <= l <= x
-                assert a * x + b - l * 13 == eval_full(params, mod, x)
-
-
-def test_leaps_zero_for_identity():
-    mod = Modulus(13, 4)
-    for x in range(13):
-        assert leaps(HashParams(1, 0), mod, x) == 0
 
 
 def test_full_range_pairwise_uniform():

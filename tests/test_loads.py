@@ -15,7 +15,6 @@ from linbins.loads import (
     key_set_size,
     load_profile,
     materialize,
-    max_load_b_zero_bounds,
     max_loads,
 )
 
@@ -82,21 +81,6 @@ def test_load_sums_exhaustive_small_p():
             for b in range(13):
                 profile = load_profile(HashParams(a, b), mod, ks)
                 assert sum(profile.loads) == size
-
-
-def test_max_load_b_zero_bounds_arithmetic():
-    # max load 5 at (a, b) -> the b=0 max load must land in [2, 10].
-    mod = Modulus(13, 3)
-    params = HashParams(0, 1)
-    ks = Interval(5)
-    full = load_profile(params, mod, ks).max_load
-    assert full == 5
-    assert max_load_b_zero_bounds(params, mod, ks) == (2, 10)
-
-    params = HashParams(1, 0)
-    ks = Interval(3)
-    assert load_profile(params, mod, ks).max_load == 1
-    assert max_load_b_zero_bounds(params, mod, ks) == (0, 2)
 
 
 def test_max_loads_asks_for_blocks_in_row_order(monkeypatch):

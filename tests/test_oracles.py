@@ -16,6 +16,7 @@ from linbins.oracles import (
     _chunk_bounds,
     _interval_chunk,
     _maxload_hist_all_b_chunk,
+    _maxload_credits,
     _maxloads_b_zero_chunk,
     canonicalize_triple,
     count_interval_collision,
@@ -73,20 +74,42 @@ def test_triple_counts_match_naive_enumeration():
     for p in (5, 7, 13):
         for m in sorted({1, 2, 3, p // 2 + 1, p}):
             mod = Modulus(p, m)
-            for x, y, z in itertools.combinations(range(min(p, 6)), 3):
-                fast = count_triple_collisions(mod, x, y, z).satisfying_pairs
-                assert fast == naive_triple(p, m, x, y, z), (p, m, x, y, z)
+            # Every ordered triple of the first six elements, in one batch.
+            triples = list(itertools.permutations(range(min(p, 6)), 3))
+            fast = count_triple_collisions(mod, triples)
+            assert len(fast) == len(triples)
+            for (x, y, z), stats in zip(triples, fast):
+                assert stats.satisfying_pairs == naive_triple(p, m, x, y, z), (p, m, x, y, z)
+                assert stats.total_pairs == p * p
 
 
 def test_prescribed_counts_match_naive_enumeration():
     for p in (5, 7, 13):
-        for m in sorted({1, 3, p}):
+        for m in sorted({1, 2, 3, p}):
             mod = Modulus(p, m)
-            for x, y, z in ((0, 1, 2), (0, 2, 4), (1, 3, 4)):
-                for targets in itertools.product(range(min(m, 3)), repeat=3):
-                    fast = count_prescribed_triple(mod, x, y, z, *targets)
-                    slow = naive_prescribed(p, m, x, y, z, *targets)
-                    assert fast.satisfying_pairs == slow, (p, m, x, y, z, targets)
+            rows = [
+                (*t, *targets)
+                for t in ((0, 1, 2), (0, 2, 4), (1, 3, 4), (4, 0, 3))
+                for targets in itertools.product(range(min(m, 3)), repeat=3)
+            ]
+            fast = count_prescribed_triple(mod, rows)
+            assert len(fast) == len(rows)
+            for row, stats in zip(rows, fast):
+                assert stats.satisfying_pairs == naive_prescribed(p, m, *row), (p, m, row)
+
+
+def test_batched_counts_at_partial_row_blocks(monkeypatch):
+    mod = Modulus(13, 3)
+    triples = list(itertools.permutations(range(5), 3))  # 60 rows
+    queries = [(*t, i, (i + 1) % 3, i) for t in triples for i in range(3)]  # 180 rows
+    whole = (count_triple_collisions(mod, triples), count_prescribed_triple(mod, queries))
+    for rows in (1, 7, 59):
+        # `rows` rows of 13 multipliers per block; 7 and 59 leave a partial last block.
+        monkeypatch.setattr(oracles, "_ROW_BLOCK_CELLS", rows * 13)
+        blocked = (count_triple_collisions(mod, triples), count_prescribed_triple(mod, queries))
+        assert blocked == whole, rows
+    assert [s.satisfying_pairs for s in whole[0]] == [naive_triple(13, 3, *t) for t in triples]
+    assert [s.satisfying_pairs for s in whole[1]] == [naive_prescribed(13, 3, *q) for q in queries]
 
 
 def test_interval_counts_match_naive_enumeration():
@@ -128,21 +151,21 @@ def test_interval_sweep_budget_charged_once():
 
 
 def test_triple_count_regressions():
-    assert count_triple_collisions(Modulus(13, 3), 0, 1, 2).satisfying_pairs == 29
-    assert count_triple_collisions(Modulus(13, 13), 0, 1, 2).satisfying_pairs == 13
-    assert count_triple_collisions(Modulus(13, 3), 2, 5, 11).satisfying_pairs == 21
+    assert count_triple_collisions(Modulus(13, 3), [(0, 1, 2)])[0].satisfying_pairs == 29
+    assert count_triple_collisions(Modulus(13, 13), [(0, 1, 2)])[0].satisfying_pairs == 13
+    assert count_triple_collisions(Modulus(13, 3), [(2, 5, 11)])[0].satisfying_pairs == 21
     assert count_interval_collision(Modulus(13, 3), 4).satisfying_pairs == 21
 
 
 def test_single_bin_collides_everything():
     mod = Modulus(13, 1)
-    assert count_triple_collisions(mod, 0, 1, 2).satisfying_pairs == 169
-    assert count_prescribed_triple(mod, 0, 1, 2, 0, 0, 0).satisfying_pairs == 169
+    assert count_triple_collisions(mod, [(0, 1, 2)])[0].satisfying_pairs == 169
+    assert count_prescribed_triple(mod, [(0, 1, 2, 0, 0, 0)])[0].satisfying_pairs == 169
     assert count_interval_collision(mod, 2).satisfying_pairs == 169
 
 
 def test_collision_stats_probability():
-    stats = count_triple_collisions(Modulus(13, 3), 0, 1, 2)
+    [stats] = count_triple_collisions(Modulus(13, 3), [(0, 1, 2)])
     assert stats.total_pairs == 169
     assert stats.probability == Fraction(29, 169)
 
@@ -150,11 +173,20 @@ def test_collision_stats_probability():
 def test_triple_distinctness_required():
     mod = Modulus(13, 3)
     with pytest.raises(ValueError):
-        count_triple_collisions(mod, 0, 0, 2)
+        count_triple_collisions(mod, [(0, 0, 2)])
     with pytest.raises(ValueError):
-        count_prescribed_triple(mod, 0, 1, 1, 0, 0, 0)
+        count_prescribed_triple(mod, [(0, 1, 1, 0, 0, 0)])
+    with pytest.raises(ValueError, match=r"bin targets must lie in \[0, 3\)"):
+        count_prescribed_triple(mod, [(0, 1, 2, 0, 0, 3)])
+    # Each row is checked, not just the first, with the same messages.
+    with pytest.raises(ValueError, match=r"elements must be distinct and in \[0, 13\)"):
+        count_triple_collisions(mod, [(0, 1, 2), (3, 4, 13)])
+    with pytest.raises(ValueError, match=r"bin targets"):
+        count_prescribed_triple(mod, [(0, 1, 2, 0, 0, 0), (0, 1, 2, 0, -1, 0)])
     with pytest.raises(ValueError):
-        count_prescribed_triple(mod, 0, 1, 2, 0, 0, 3)
+        count_triple_collisions(mod, [(0, 1, 2, 0, 0, 0)])
+    with pytest.raises(ValueError):
+        count_prescribed_triple(mod, [(0, 1, 2)])
 
 
 def test_canonicalize_examples():
@@ -175,19 +207,17 @@ def test_canonicalize_never_degenerate():
 
 def test_canonical_triples_collide_equally():
     mod = Modulus(13, 3)
-    direct = count_triple_collisions(mod, 2, 5, 11).satisfying_pairs
-    reduced = count_triple_collisions(mod, 0, 1, 3).satisfying_pairs
+    direct, reduced = count_triple_collisions(mod, [(2, 5, 11), (0, 1, 3)])
     assert direct == reduced
 
 
 def test_prescribed_decomposition():
     mod = Modulus(13, 3)
-    for x, y, z in ((0, 1, 2), (2, 5, 11), (1, 7, 4)):
-        total = sum(
-            count_prescribed_triple(mod, x, y, z, i, i, i).satisfying_pairs
-            for i in range(3)
-        )
-        assert total == count_triple_collisions(mod, x, y, z).satisfying_pairs
+    triples = [(0, 1, 2), (2, 5, 11), (1, 7, 4)]
+    collisions = count_triple_collisions(mod, triples)
+    for t, stats in zip(triples, collisions):
+        per_bin = count_prescribed_triple(mod, [(*t, i, i, i) for i in range(3)])
+        assert sum(s.satisfying_pairs for s in per_bin) == stats.satisfying_pairs
 
 
 def test_triple_bound_formula_values():
@@ -206,8 +236,9 @@ def test_triple_bound_formula_values():
 def test_triple_bounds_hold_exhaustively_small():
     for p, m in ((13, 3), (31, 8)):
         mod = Modulus(p, m)
-        for d in range(2, p):
-            prob = count_triple_collisions(mod, 0, 1, d).probability
+        counts = count_triple_collisions(mod, [(0, 1, d) for d in range(2, p)])
+        for d, stats in zip(range(2, p), counts):
+            prob = stats.probability
             bounds = triple_bound_formula(mod, d)
             assert prob <= bounds.proof, (p, m, d)
             assert prob <= bounds.statement, (p, m, d)
@@ -240,7 +271,7 @@ def test_interval_containment_and_monotonicity():
             assert count <= previous
         previous = count
         if d >= 3:
-            triple = count_triple_collisions(mod, 0, 1, d - 1).satisfying_pairs
+            triple = count_triple_collisions(mod, [(0, 1, d - 1)])[0].satisfying_pairs
             assert count <= triple
 
 
@@ -364,6 +395,37 @@ def test_all_b_histogram_matches_literal_scan(mod, ks):
     assert exact_maxload_histogram(mod, ks, b_mode="all_b") == expected
 
 
+CREDIT_CASES = [
+    (Modulus(257, 16), Interval(16), None),
+    (Modulus(577, 24), AffineImage(24, 77, 5), None),
+    (Modulus(577, 24), AffineImage(24, 77, 5), 7),
+    (Modulus(13, 3), Interval(3), 5),
+    (Modulus(13, 13), Explicit((0, 2, 5, 9)), None),
+    (Modulus(13, 1), Interval(4), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "mod,ks,block_rows",
+    CREDIT_CASES,
+    ids=[f"p{mod.p}-m{mod.m}-{type(ks).__name__}-{rows}" for mod, ks, rows in CREDIT_CASES],
+)
+def test_maxload_credits_match_per_a_scan(monkeypatch, mod, ks, block_rows):
+    elements = materialize(ks, mod)
+    n = len(elements)
+    if block_rows is not None:
+        # Blocks of a few rows; p = 577, 13 leave a partial last block.
+        monkeypatch.setattr(oracles, "_EVENT_BLOCK_CELLS", block_rows * (n + mod.m + 1))
+    covered = 0
+    for lo, hi, credit in _maxload_credits(mod.p, mod.m, elements, 0, mod.p):
+        assert lo == covered and credit.shape == (hi - lo, n + 1)
+        for a in range(lo, hi):
+            expected = np.bincount(maxloads_for_a(mod, ks, a), minlength=n + 1)
+            assert credit[a - lo].tolist() == expected.tolist(), a
+        covered = hi
+    assert covered == mod.p
+
+
 def test_all_b_chunks_sum_to_unchunked():
     mod = Modulus(577, 24)
     elements = materialize(AffineImage(24, 77, 5), mod)
@@ -422,19 +484,34 @@ def test_work_budget_refusal():
     p = next_prime_at_least(100_000)
     mod = Modulus(p, 16)
     with pytest.raises(WorkBudgetError):
-        count_triple_collisions(mod, 0, 1, 2)  # 3p^2 over the default budget
+        count_triple_collisions(mod, [(0, 1, 2)])  # 3p^2 over the default budget
     with pytest.raises(WorkBudgetError):
-        count_triple_collisions(Modulus(13, 3), 0, 1, 2, budget=10)
+        count_triple_collisions(Modulus(13, 3), [(0, 1, 2)], budget=10)
     # An explicit budget at or above the notional cost lets the call run.
-    stats = count_triple_collisions(Modulus(13, 3), 0, 1, 2, budget=3 * 13 * 13)
+    [stats] = count_triple_collisions(Modulus(13, 3), [(0, 1, 2)], budget=3 * 13 * 13)
     assert stats.satisfying_pairs == 29
+
+
+def test_batch_budget_charged_once_per_query():
+    # Every row costs one query, 3p^2; a batch of many rows is charged that once.
+    mod = Modulus(31, 5)
+    work = 3 * 31 * 31
+    triples = [(0, 1, d) for d in range(2, 31)]
+    queries = [(*t, 1, 2, 3) for t in triples]
+    with pytest.raises(WorkBudgetError):
+        count_triple_collisions(mod, triples, budget=work - 1)
+    with pytest.raises(WorkBudgetError):
+        count_prescribed_triple(mod, queries, budget=work - 1)
+    assert count_triple_collisions(mod, triples, budget=work) == count_triple_collisions(mod, triples)
+    assert count_prescribed_triple(mod, queries, budget=work) == count_prescribed_triple(mod, queries)
+    assert len(count_triple_collisions(mod, triples, budget=work)) == 29
 
 
 def test_enumeration_range_guard():
     p = 2147483659  # first prime above 2^31
     assert is_prime(p)
     with pytest.raises(ValueError):
-        count_triple_collisions(Modulus(p, 4), 0, 1, 2)
+        count_triple_collisions(Modulus(p, 4), [(0, 1, 2)])
 
 
 def test_pool_capped_at_available_cores(monkeypatch):
@@ -460,7 +537,7 @@ def test_pool_capped_at_available_cores(monkeypatch):
     monkeypatch.setattr(oracles, "ProcessPoolExecutor", StandInPool)
     p = 21787
     # Figure scale: the triple kernel's 3p cells stay under the pool threshold.
-    count_triple_collisions(Modulus(p, 512), 0, 1, 5, workers=100_000)
+    count_triple_collisions(Modulus(p, 512), [(0, 1, 5)], workers=100_000)
     assert sizes == []
 
     monkeypatch.setattr(oracles, "_MIN_PARALLEL_WORK", 0)
@@ -489,13 +566,18 @@ def test_pooled_counts_match_serial(monkeypatch):
 
     monkeypatch.setattr(oracles, "ProcessPoolExecutor", CountingPool)
     mod = Modulus(31, 5)
+    triples = [(0, 1, 7), (2, 9, 30), (30, 0, 15)] + [(0, 1, d) for d in range(2, 31)]
+    queries = [(*t, 1, 4, 1) for t in triples] + [(*t, 3, 3, 3) for t in triples]
     results = [
         (
-            count_triple_collisions(mod, 0, 1, 7, workers=w),
-            count_prescribed_triple(mod, 2, 9, 30, 1, 4, 1, workers=w),
+            count_triple_collisions(mod, triples, workers=w),
+            count_prescribed_triple(mod, queries, workers=w),
             count_interval_collisions(mod, 31, workers=w),
         )
         for w in (1, 2, 3)
     ]
     assert results[0] == results[1] == results[2]
+    assert len(results[0][0]) == 32 and len(results[0][1]) == 64
+    assert results[0][0][0].satisfying_pairs == naive_triple(31, 5, 0, 1, 7)
+    assert results[0][1][1].satisfying_pairs == naive_prescribed(31, 5, 2, 9, 30, 1, 4, 1)
     assert pools == [2, 2, 2, 3, 3, 3]
