@@ -333,7 +333,7 @@ def check_canonical_equality(
 
     def queries(rows):
         rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
-        return np.hstack([rows.repeat(targets_per_triple, axis=0), targets]).tolist()
+        return np.hstack([rows.repeat(targets_per_triple, axis=0), targets])
 
     direct = count_prescribed_triple(mod, queries(triples))
     reduced = count_prescribed_triple(mod, queries(canonical))

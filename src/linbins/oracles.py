@@ -3,12 +3,14 @@
 Every count here is an exact enumeration result over the p^2 parameter pairs.
 The enumeration is a-major: for a fixed multiplier a, the full value of
 element x is (v_x + b) mod p with v_x = a*x mod p, which wraps exactly once
-as b sweeps [0, p), at b = p - v_x.  Between consecutive wrap points the
-collision/mapping conditions do not depend on b (only residues mod m do), so
-the inner loop over b collapses to a handful of whole segments per a.  One
-pass, _segments, yields them for a block of triples as (rows, a) arrays of
-offsets o_t with h(t) = (o_t + b) mod m on each; both triple counters take
-rows of queries and test one predicate on those, one call per batch.
+as b sweeps [0, p), at b = p - v_x.  So the inner loop over b has a closed
+form: for a triple (x, y, z), the b on which h(t) agrees with h(x) (up to
+prescribed bins) are all of [0, p), nothing, one interval ending at x's wrap
+point, or its complement.  One pass, _agreement_sets, finds them for a block
+of rows times multipliers with three reductions mod p and two mod m per
+cell, and keeps only the cells where both sets are non-empty; both triple
+counters intersect the two sets there, counting every b or only those in the
+residue class h(x) = ix fixes, one call per batch of rows.
 The b values on which h(t) = h(0) form one interval per t, so the interval
 counter intersects them for t = 1, 2, ... and reads off the count for every
 length of [d] along the way.
@@ -133,57 +135,93 @@ def _require_enumerable(p: int) -> None:
         raise ValueError(f"p={p} exceeds the enumerable range ({MAX_MODULUS})")
 
 
-# Cap on rows times multipliers per array of the segment pass: larger blocks
-# raise the peak memory of small-p batches and gain no speed.
-_ROW_BLOCK_CELLS = 1 << 12
+# Cap on rows times multipliers per block of the agreement pass.  The lemma
+# triple checks at (257, 16) (canonical, bounds, decomposition) peak at
+# 0.62 / 0.93 / 1.41 MiB of traced numpy memory and take 0.077 / 0.062 /
+# 0.056 s with 2^12 / 2^13 / 2^14 cells (2-vCPU Xeon, numpy 2.4); past 2^13
+# memory grows faster than time falls.  At (21787, 512) every block is one
+# row whatever the cap (figure1's 163 rows: 1.53 MiB, 0.12 s).
+_ROW_BLOCK_CELLS = 1 << 13
 
 
-def _segments(p, rows, lo_a, hi_a):
-    """The one wrap-point pass over the b axis, for a in [lo_a, hi_a).
+def _agreement_sets(p, m, rows, lo_a, hi_a):
+    """Closed-form sets of b on which y and z agree with x, for a in [lo_a, hi_a).
 
-    Takes rows (x, y, z, ...) in blocks of at most _ROW_BLOCK_CELLS rows times
-    multipliers (one row at least).  Per block it yields (blk, lo, hi, o_x,
-    o_y, o_z), arrays shaped (rows in blk, multipliers), for the four segments
-    between the sorted wrap points c_t = p - v_t; on lo <= b < hi,
-    h(t) = (o_t + b) mod m with o_t = v_t - p*[c_t <= lo].
+    Rows are (x, y, z) or (x, y, z, ix, iy, iz) (targets i_t = 0 in the first
+    form), taken in blocks of at most _ROW_BLOCK_CELLS rows times multipliers
+    (one row at least).  For fixed a, t wraps at c_t = p - v_t, v_t = a*t mod p,
+    so with u_t = v_t - i_t, h(t) - i_t = h(x) - i_x (mod m) holds on
+    S_t = {b : u_t - u_x = p*([b >= c_t] - [b >= c_x]) (mod m)}.  The right
+    side is 0 outside I_t, the interval between c_t and c_x on which exactly
+    one of t, x has wrapped, and q = p mod m (t has) or -q (x has) on it, so
+    1[S_t] = f_t + k_t*1[I_t] with e_t = (u_t - u_x) mod m, f_t = [e_t = 0]
+    and k_t = [e_t = +-q] - f_t.  S_t is empty unless e_t is 0, q or -q, so
+    per block it yields (r, v_x, y, z) only for the cells (row r, a) where
+    both e_y and e_z are; y and z are (d_t, f_t, k_t), with d_t = v_t - v_x
+    = c_x - c_t, so I_t lies below c_x when d_t > 0.  All are 1-D arrays.
     """
     a = np.arange(lo_a, hi_a, dtype=np.int64)
     step = max(1, _ROW_BLOCK_CELLS // max(1, len(a)))
-    for r in range(0, len(rows), step):
-        blk = slice(r, r + step)
-        x, y, z = rows[blk, 0:3].T[:, :, None]
-        vx, vy, vz = a * x % p, a * y % p, a * z % p
-        cx, cy, cz = p - vx, p - vy, p - vz
-        s1 = np.minimum(np.minimum(cx, cy), cz)
-        s3 = np.maximum(np.maximum(cx, cy), cz)
-        s2 = cx + cy + cz - s1 - s3
-        # Every c_t is at least 1, so nothing has wrapped on the first
-        # segment, and everything has by the last.
-        yield blk, 0, s1, vx, vy, vz
-        for lo, hi in ((s1, s2), (s2, s3)):
-            yield blk, lo, hi, vx - p * (cx <= lo), vy - p * (cy <= lo), vz - p * (cz <= lo)
-        yield blk, s3, p, vx - p, vy - p, vz - p
+    q, mq = p % m, -p % m
+    for start in range(0, len(rows), step):
+        x, y, z, *targets = rows[start : start + step].T[:, :, None]
+        ix, iy, iz = targets or (0, 0, 0)
+        vx = a * x % p
+        dy, dz = a * y % p - vx, a * z % p - vx
+        ey, ez = (dy - (iy - ix)) % m, (dz - (iz - ix)) % m
+        live = (ey == 0) | (ey == q) | (ey == mq)
+        live &= (ez == 0) | (ez == q) | (ez == mq)
+        cell = np.flatnonzero(live)
+        sets = []
+        for d, e in ((dy, ey), (dz, ez)):
+            d, e = d.ravel()[cell], e.ravel()[cell]
+            f = e == 0
+            sets.append((d, f, (e == np.where(d > 0, q, mq)) - f.astype(np.int64)))
+        yield start + cell // len(a), vx.ravel()[cell], *sets
+
+
+def _overlap(full, y, n_y, z, n_z):
+    """Measure of S_y & S_z per cell, given that of [0, p) and n_t of I_t.
+
+    I_y and I_z share the endpoint c_x, so they meet only when on the same
+    side of it, on the shorter one.
+    """
+    (d_y, f_y, k_y), (d_z, f_z, k_z) = y, z
+    both = np.minimum(n_y, n_z) * ((d_y > 0) == (d_z > 0))
+    return f_y * (f_z * full + k_z * n_z) + k_y * (f_z * n_y + k_z * both)
 
 
 def _triple_chunk(p, m, rows, lo_a, hi_a):
     """Per-row collision counts of (x, y, z) rows over a in [lo_a, hi_a)."""
     out = np.zeros(len(rows), dtype=np.int64)
-    for blk, lo, hi, ox, oy, oz in _segments(p, rows, lo_a, hi_a):
-        ok = ((oy - ox) % m == 0) & ((oz - ox) % m == 0)
-        out[blk] += ((hi - lo) * ok).sum(axis=1)
+    for r, _, y, z in _agreement_sets(p, m, rows, lo_a, hi_a):
+        # Every b counts, so the measure of I_t is its length.
+        np.add.at(out, r, _overlap(p, y, abs(y[0]), z, abs(z[0])))
     return out
 
 
 def _prescribed_chunk(p, m, rows, lo_a, hi_a):
     """Per-row counts of (x, y, z, ix, iy, iz) rows over a in [lo_a, hi_a)."""
     out = np.zeros(len(rows), dtype=np.int64)
-    for blk, lo, hi, ox, oy, oz in _segments(p, rows, lo_a, hi_a):
-        ix, iy, iz = rows[blk, 3:6].T[:, :, None]
-        # Within a segment, h(x) = ix pins b to one residue class mod m.
-        rx = (ix - ox) % m
-        same = (rx == (iy - oy) % m) & (rx == (iz - oz) % m)
-        in_class = (hi - rx + m - 1) // m - (lo - rx + m - 1) // m
-        out[blk] += np.where(same, in_class, 0).sum(axis=1)
+    q = p % m
+
+    def upto(c, rho):
+        """How many b < c lie in residue class rho mod m."""
+        return (c - rho + m - 1) // m
+
+    for r, vx, y, z in _agreement_sets(p, m, rows, lo_a, hi_a):
+        # h(x) = ix pins b to one residue class mod m: rho0 below x's wrap
+        # point c_x, rho1 = rho0 + q from there on.  Every I_t ends at c_x.
+        cx = p - vx
+        rho0 = (rows[r, 3] - vx) % m
+        rho1 = (rho0 + q) % m
+        below_x, above_x = upto(cx, rho0), upto(cx, rho1)
+        full = below_x + upto(p, rho1) - above_x
+        n_y, n_z = (
+            abs(upto(cx - d, np.where(d > 0, rho0, rho1)) - np.where(d > 0, below_x, above_x))
+            for d, _, _ in (y, z)
+        )
+        np.add.at(out, r, _overlap(full, y, n_y, z, n_z))
     return out
 
 
@@ -191,20 +229,28 @@ def _count_rows(chunk, width, mod, queries, workers, budget, what):
     """Validate (x, y, z[, ix, iy, iz]) rows, then count them all in one pass over a."""
     p, m = mod.p, mod.m
     _require_enumerable(p)
-    for q in queries:
-        if len(q) != width:
-            raise ValueError(f"each row needs {width} entries, got {q}")
-        if len(set(q[:3])) != 3 or not all(0 <= t < p for t in q[:3]):
-            raise ValueError(f"elements must be distinct and in [0, {p})")
-        if not all(0 <= i < m for i in q[3:]):
-            raise ValueError(f"bin targets must lie in [0, {m})")
-    rows = np.array(queries, dtype=np.int64).reshape(len(queries), width)
+    if len(queries) == 0:
+        return []
+    try:
+        rows = np.asarray(queries, dtype=np.int64)
+    except (OverflowError, ValueError):
+        # Ragged rows, or entries past int64: as Python objects they fail the
+        # width or range checks below, with the same messages.
+        rows = np.asarray(queries, dtype=object)
+    if rows.shape[1:] != (width,):
+        bad = next((q for q in queries if len(q) != width), queries[0])
+        raise ValueError(f"each row needs {width} entries, got {bad}")
+    elements, targets = rows[:, :3], rows[:, 3:]
+    x, y, z = elements.T
+    if not ((elements >= 0) & (elements < p)).all() or ((x == y) | (y == z) | (x == z)).any():
+        raise ValueError(f"elements must be distinct and in [0, {p})")
+    if not ((targets >= 0) & (targets < m)).all():
+        raise ValueError(f"bin targets must lie in [0, {m})")
     # Every row costs one literal query, 3p^2, so a batch is charged that
     # once; the pool decision sees the kernel work of the whole batch.
-    if len(rows):
-        _check_budget(3 * p * p, budget, what)
+    _check_budget(3 * p * p, budget, what)
     parts = _map_chunks(chunk, p, workers, 3 * p * len(rows), (p, m, rows))
-    return [CollisionStats(int(c), p * p) for c in sum(parts)]
+    return [CollisionStats(c, p * p) for c in sum(parts).tolist()]
 
 
 def count_triple_collisions(

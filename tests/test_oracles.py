@@ -112,6 +112,41 @@ def test_batched_counts_at_partial_row_blocks(monkeypatch):
     assert [s.satisfying_pairs for s in whole[1]] == [naive_prescribed(13, 3, *q) for q in queries]
 
 
+def test_counts_match_full_grid_on_general_rows():
+    # A literal h = (a*x + b) % p % m over every (a, b), on random rows with
+    # x != 0, so c_x = p - a*x mod p falls on both sides of c_y and c_z as a
+    # varies; at these moduli q = p mod m and m - q differ.
+    rng = np.random.default_rng(7)
+    for p, m in ((257, 5), (257, 16), (1031, 32)):
+        a = np.arange(p, dtype=np.int64)[:, None]
+        b = np.arange(p, dtype=np.int64)[None, :]
+        triples, queries, collide, prescribed = [], [], [], []
+        for _ in range(32):
+            x, y, z = (int(t) for t in rng.choice(np.arange(1, p), size=3, replace=False))
+            hx, hy, hz = ((a * t + b) % p % m for t in (x, y, z))
+            # Targets taken from one (a, b), so no prescribed count is trivially 0.
+            a0, b0 = rng.integers(0, p, size=2)
+            ix, iy, iz = int(hx[a0, b0]), int(hy[a0, b0]), int(hz[a0, b0])
+            triples.append((x, y, z))
+            queries.append((x, y, z, ix, iy, iz))
+            collide.append(int(((hx == hy) & (hx == hz)).sum()))
+            prescribed.append(int(((hx == ix) & (hy == iy) & (hz == iz)).sum()))
+        mod = Modulus(p, m)
+        assert [s.satisfying_pairs for s in count_triple_collisions(mod, triples)] == collide
+        # An int64 array of rows is accepted as it is.
+        fast = count_prescribed_triple(mod, np.array(queries, dtype=np.int64))
+        assert [s.satisfying_pairs for s in fast] == prescribed, (p, m)
+
+
+def test_prescribed_counts_over_all_targets_sum_to_all_pairs():
+    # Every (a, b) sends (x, y, z) to exactly one of the m^3 bin targets.
+    for p, m in ((31, 4), (37, 5)):
+        triples = [(0, 1, 2), (5, 3, p - 1), (p - 2, 7, 11)]
+        queries = [(*t, *i) for t in triples for i in itertools.product(range(m), repeat=3)]
+        counts = [s.satisfying_pairs for s in count_prescribed_triple(Modulus(p, m), queries)]
+        assert np.array(counts).reshape(len(triples), -1).sum(axis=1).tolist() == [p * p] * 3
+
+
 def test_interval_counts_match_naive_enumeration():
     for p in (5, 7, 13):
         for m in sorted({1, 2, 3, p // 2 + 1, p}):
@@ -187,6 +222,13 @@ def test_triple_distinctness_required():
         count_triple_collisions(mod, [(0, 1, 2, 0, 0, 0)])
     with pytest.raises(ValueError):
         count_prescribed_triple(mod, [(0, 1, 2)])
+    with pytest.raises(ValueError, match=r"each row needs 3 entries, got \(3, 4\)"):
+        count_triple_collisions(mod, [(0, 1, 2), (3, 4)])
+    # Python ints past int64 are out of range, not an OverflowError.
+    with pytest.raises(ValueError, match=r"elements must be distinct"):
+        count_triple_collisions(mod, [(0, 1, 2**64)])
+    with pytest.raises(ValueError, match=r"bin targets"):
+        count_prescribed_triple(mod, [(0, 1, 2, 0, 0, -(2**63) - 1)])
 
 
 def test_canonicalize_examples():
