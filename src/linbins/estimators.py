@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import MAX_MODULUS, Modulus, next_prime_at_least
+from .field import MAX_MODULUS, Modulus, next_prime_at_least, rem
 from .loads import Interval, KeySet, materialize, max_loads
 from .oracles import _map_chunks
 
@@ -106,7 +106,7 @@ def _block_maxima(seed, samples, high, width, m, keys, lo_block, hi_block):
     for j in range(lo_block, hi_block):
         rows = min(SAMPLES_PER_BLOCK, samples - j * SAMPLES_PER_BLOCK)
         draws = _sample_rng(seed, j).integers(0, high, size=(rows, width))
-        bins = draws if keys is None else (draws[:, :1] * keys + draws[:, 1:]) % high % m
+        bins = draws if keys is None else rem(rem(draws[:, :1] * keys + draws[:, 1:], high), m)
         out.append(max_loads(rows, bins.shape[1], m, lambda lo, hi: bins[lo:hi]))
     return np.concatenate(out)
 

@@ -11,13 +11,13 @@ choices and the claim text marks them as such.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from importlib import metadata as _metadata
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .estimators import (
     scaling_study,
     tail_log_slope,
 )
-from .field import MAX_MODULUS, Modulus
+from .field import MAX_MODULUS, Modulus, rem
 from .loads import AffineImage, Explicit, Interval, bin_counts, key_set_size, materialize
 from .oracles import (
     _chunk_bounds,
@@ -46,10 +46,17 @@ from .oracles import (
 )
 
 TOOL_NAME = "linbins"
-try:
-    TOOL_VERSION = _metadata.version(TOOL_NAME)
-except _metadata.PackageNotFoundError:
-    TOOL_VERSION = "unknown"
+
+
+@functools.cache
+def _tool_version() -> str:
+    # Looked up on first use: it costs 10 to 25 ms, which no import should pay.
+    from importlib import metadata
+    try:
+        return metadata.version(TOOL_NAME)
+    except metadata.PackageNotFoundError:
+        return "unknown"
+
 
 # Figure-style default scale: the largest configuration the exhaustive
 # counters sweep in seconds rather than hours.
@@ -116,7 +123,7 @@ def csv_body(text: str) -> str:
 
 
 def _base_meta(experiment: str, **params) -> dict:
-    meta = {"tool": TOOL_NAME, "version": TOOL_VERSION, "experiment": experiment}
+    meta = {"tool": TOOL_NAME, "version": _tool_version(), "experiment": experiment}
     meta.update(params)
     meta["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return meta
@@ -256,7 +263,7 @@ def check_load_sums(mod: Modulus, alpha: int, beta: int) -> tuple[int, int]:
 
         def bins_of(lo, hi):
             a, j = np.divmod(np.arange(lo, hi, dtype=np.int64), len(bs))
-            return (a[:, None] * s + bs[j, None]) % p % m
+            return rem(rem(a[:, None] * s + bs[j, None], p), m)
 
         for _, _, counts in bin_counts(rows, len(s), m, bins_of):
             violations += int(np.count_nonzero(counts.sum(axis=1) != size))

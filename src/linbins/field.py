@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 # Largest modulus the array-based enumeration code accepts: products of two
 # field elements must fit in a signed 64-bit integer.
 MAX_MODULUS = 1 << 31
@@ -103,3 +105,15 @@ def eval_full(params: HashParams, mod: Modulus, x: int) -> int:
 def eval_binned(params: HashParams, mod: Modulus, x: int) -> int:
     """Bin index ((a*x + b) mod p) mod m."""
     return eval_full(params, mod, x) % mod.m
+
+
+def rem(x: np.ndarray, n: int) -> np.ndarray:
+    """x % n for an int64 array x and n >= 1, negative x included, written into x.
+
+    numpy floor-divides by a scalar through one precomputed reciprocal but
+    takes remainders element by element, so x - n*(x // n) costs about half.
+    """
+    q = x // n
+    q *= n
+    x -= q
+    return x

@@ -21,6 +21,8 @@ points and replaying them costs O(n log n) per a instead of the O(p*n) of
 scanning every b.  The resulting counts are identical to the literal double
 loop, which the test suite keeps as an independent reference.  The replay
 yields each a's own histogram over b, which the b-shift check also reads.
+Every array reduction in these kernels is field.rem, x - n*(x // n) in place
+at about half the cost of numpy's %; maxloads_for_a keeps % as a reference.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import MAX_MODULUS, Modulus, mod_inverse
+from .field import MAX_MODULUS, Modulus, mod_inverse, rem
 from .loads import KeySet, materialize, max_loads
 
 # Refuse exhaustive calls whose cost exceeds this, unless the caller raises
@@ -93,7 +95,8 @@ def _map_chunks(func, p: int, workers: int, work: int, args: tuple) -> list:
         return [f.result() for f in futures]
 
 
-@dataclass(frozen=True)
+# Slotted, since a batch returns one per row: no __dict__ per row.
+@dataclass(frozen=True, slots=True)
 class CollisionStats:
     """Exact count of (a, b) pairs satisfying a collision event."""
 
@@ -137,10 +140,10 @@ def _require_enumerable(p: int) -> None:
 
 # Cap on rows times multipliers per block of the agreement pass.  The lemma
 # triple checks at (257, 16) (canonical, bounds, decomposition) peak at
-# 0.62 / 0.93 / 1.41 MiB of traced numpy memory and take 0.077 / 0.062 /
-# 0.056 s with 2^12 / 2^13 / 2^14 cells (2-vCPU Xeon, numpy 2.4); past 2^13
-# memory grows faster than time falls.  At (21787, 512) every block is one
-# row whatever the cap (figure1's 163 rows: 1.53 MiB, 0.12 s).
+# 0.56 / 0.87 / 1.35 MiB of traced numpy memory and take 0.082 / 0.062 /
+# 0.055 s with 2^12 / 2^13 / 2^14 cells (2-vCPU Xeon, numpy 2.4, median of
+# 5); past 2^13 memory grows faster than time falls.  At (21787, 512) every
+# block is one row whatever the cap (figure1's 163 rows: 1.53 MiB, 0.086 s).
 _ROW_BLOCK_CELLS = 1 << 13
 
 
@@ -166,9 +169,9 @@ def _agreement_sets(p, m, rows, lo_a, hi_a):
     for start in range(0, len(rows), step):
         x, y, z, *targets = rows[start : start + step].T[:, :, None]
         ix, iy, iz = targets or (0, 0, 0)
-        vx = a * x % p
-        dy, dz = a * y % p - vx, a * z % p - vx
-        ey, ez = (dy - (iy - ix)) % m, (dz - (iz - ix)) % m
+        vx = rem(a * x, p)
+        dy, dz = rem(a * y, p) - vx, rem(a * z, p) - vx
+        ey, ez = rem(dy - (iy - ix), m), rem(dz - (iz - ix), m)
         live = (ey == 0) | (ey == q) | (ey == mq)
         live &= (ez == 0) | (ez == q) | (ez == mq)
         cell = np.flatnonzero(live)
@@ -213,8 +216,8 @@ def _prescribed_chunk(p, m, rows, lo_a, hi_a):
         # h(x) = ix pins b to one residue class mod m: rho0 below x's wrap
         # point c_x, rho1 = rho0 + q from there on.  Every I_t ends at c_x.
         cx = p - vx
-        rho0 = (rows[r, 3] - vx) % m
-        rho1 = (rho0 + q) % m
+        rho0 = rem(rows[r, 3] - vx, m)
+        rho1 = rem(rho0 + q, m)
         below_x, above_x = upto(cx, rho0), upto(cx, rho1)
         full = below_x + upto(p, rho1) - above_x
         n_y, n_z = (
@@ -283,22 +286,22 @@ def _interval_chunk(p, m, d_max, lo_a, hi_a):
     """Counts of pairs colliding all of [d], for d = 2..d_max, over a in [lo_a, hi_a)."""
     a = np.arange(lo_a, hi_a, dtype=np.int64)
     # Valid b values for "h(t) = h(0)" form one interval per element t (for
-    # 1 < m <= p the prefix and suffix cases exclude each other since m does
-    # not divide p); the interval [t + 1] collides on the intersection over
-    # 1..t, so one pass over t yields every length.
+    # 1 < m < p the prefix and suffix cases exclude each other since m does
+    # not divide p; at m = p they coincide); the interval [t + 1] collides on
+    # the intersection over 1..t, so one pass over t yields every length.
     lo = np.zeros_like(a)
     hi = np.full_like(a, p)
     counts = np.empty(d_max - 1, dtype=np.int64)
+    q = p % m
     for t in range(1, d_max):
-        vt = a * t % p
+        vt = rem(a * t, p)
         ct = p - vt
-        pre = vt % m == 0
-        suf = (vt - p) % m == 0
-        hi = np.where(pre, np.minimum(hi, ct), hi)
+        # Below t's wrap point h(t) = h(0) iff v_t = 0, above it iff v_t = q (mod m).
+        r = rem(vt, m)
+        pre, suf = r == 0, r == q
+        # A t in neither case empties the set for good: hi = 0 <= lo from then on.
+        hi = np.where(pre, np.minimum(hi, ct), np.where(suf, hi, 0))
         lo = np.where(~pre & suf, np.maximum(lo, ct), lo)
-        dead = ~pre & ~suf
-        hi = np.where(dead, 0, hi)
-        lo = np.where(dead, 0, lo)
         counts[t - 1] = np.maximum(0, hi - lo).sum()
     return counts
 
@@ -379,7 +382,7 @@ def interval_lower_bound(mod: Modulus, d: int) -> Fraction:
 def _maxloads_b_zero_chunk(p, m, elements, lo_a, hi_a):
     s = np.asarray(elements, dtype=np.int64)
     a = np.arange(lo_a, hi_a, dtype=np.int64)
-    return max_loads(len(a), len(s), m, lambda lo, hi: a[lo:hi, None] * s % p % m)
+    return max_loads(len(a), len(s), m, lambda lo, hi: rem(rem(a[lo:hi, None] * s, p), m))
 
 
 def maxloads_b_zero(mod: Modulus, ks: KeySet, workers: int = 1) -> np.ndarray:
@@ -427,10 +430,11 @@ def _maxload_credits(p, m, elements, lo_a, hi_a):
     for blk in range(lo_a, hi_a, step):
         a = np.arange(blk, min(blk + step, hi_a), dtype=np.int64)
         rows = np.arange(len(a), dtype=np.int64)
-        v = a[:, None] * s[None, :] % p
-        r = v % m
+        v = rem(a[:, None] * s[None, :], p)
+        events = (p - v) * m
+        r = rem(v, m)  # v itself is not read past here
         # One sort orders each row by wrap point and carries the class along.
-        events = np.sort((p - v) * m + r, axis=1)
+        events = np.sort(events + r, axis=1)
         wrap, cls = np.divmod(np.ascontiguousarray(events.T), m)
         cls_base = rows * m
         load_base = rows * (n + 1)
@@ -450,7 +454,7 @@ def _maxload_credits(p, m, elements, lo_a, hi_a):
             n_at[load_base + old - 1] += 1
             cnt[i] = old - 1
             top -= n_at[load_base + top] == 0
-            j = cls_base + (cls[k] - p) % m
+            j = cls_base + rem(cls[k] - p, m)
             new = cnt[j] + 1
             n_at[load_base + new - 1] -= 1
             n_at[load_base + new] += 1

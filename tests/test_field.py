@@ -1,5 +1,6 @@
 """Field arithmetic and hash evaluation basics."""
 
+import numpy as np
 import pytest
 
 from linbins.field import (
@@ -10,6 +11,7 @@ from linbins.field import (
     is_prime,
     mod_inverse,
     next_prime_at_least,
+    rem,
 )
 
 
@@ -124,3 +126,30 @@ def test_full_range_pairwise_uniform():
                     seen[pair] = seen.get(pair, 0) + 1
             assert all(count == 1 for count in seen.values())
             assert len(seen) == p * p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 512, 21787, 2147483647])
+def test_rem_equals_numpy_remainder(n):
+    p = 2147483647
+    top = (p - 1) * (p - 1) + (p - 1)
+    x = np.array(
+        [0, 1, -1, n - 1, n, n + 1, -n, -n - 1, 5 * n + 3, -(5 * n + 3),
+         p - 1, -(p - 1), top, top - 1, -top, 2**62, -(2**62)],
+        dtype=np.int64,
+    )
+    x = np.concatenate([x, np.random.default_rng(n).integers(-top, top, 1000)])
+    expected = (x % n).tolist()
+    assert expected == [v % n for v in x.tolist()]
+    out = rem(x, n)
+    assert out is x
+    assert out.dtype == np.int64
+    assert out.tolist() == expected
+
+
+def test_rem_on_blocks_of_products():
+    # The shapes the kernels reduce: a column of multipliers times a row of keys.
+    p, m = 257, 16
+    a = np.arange(p, dtype=np.int64)[:, None]
+    keys = np.arange(-40, 40, dtype=np.int64)
+    assert rem(rem(a * keys, p), m).tolist() == (a * keys % p % m).tolist()
+    assert rem(np.zeros((0, 3), dtype=np.int64), 5).shape == (0, 3)

@@ -12,6 +12,7 @@ from linbins import oracles
 from linbins.field import HashParams, Modulus, is_prime, next_prime_at_least
 from linbins.loads import AffineImage, Explicit, Interval, load_profile, materialize
 from linbins.oracles import (
+    CollisionStats,
     WorkBudgetError,
     _chunk_bounds,
     _interval_chunk,
@@ -203,6 +204,18 @@ def test_collision_stats_probability():
     [stats] = count_triple_collisions(Modulus(13, 3), [(0, 1, 2)])
     assert stats.total_pairs == 169
     assert stats.probability == Fraction(29, 169)
+
+
+def test_collision_stats_has_no_instance_dict():
+    a, b = count_triple_collisions(Modulus(13, 3), [(0, 1, 2), (0, 1, 2)])
+    assert not hasattr(a, "__dict__")
+    assert a == b == CollisionStats(29, 169)
+    assert a != CollisionStats(30, 169)
+    assert hash(a) == hash(b) == hash(CollisionStats(29, 169))
+    assert len({a, b, CollisionStats(30, 169)}) == 2
+    assert a.probability == Fraction(29, 169)
+    with pytest.raises(AttributeError):
+        a.satisfying_pairs = 0
 
 
 def test_triple_distinctness_required():
