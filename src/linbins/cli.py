@@ -38,66 +38,18 @@ from .oracles import (
 )
 
 
-def _report_exit(report) -> int:
+def cmd_report(args) -> int:
+    """Run the report experiment named by args.run with every parsed flag."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func", "run")}
+    report = args.run(**flags)
+    print(f"wrote {args.out}")
     print(format_report(report))
     return 0 if report.overall else 1
 
 
-def cmd_figure1(args) -> int:
-    report = run_figure1(
-        out=args.out,
-        p=args.p,
-        m=args.m,
-        points=args.points,
-        full_sweep=args.full_sweep,
-        workers=args.workers,
-        budget=args.budget,
-    )
-    print(f"wrote {args.out}")
-    return _report_exit(report)
-
-
-def cmd_lemmas(args) -> int:
-    report = run_lemma_checks(
-        p=args.p,
-        m=args.m,
-        out=args.out,
-        seed=args.seed,
-        workers=args.workers,
-        budget=args.budget,
-    )
-    print(f"wrote {args.out}")
-    return _report_exit(report)
-
-
-def cmd_scaling(args) -> int:
-    m_values = [int(v) for v in args.m_values.split(",") if v]
-    report = run_scaling(
-        m_values=m_values,
-        samples=args.samples,
-        seed=args.seed,
-        out=args.out,
-        workers=args.workers,
-    )
-    print(f"wrote {args.out}")
-    return _report_exit(report)
-
-
-def cmd_transform(args) -> int:
-    report = run_transform_demo(
-        p=args.p,
-        m=args.m,
-        alpha=args.alpha,
-        beta=args.beta,
-        samples=args.samples,
-        seed=args.seed,
-        out=args.out,
-        exhaustive=args.exhaustive,
-        workers=args.workers,
-        budget=args.budget,
-    )
-    print(f"wrote {args.out}")
-    return _report_exit(report)
+def m_values(text: str) -> list[int]:
+    """Comma-separated bin counts, as --m-values takes them."""
+    return [int(v) for v in text.split(",") if v]
 
 
 def cmd_maxload_exact(args) -> int:
@@ -146,15 +98,15 @@ def cmd_maxload_mc(args) -> int:
 
 def cmd_collide3(args) -> int:
     mod = Modulus(args.p, args.m)
-    stats = count_triple_collisions(
+    [count] = count_triple_collisions(
         mod, [(args.x, args.y, args.z)], workers=args.workers, budget=args.budget
-    )[0]
+    ).tolist()
+    total = args.p * args.p
     canon = canonicalize_triple(args.p, args.x, args.y, args.z)
     bounds = triple_bound_formula(mod, canon.d)
     print(
         f"triple ({args.x}, {args.y}, {args.z}) canonical d={canon.d}: "
-        f"{stats.satisfying_pairs}/{stats.total_pairs} pairs collide "
-        f"(probability {float(stats.probability):.6g})"
+        f"{count}/{total} pairs collide (probability {count / total:.6g})"
     )
     print(
         f"statement bound {float(bounds.statement):.6g}, "
@@ -162,9 +114,9 @@ def cmd_collide3(args) -> int:
     )
     if args.out:
         rows = [
-            ("count", stats.satisfying_pairs),
-            ("total", stats.total_pairs),
-            ("probability", stats.probability),
+            ("count", count),
+            ("total", total),
+            ("probability", count / total),
             ("canonical_d", canon.d),
             ("statement_bound", bounds.statement),
             ("proof_bound", bounds.proof),
@@ -179,16 +131,13 @@ def cmd_collide3(args) -> int:
 
 def cmd_interval_collide(args) -> int:
     mod = Modulus(args.p, args.m)
-    stats = count_interval_collision(mod, args.d, workers=args.workers, budget=args.budget)
+    count = count_interval_collision(mod, args.d, workers=args.workers, budget=args.budget)
+    total = args.p * args.p
     print(
-        f"interval [0, {args.d}): {stats.satisfying_pairs}/{stats.total_pairs} "
-        f"pairs collide (probability {float(stats.probability):.6g})"
+        f"interval [0, {args.d}): {count}/{total} pairs collide "
+        f"(probability {count / total:.6g})"
     )
-    rows = [
-        ("count", stats.satisfying_pairs),
-        ("total", stats.total_pairs),
-        ("probability", stats.probability),
-    ]
+    rows = [("count", count), ("total", total), ("probability", count / total)]
     if args.d <= args.m and interval_lower_bound_active(mod):
         bound = interval_lower_bound(mod, args.d)
         print(f"guaranteed lower bound 1/(6dm) = {float(bound):.6g}")
@@ -225,26 +174,28 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, FIGURE1_DEFAULT_P, FIGURE1_DEFAULT_M, "figure1.csv")
     sp.add_argument("--points", type=int, default=64, help="sweep size (mirrored log spacing)")
     sp.add_argument("--full-sweep", action="store_true", help="sweep every d in [2, p-1]")
-    sp.set_defaults(func=cmd_figure1)
+    sp.set_defaults(func=cmd_report, run=run_figure1)
 
     sp = sub.add_parser("lemmas", help="exhaustive invariant checks at one (p, m)")
     common(sp, 257, 16, "lemmas.report.csv", seed=0)
-    sp.set_defaults(func=cmd_lemmas)
+    sp.set_defaults(func=cmd_report, run=run_lemma_checks)
 
     sp = sub.add_parser("scaling", help="linear vs fully random mean max load across m")
-    sp.add_argument("--m-values", default="16,64,256,1024", help="comma-separated bin counts")
+    sp.add_argument(
+        "--m-values", type=m_values, default="16,64,256,1024", help="comma-separated bin counts"
+    )
     sp.add_argument("--samples", type=int, default=100_000, help="Monte Carlo samples")
     sp.add_argument("--seed", type=int, default=0, help="random seed")
     sp.add_argument("--out", default="scaling.csv", help="output CSV path")
     sp.add_argument("--workers", type=int, default=1, help="parallel workers")
-    sp.set_defaults(func=cmd_scaling)
+    sp.set_defaults(func=cmd_report, run=run_scaling)
 
     sp = sub.add_parser("transform", help="interval vs affine-image max-load comparison")
     common(sp, 1031, 32, "transform.csv", seed=0, samples=20_000)
     sp.add_argument("--alpha", type=int, default=77, help="affine multiplier (nonzero)")
     sp.add_argument("--beta", type=int, default=5, help="affine offset")
     sp.add_argument("--exhaustive", action="store_true", help="also compare exact histograms")
-    sp.set_defaults(func=cmd_transform)
+    sp.set_defaults(func=cmd_report, run=run_transform_demo)
 
     sp = sub.add_parser("maxload-exact", help="exact max-load histogram on [m]")
     common(sp, 257, 16, "maxload_exact.csv")

@@ -217,16 +217,14 @@ def scaling_study(
     return rows
 
 
-def tail_log_slope(
-    tail: dict[int, float], samples: int, lo: int = 3, hi: int = 10
-) -> float | None:
-    """Least-squares slope of log Pr[max >= l] against log l over [lo, hi].
+def tail_log_slope(tail: dict[int, float], samples: int) -> float | None:
+    """Least-squares slope of log Pr[max >= l] against log l over l in [3, 10].
 
     Thresholds whose empirical tail falls below 10/samples are excluded as
     too noisy; returns None when fewer than two points remain.
     """
     points = [
-        (l, tail[l]) for l in range(lo, hi + 1) if tail.get(l, 0.0) >= 10 / samples
+        (l, tail[l]) for l in range(3, 11) if tail.get(l, 0.0) >= 10 / samples
     ]
     if len(points) < 2:
         return None

@@ -173,7 +173,6 @@ def run_figure1(
     out,
     p: int = FIGURE1_DEFAULT_P,
     m: int = FIGURE1_DEFAULT_M,
-    d_values: list[int] | None = None,
     points: int = 64,
     full_sweep: bool = False,
     workers: int = 1,
@@ -186,21 +185,18 @@ def run_figure1(
     about the midpoint.
     """
     mod = Modulus(p, m)
-    if d_values is None:
-        d_values = list(range(2, p)) if full_sweep else default_figure1_sweep(p, points)
-    ds = sorted(set(d_values))
-    if not ds or ds[0] < 2 or ds[-1] >= p:
+    ds = list(range(2, p)) if full_sweep else default_figure1_sweep(p, points)
+    if not ds:
         raise ValueError(f"d values must lie in [2, {p - 1}]")
 
     counts = count_triple_collisions(
         mod, [(0, 1, d) for d in ds], workers=workers, budget=budget
     )
-    exact: dict[int, Fraction] = {}
+    exact = {d: Fraction(c, p * p) for d, c in zip(ds, counts.tolist())}
     rows = []
-    for d, stats in zip(ds, counts):
+    for d in ds:
         bounds = triple_bound_formula(mod, d)
-        exact[d] = stats.probability
-        rows.append((d, stats.probability, bounds.statement, bounds.proof))
+        rows.append((d, exact[d], bounds.statement, bounds.proof))
     meta = _base_meta(
         "figure1", p=p, m=m, points=len(ds), full_sweep=full_sweep, workers=workers
     )
@@ -315,36 +311,37 @@ def check_affine_histogram(
     return plain == moved
 
 
-def check_canonical_equality(
-    mod: Modulus,
-    seed: int = 0,
-    all_triples: bool | None = None,
-    triple_samples: int = 300,
-    targets_per_triple: int = 5,
-) -> tuple[int, int]:
-    """Prescribed-bin counts must be invariant under reduction to (0, 1, d)."""
+# Above p = 31 the canonical check samples this many triples; every triple
+# gets this many random bin targets.
+_CANONICAL_SAMPLES = 300
+_TARGETS_PER_TRIPLE = 5
+
+
+def check_canonical_equality(mod: Modulus, seed: int = 0) -> tuple[int, int]:
+    """Prescribed-bin counts must be invariant under reduction to (0, 1, d).
+
+    Every ordered triple is checked for p <= 31, a random sample above.
+    """
     p, m = mod.p, mod.m
     rng = np.random.default_rng(seed)
-    if all_triples is None:
-        all_triples = p <= 31
-    if all_triples:
+    if p <= 31:
         triples = list(itertools.permutations(range(p), 3))
     else:
         triples = [
             tuple(int(v) for v in rng.choice(p, size=3, replace=False))
-            for _ in range(triple_samples)
+            for _ in range(_CANONICAL_SAMPLES)
         ]
     canonical = [(0, 1, canonicalize_triple(p, *t).d) for t in triples]
     # One draw for every target: the same stream as one draw per (triple, target).
-    targets = rng.integers(0, m, size=(len(triples) * targets_per_triple, 3))
+    targets = rng.integers(0, m, size=(len(triples) * _TARGETS_PER_TRIPLE, 3))
 
     def queries(rows):
         rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
-        return np.hstack([rows.repeat(targets_per_triple, axis=0), targets])
+        return np.hstack([rows.repeat(_TARGETS_PER_TRIPLE, axis=0), targets])
 
     direct = count_prescribed_triple(mod, queries(triples))
     reduced = count_prescribed_triple(mod, queries(canonical))
-    return len(direct), sum(a != b for a, b in zip(direct, reduced))
+    return len(direct), int(np.count_nonzero(direct != reduced))
 
 
 def check_triple_bounds(
@@ -357,10 +354,11 @@ def check_triple_bounds(
         mod, [(0, 1, d) for d in ds], workers=workers, budget=budget
     )
     statement_violations = proof_violations = 0
-    for d, stats in zip(ds, counts):
+    for d, count in zip(ds, counts.tolist()):
+        prob = Fraction(count, p * p)
         bounds = triple_bound_formula(mod, d)
-        statement_violations += stats.probability > bounds.statement
-        proof_violations += stats.probability > bounds.proof
+        statement_violations += prob > bounds.statement
+        proof_violations += prob > bounds.proof
     return len(ds), statement_violations, proof_violations
 
 
@@ -377,39 +375,31 @@ def check_interval_lower_bound(
         return 0, 0
     sweep = count_interval_collisions(mod, mod.m, workers=workers, budget=budget)
     violations = sum(
-        stats.probability < interval_lower_bound(mod, d)
-        for d, stats in enumerate(sweep, start=2)
+        Fraction(count, mod.p * mod.p) < interval_lower_bound(mod, d)
+        for d, count in enumerate(sweep.tolist(), start=2)
     )
     return len(sweep), violations
 
 
 def check_interval_containment(
-    mod: Modulus, d_max: int | None = None, workers: int = 1, budget: int | None = None
+    mod: Modulus, workers: int = 1, budget: int | None = None
 ) -> tuple[int, int, int]:
     """Interval collision counts are within triple counts and non-increasing.
 
     All elements of [d] landing in one bin forces {0, 1, d-1} into one bin,
-    and is at least as hard for longer intervals.
+    and is at least as hard for longer intervals.  Every length up to p is
+    checked for p <= 300, up to 128 above.
     """
     p = mod.p
-    if d_max is None:
-        d_max = p if p <= 300 else 128
-    d_max = min(d_max, p)
-    sweep = (
-        count_interval_collisions(mod, d_max, workers=workers, budget=budget)
-        if d_max >= 2
-        else []
-    )
-    counts = [stats.satisfying_pairs for stats in sweep]
-    monotone_violations = sum(b > a for a, b in zip(counts, counts[1:]))
+    d_max = p if p <= 300 else 128
+    counts = count_interval_collisions(mod, d_max, workers=workers, budget=budget)
+    monotone_violations = int(np.count_nonzero(counts[1:] > counts[:-1]))
     # Entry i of counts is the interval of length i + 2; from length 3 on,
     # the interval [d] holds {0, 1, d - 1}.
     triples = count_triple_collisions(
         mod, [(0, 1, d - 1) for d in range(3, d_max + 1)], workers=workers, budget=budget
     )
-    containment_violations = sum(
-        count > triple.satisfying_pairs for count, triple in zip(counts[1:], triples)
-    )
+    containment_violations = int(np.count_nonzero(counts[1:] > triples))
     return len(triples), containment_violations, monotone_violations
 
 
@@ -424,28 +414,29 @@ def check_decomposition(mod: Modulus) -> tuple[int, int]:
         mod, [(*t, i, i, i) for t in triples for i in range(m)]
     )
     collisions = count_triple_collisions(mod, triples)
-    per_bin = np.array([s.satisfying_pairs for s in prescribed]).reshape(-1, m)
-    totals = per_bin.sum(axis=1).tolist()
-    violations = sum(t != c.satisfying_pairs for t, c in zip(totals, collisions))
-    return len(triples), violations
+    violations = np.count_nonzero(prescribed.reshape(-1, m).sum(axis=1) != collisions)
+    return len(triples), int(violations)
 
 
 def check_partition_determinism(mod: Modulus) -> tuple[int, int]:
     """Counts must not depend on how the a-range is chunked across workers."""
     p, m = mod.p, mod.m
     d = (p - 1) // 2 if p > 5 else 2
-    base = count_triple_collisions(mod, [(0, 1, d)])[0].satisfying_pairs
+    [base] = count_triple_collisions(mod, [(0, 1, d)])
     rows = np.array([(0, 1, d)], dtype=np.int64)
     checked = violations = 0
     for chunks in (2, 3, 7):
         split = sum(_triple_chunk(p, m, rows, lo, hi) for lo, hi in _chunk_bounds(p, chunks))
-        if split[0] != base:
-            violations += 1
+        violations += int(split[0] != base)
         checked += 1
-    one = exact_maxload_histogram(mod, Interval(m), "all_b", workers=1)
-    two = exact_maxload_histogram(mod, Interval(m), "all_b", workers=2)
-    if one != two:
-        violations += 1
+    # The event kernel, summed over two sub-ranges of a, as a pool would split it.
+    whole = exact_maxload_histogram(mod, Interval(m), "all_b")
+    split = sum(
+        credit.sum(axis=0)
+        for lo, hi in _chunk_bounds(p, 2)
+        for _, _, credit in _maxload_credits(p, m, range(m), lo, hi)
+    )
+    violations += whole != {load: c for load, c in enumerate(split.tolist()) if c}
     checked += 1
     return checked, violations
 

@@ -27,7 +27,6 @@ at about half the cost of numpy's %; maxloads_for_a keeps % as a reference.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -93,19 +92,6 @@ def _map_chunks(func, p: int, workers: int, work: int, args: tuple) -> list:
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         futures = [pool.submit(func, *args, lo, hi) for lo, hi in chunks]
         return [f.result() for f in futures]
-
-
-# Slotted, since a batch returns one per row: no __dict__ per row.
-@dataclass(frozen=True, slots=True)
-class CollisionStats:
-    """Exact count of (a, b) pairs satisfying a collision event."""
-
-    satisfying_pairs: int
-    total_pairs: int
-
-    @property
-    def probability(self) -> Fraction:
-        return Fraction(self.satisfying_pairs, self.total_pairs)
 
 
 @dataclass(frozen=True)
@@ -233,7 +219,7 @@ def _count_rows(chunk, width, mod, queries, workers, budget, what):
     p, m = mod.p, mod.m
     _require_enumerable(p)
     if len(queries) == 0:
-        return []
+        return np.zeros(0, dtype=np.int64)
     try:
         rows = np.asarray(queries, dtype=np.int64)
     except (OverflowError, ValueError):
@@ -252,17 +238,17 @@ def _count_rows(chunk, width, mod, queries, workers, budget, what):
     # Every row costs one literal query, 3p^2, so a batch is charged that
     # once; the pool decision sees the kernel work of the whole batch.
     _check_budget(3 * p * p, budget, what)
-    parts = _map_chunks(chunk, p, workers, 3 * p * len(rows), (p, m, rows))
-    return [CollisionStats(c, p * p) for c in sum(parts).tolist()]
+    return sum(_map_chunks(chunk, p, workers, 3 * p * len(rows), (p, m, rows)))
 
 
 def count_triple_collisions(
     mod: Modulus, triples, workers: int = 1, budget: int | None = None
-) -> list[CollisionStats]:
+) -> np.ndarray:
     """Exact number of (a, b) pairs mapping x, y, z all to one bin, per row.
 
-    triples is a sequence of (x, y, z) rows, answered in one pass.  The
-    budget is charged 3p^2, the literal cost of one row, once per batch.
+    triples is a sequence of (x, y, z) rows, answered in one pass; entry r
+    of the int64 result counts row r's pairs out of p^2.  The budget is
+    charged 3p^2, the literal cost of one row, once per batch.
     """
     return _count_rows(
         _triple_chunk, 3, mod, triples, workers, budget, "triple collision count"
@@ -271,11 +257,12 @@ def count_triple_collisions(
 
 def count_prescribed_triple(
     mod: Modulus, queries, workers: int = 1, budget: int | None = None
-) -> list[CollisionStats]:
+) -> np.ndarray:
     """Exact number of (a, b) pairs with h(x) = ix, h(y) = iy, h(z) = iz, per row.
 
-    queries is a sequence of (x, y, z, ix, iy, iz) rows; the budget is
-    charged 3p^2 once per batch.
+    queries is a sequence of (x, y, z, ix, iy, iz) rows; entry r of the
+    int64 result counts row r's pairs out of p^2.  The budget is charged
+    3p^2 once per batch.
     """
     return _count_rows(
         _prescribed_chunk, 6, mod, queries, workers, budget, "prescribed triple count"
@@ -308,12 +295,13 @@ def _interval_chunk(p, m, d_max, lo_a, hi_a):
 
 def count_interval_collisions(
     mod: Modulus, d_max: int, workers: int = 1, budget: int | None = None
-) -> list[CollisionStats]:
+) -> np.ndarray:
     """Exact interval collision counts for every length d = 2..d_max, in one pass.
 
-    Entry d - 2 counts the (a, b) pairs mapping all of {0, ..., d-1} to one
-    bin.  The pass costs O(d_max * p); the budget is charged d_max * p^2, the
-    most that one literal count among them would cost.
+    Entry d - 2 of the int64 result counts the (a, b) pairs, out of p^2,
+    mapping all of {0, ..., d-1} to one bin.  The pass costs O(d_max * p);
+    the budget is charged d_max * p^2, the most that one literal count among
+    them would cost.
     """
     p, m = mod.p, mod.m
     _require_enumerable(p)
@@ -321,17 +309,16 @@ def count_interval_collisions(
         raise ValueError(f"d must satisfy 2 <= d <= p, got {d_max}")
     if m == 1:
         # One bin: prefix and suffix cases coincide and every (a, b) collides.
-        return [CollisionStats(p * p, p * p)] * (d_max - 1)
+        return np.full(d_max - 1, p * p, dtype=np.int64)
     _check_budget(d_max * p * p, budget, "interval collision count")
-    parts = _map_chunks(_interval_chunk, p, workers, d_max * p, (p, m, d_max))
-    return [CollisionStats(int(c), p * p) for c in sum(parts)]
+    return sum(_map_chunks(_interval_chunk, p, workers, d_max * p, (p, m, d_max)))
 
 
 def count_interval_collision(
     mod: Modulus, d: int, workers: int = 1, budget: int | None = None
-) -> CollisionStats:
-    """Exact number of (a, b) pairs mapping all of {0, ..., d-1} to one bin."""
-    return count_interval_collisions(mod, d, workers, budget)[-1]
+) -> int:
+    """Exact number of (a, b) pairs, out of p^2, mapping all of {0, ..., d-1} to one bin."""
+    return int(count_interval_collisions(mod, d, workers, budget)[-1])
 
 
 @dataclass(frozen=True)
@@ -340,17 +327,13 @@ class TripleCollisionBounds:
 
     statement: (1 + max(1, p/(d*m)) * (1 + d/m)) / p
     proof:     (1 + (1 + p/d)/m) * (1 + d/m) / p
-    ceiling:   (1 + ceil(ceil(p/d)/m)) * (1 + ceil(d/m)) / p
 
-    The statement and proof forms differ and neither is proved tight here;
-    experiments compare each against the exhaustive count and report which
-    ones hold.  The ceiling form keeps the interval-counting integers intact
-    instead of smoothing them.
+    The two forms differ and neither is proved tight here; experiments
+    compare each against the exhaustive count and report which ones hold.
     """
 
     statement: Fraction
     proof: Fraction
-    ceiling: Fraction
 
 
 def triple_bound_formula(mod: Modulus, d: int) -> TripleCollisionBounds:
@@ -360,10 +343,7 @@ def triple_bound_formula(mod: Modulus, d: int) -> TripleCollisionBounds:
         raise ValueError(f"d must satisfy 2 <= d < p, got {d}")
     statement = (1 + max(Fraction(1), Fraction(p, d * m)) * (1 + Fraction(d, m))) / p
     proof = (1 + (1 + Fraction(p, d)) / m) * (1 + Fraction(d, m)) / Fraction(p)
-    per_l = 1 + math.ceil(math.ceil(p / d) / m)
-    valid_l = 1 + math.ceil(d / m)
-    ceiling = Fraction(per_l * valid_l, p)
-    return TripleCollisionBounds(statement=statement, proof=proof, ceiling=ceiling)
+    return TripleCollisionBounds(statement=statement, proof=proof)
 
 
 def interval_lower_bound(mod: Modulus, d: int) -> Fraction:

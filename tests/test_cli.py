@@ -113,11 +113,23 @@ def test_maxload_mc_reproducible(tmp_path):
 def test_collide3_prints_counts(tmp_path):
     proc = run_cli(
         "collide3", "--p", "13", "--m", "3", "--x", "2", "--y", "5", "--z", "11",
-        cwd=tmp_path,
+        "--out", "c.csv", cwd=tmp_path,
     )
     assert proc.returncode == 0
-    assert "21/169" in proc.stdout
-    assert "d=3" in proc.stdout
+    assert proc.stdout == (
+        "triple (2, 5, 11) canonical d=3: 21/169 pairs collide (probability 0.12426)\n"
+        "statement bound 0.299145, proof bound 0.42735\n"
+        "wrote c.csv\n"
+    )
+    assert body(tmp_path / "c.csv") == (
+        "metric,value\n"
+        "count,21\n"
+        "total,169\n"
+        "probability,0.12426035503\n"
+        "canonical_d,3\n"
+        "statement_bound,0.299145299145\n"
+        "proof_bound,0.42735042735\n"
+    )
 
 
 def test_interval_collide_reports_lower_bound(tmp_path):
@@ -126,11 +138,24 @@ def test_interval_collide_reports_lower_bound(tmp_path):
         cwd=tmp_path,
     )
     assert proc.returncode == 0
-    assert "lower bound" in proc.stdout
-    rows = body(tmp_path / "i.csv").splitlines()
-    assert rows[0] == "metric,value"
-    metrics = {r.split(",")[0] for r in rows[1:]}
-    assert {"count", "total", "probability", "lower_bound"} <= metrics
+    assert proc.stdout == (
+        "interval [0, 4): 1621/38809 pairs collide (probability 0.0417687)\n"
+        "guaranteed lower bound 1/(6dm) = 0.00520833\n"
+        "wrote i.csv\n"
+    )
+    assert body(tmp_path / "i.csv") == (
+        "metric,value\n"
+        "count,1621\n"
+        "total,38809\n"
+        "probability,0.0417686619083\n"
+        "lower_bound,0.00520833333333\n"
+    )
+
+
+def test_non_integer_m_values_exit_two(tmp_path):
+    proc = run_cli("scaling", "--m-values", "8,x", "--samples", "10", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "invalid m_values value: '8,x'" in proc.stderr
 
 
 def test_scaling_cli_rerun_identical(tmp_path):

@@ -111,8 +111,9 @@ def test_run_figure1_full_sweep(tmp_path):
 
 
 def test_run_figure1_rejects_bad_d(tmp_path):
-    with pytest.raises(ValueError):
-        run_figure1(tmp_path / "x.csv", p=257, m=16, d_values=[1, 5])
+    # At p = 2 the sweep [2, p-1] is empty.
+    with pytest.raises(ValueError, match=r"d values must lie in \[2, 1\]"):
+        run_figure1(tmp_path / "x.csv", p=2, m=1)
 
 
 def test_check_functions_small_config():
@@ -128,6 +129,21 @@ def test_check_functions_small_config():
     assert check_interval_containment(mod) == (11, 0, 0)
     assert check_decomposition(mod) == (1716, 0)
     assert check_partition_determinism(mod) == (4, 0)
+
+
+def test_partition_determinism_splits_the_event_kernel(monkeypatch):
+    # A kernel that miscounts only on a sub-range starting past a = 0 must
+    # show as one violated partition, so the histogram really is split.
+    real = experiments._maxload_credits
+
+    def skewed(p, m, elements, lo_a, hi_a):
+        for lo, hi, credit in real(p, m, elements, lo_a, hi_a):
+            if lo_a > 0:
+                credit[0, 0] += 1
+            yield lo, hi, credit
+
+    monkeypatch.setattr(experiments, "_maxload_credits", skewed)
+    assert check_partition_determinism(Modulus(257, 16)) == (4, 1)
 
 
 @pytest.mark.parametrize("skew", (lambda l0: 3 * l0 - 2, lambda l0: l0 // 3))

@@ -1,6 +1,7 @@
 """Exhaustive counting oracles, checked against literal double loops."""
 
 import itertools
+import math
 import os
 from concurrent.futures import Future
 from fractions import Fraction
@@ -12,7 +13,6 @@ from linbins import oracles
 from linbins.field import HashParams, Modulus, is_prime, next_prime_at_least
 from linbins.loads import AffineImage, Explicit, Interval, load_profile, materialize
 from linbins.oracles import (
-    CollisionStats,
     WorkBudgetError,
     _chunk_bounds,
     _interval_chunk,
@@ -79,9 +79,9 @@ def test_triple_counts_match_naive_enumeration():
             triples = list(itertools.permutations(range(min(p, 6)), 3))
             fast = count_triple_collisions(mod, triples)
             assert len(fast) == len(triples)
-            for (x, y, z), stats in zip(triples, fast):
-                assert stats.satisfying_pairs == naive_triple(p, m, x, y, z), (p, m, x, y, z)
-                assert stats.total_pairs == p * p
+            for (x, y, z), count in zip(triples, fast.tolist()):
+                assert count == naive_triple(p, m, x, y, z), (p, m, x, y, z)
+            assert fast.dtype == np.int64
 
 
 def test_prescribed_counts_match_naive_enumeration():
@@ -95,8 +95,8 @@ def test_prescribed_counts_match_naive_enumeration():
             ]
             fast = count_prescribed_triple(mod, rows)
             assert len(fast) == len(rows)
-            for row, stats in zip(rows, fast):
-                assert stats.satisfying_pairs == naive_prescribed(p, m, *row), (p, m, row)
+            for row, count in zip(rows, fast.tolist()):
+                assert count == naive_prescribed(p, m, *row), (p, m, row)
 
 
 def test_batched_counts_at_partial_row_blocks(monkeypatch):
@@ -108,9 +108,9 @@ def test_batched_counts_at_partial_row_blocks(monkeypatch):
         # `rows` rows of 13 multipliers per block; 7 and 59 leave a partial last block.
         monkeypatch.setattr(oracles, "_ROW_BLOCK_CELLS", rows * 13)
         blocked = (count_triple_collisions(mod, triples), count_prescribed_triple(mod, queries))
-        assert blocked == whole, rows
-    assert [s.satisfying_pairs for s in whole[0]] == [naive_triple(13, 3, *t) for t in triples]
-    assert [s.satisfying_pairs for s in whole[1]] == [naive_prescribed(13, 3, *q) for q in queries]
+        assert all(map(np.array_equal, blocked, whole)), rows
+    assert whole[0].tolist() == [naive_triple(13, 3, *t) for t in triples]
+    assert whole[1].tolist() == [naive_prescribed(13, 3, *q) for q in queries]
 
 
 def test_counts_match_full_grid_on_general_rows():
@@ -133,10 +133,10 @@ def test_counts_match_full_grid_on_general_rows():
             collide.append(int(((hx == hy) & (hx == hz)).sum()))
             prescribed.append(int(((hx == ix) & (hy == iy) & (hz == iz)).sum()))
         mod = Modulus(p, m)
-        assert [s.satisfying_pairs for s in count_triple_collisions(mod, triples)] == collide
+        assert count_triple_collisions(mod, triples).tolist() == collide
         # An int64 array of rows is accepted as it is.
         fast = count_prescribed_triple(mod, np.array(queries, dtype=np.int64))
-        assert [s.satisfying_pairs for s in fast] == prescribed, (p, m)
+        assert fast.tolist() == prescribed, (p, m)
 
 
 def test_prescribed_counts_over_all_targets_sum_to_all_pairs():
@@ -144,8 +144,8 @@ def test_prescribed_counts_over_all_targets_sum_to_all_pairs():
     for p, m in ((31, 4), (37, 5)):
         triples = [(0, 1, 2), (5, 3, p - 1), (p - 2, 7, 11)]
         queries = [(*t, *i) for t in triples for i in itertools.product(range(m), repeat=3)]
-        counts = [s.satisfying_pairs for s in count_prescribed_triple(Modulus(p, m), queries)]
-        assert np.array(counts).reshape(len(triples), -1).sum(axis=1).tolist() == [p * p] * 3
+        counts = count_prescribed_triple(Modulus(p, m), queries)
+        assert counts.reshape(len(triples), -1).sum(axis=1).tolist() == [p * p] * 3
 
 
 def test_interval_counts_match_naive_enumeration():
@@ -153,7 +153,8 @@ def test_interval_counts_match_naive_enumeration():
         for m in sorted({1, 2, 3, p // 2 + 1, p}):
             mod = Modulus(p, m)
             for d in range(2, p + 1):
-                fast = count_interval_collision(mod, d).satisfying_pairs
+                fast = count_interval_collision(mod, d)
+                assert type(fast) is int
                 assert fast == naive_interval(p, m, d), (p, m, d)
 
 
@@ -162,8 +163,8 @@ def test_interval_sweep_matches_naive_enumeration():
         for m in sorted({1, 2, 3, p // 2 + 1, p}):
             sweep = count_interval_collisions(Modulus(p, m), p)
             expected = [naive_interval(p, m, d) for d in range(2, p + 1)]
-            assert [s.satisfying_pairs for s in sweep] == expected, (p, m)
-            assert {s.total_pairs for s in sweep} == {p * p}
+            assert sweep.tolist() == expected, (p, m)
+            assert sweep.dtype == np.int64
 
 
 def test_interval_sweep_chunks_sum_to_unchunked():
@@ -187,35 +188,24 @@ def test_interval_sweep_budget_charged_once():
 
 
 def test_triple_count_regressions():
-    assert count_triple_collisions(Modulus(13, 3), [(0, 1, 2)])[0].satisfying_pairs == 29
-    assert count_triple_collisions(Modulus(13, 13), [(0, 1, 2)])[0].satisfying_pairs == 13
-    assert count_triple_collisions(Modulus(13, 3), [(2, 5, 11)])[0].satisfying_pairs == 21
-    assert count_interval_collision(Modulus(13, 3), 4).satisfying_pairs == 21
+    assert count_triple_collisions(Modulus(13, 3), [(0, 1, 2)])[0] == 29
+    assert count_triple_collisions(Modulus(13, 13), [(0, 1, 2)])[0] == 13
+    assert count_triple_collisions(Modulus(13, 3), [(2, 5, 11)])[0] == 21
+    assert count_interval_collision(Modulus(13, 3), 4) == 21
 
 
 def test_single_bin_collides_everything():
     mod = Modulus(13, 1)
-    assert count_triple_collisions(mod, [(0, 1, 2)])[0].satisfying_pairs == 169
-    assert count_prescribed_triple(mod, [(0, 1, 2, 0, 0, 0)])[0].satisfying_pairs == 169
-    assert count_interval_collision(mod, 2).satisfying_pairs == 169
+    assert count_triple_collisions(mod, [(0, 1, 2)])[0] == 169
+    assert count_prescribed_triple(mod, [(0, 1, 2, 0, 0, 0)])[0] == 169
+    assert count_interval_collision(mod, 2) == 169
 
 
-def test_collision_stats_probability():
-    [stats] = count_triple_collisions(Modulus(13, 3), [(0, 1, 2)])
-    assert stats.total_pairs == 169
-    assert stats.probability == Fraction(29, 169)
-
-
-def test_collision_stats_has_no_instance_dict():
-    a, b = count_triple_collisions(Modulus(13, 3), [(0, 1, 2), (0, 1, 2)])
-    assert not hasattr(a, "__dict__")
-    assert a == b == CollisionStats(29, 169)
-    assert a != CollisionStats(30, 169)
-    assert hash(a) == hash(b) == hash(CollisionStats(29, 169))
-    assert len({a, b, CollisionStats(30, 169)}) == 2
-    assert a.probability == Fraction(29, 169)
-    with pytest.raises(AttributeError):
-        a.satisfying_pairs = 0
+def test_count_probability_is_exact_fraction():
+    # Counts are out of p^2; a probability is a Fraction of Python ints.
+    [count] = count_triple_collisions(Modulus(13, 3), [(0, 1, 2)]).tolist()
+    assert type(count) is int
+    assert Fraction(count, 13 * 13) == Fraction(29, 169)
 
 
 def test_triple_distinctness_required():
@@ -270,9 +260,9 @@ def test_prescribed_decomposition():
     mod = Modulus(13, 3)
     triples = [(0, 1, 2), (2, 5, 11), (1, 7, 4)]
     collisions = count_triple_collisions(mod, triples)
-    for t, stats in zip(triples, collisions):
+    for t, count in zip(triples, collisions):
         per_bin = count_prescribed_triple(mod, [(*t, i, i, i) for i in range(3)])
-        assert sum(s.satisfying_pairs for s in per_bin) == stats.satisfying_pairs
+        assert per_bin.sum() == count
 
 
 def test_triple_bound_formula_values():
@@ -281,23 +271,30 @@ def test_triple_bound_formula_values():
     # statement form at d=2 with p >= 2m: (1 + (p/2m)(1 + 2/m))/p
     assert bounds.statement == (1 + Fraction(257, 32) * (1 + Fraction(2, 16))) / 257
     assert bounds.proof == (1 + (1 + Fraction(257, 2)) / 16) * (1 + Fraction(2, 16)) / 257
-    assert bounds.ceiling == Fraction((1 + 9) * (1 + 1), 257)
+    assert ceiling_bound(mod, 2) == Fraction((1 + 9) * (1 + 1), 257)
     with pytest.raises(ValueError):
         triple_bound_formula(mod, 1)
     with pytest.raises(ValueError):
         triple_bound_formula(mod, 257)
 
 
+def ceiling_bound(mod, d):
+    """(1 + ceil(ceil(p/d)/m)) * (1 + ceil(d/m)) / p: the interval-counting
+    integers of the triple bound's proof, not smoothed."""
+    p, m = mod.p, mod.m
+    return Fraction((1 + math.ceil(math.ceil(p / d) / m)) * (1 + math.ceil(d / m)), p)
+
+
 def test_triple_bounds_hold_exhaustively_small():
     for p, m in ((13, 3), (31, 8)):
         mod = Modulus(p, m)
         counts = count_triple_collisions(mod, [(0, 1, d) for d in range(2, p)])
-        for d, stats in zip(range(2, p), counts):
-            prob = stats.probability
+        for d, count in zip(range(2, p), counts.tolist()):
+            prob = Fraction(count, p * p)
             bounds = triple_bound_formula(mod, d)
             assert prob <= bounds.proof, (p, m, d)
             assert prob <= bounds.statement, (p, m, d)
-            assert prob <= bounds.ceiling, (p, m, d)
+            assert prob <= ceiling_bound(mod, d), (p, m, d)
 
 
 def test_interval_lower_bound_values():
@@ -313,7 +310,7 @@ def test_interval_lower_bound_values():
 def test_interval_lower_bound_holds():
     mod = Modulus(197, 8)
     for d in (2, 8):
-        prob = count_interval_collision(mod, d).probability
+        prob = Fraction(count_interval_collision(mod, d), 197 * 197)
         assert prob >= interval_lower_bound(mod, d)
 
 
@@ -321,12 +318,12 @@ def test_interval_containment_and_monotonicity():
     mod = Modulus(13, 3)
     previous = None
     for d in range(2, 14):
-        count = count_interval_collision(mod, d).satisfying_pairs
+        count = count_interval_collision(mod, d)
         if previous is not None:
             assert count <= previous
         previous = count
         if d >= 3:
-            triple = count_triple_collisions(mod, [(0, 1, d - 1)])[0].satisfying_pairs
+            triple = count_triple_collisions(mod, [(0, 1, d - 1)])[0]
             assert count <= triple
 
 
@@ -543,8 +540,8 @@ def test_work_budget_refusal():
     with pytest.raises(WorkBudgetError):
         count_triple_collisions(Modulus(13, 3), [(0, 1, 2)], budget=10)
     # An explicit budget at or above the notional cost lets the call run.
-    [stats] = count_triple_collisions(Modulus(13, 3), [(0, 1, 2)], budget=3 * 13 * 13)
-    assert stats.satisfying_pairs == 29
+    [count] = count_triple_collisions(Modulus(13, 3), [(0, 1, 2)], budget=3 * 13 * 13)
+    assert count == 29
 
 
 def test_batch_budget_charged_once_per_query():
@@ -557,8 +554,12 @@ def test_batch_budget_charged_once_per_query():
         count_triple_collisions(mod, triples, budget=work - 1)
     with pytest.raises(WorkBudgetError):
         count_prescribed_triple(mod, queries, budget=work - 1)
-    assert count_triple_collisions(mod, triples, budget=work) == count_triple_collisions(mod, triples)
-    assert count_prescribed_triple(mod, queries, budget=work) == count_prescribed_triple(mod, queries)
+    assert np.array_equal(
+        count_triple_collisions(mod, triples, budget=work), count_triple_collisions(mod, triples)
+    )
+    assert np.array_equal(
+        count_prescribed_triple(mod, queries, budget=work), count_prescribed_triple(mod, queries)
+    )
     assert len(count_triple_collisions(mod, triples, budget=work)) == 29
 
 
@@ -631,8 +632,9 @@ def test_pooled_counts_match_serial(monkeypatch):
         )
         for w in (1, 2, 3)
     ]
-    assert results[0] == results[1] == results[2]
+    assert all(map(np.array_equal, results[0], results[1]))
+    assert all(map(np.array_equal, results[0], results[2]))
     assert len(results[0][0]) == 32 and len(results[0][1]) == 64
-    assert results[0][0][0].satisfying_pairs == naive_triple(31, 5, 0, 1, 7)
-    assert results[0][1][1].satisfying_pairs == naive_prescribed(31, 5, 2, 9, 30, 1, 4, 1)
+    assert results[0][0][0] == naive_triple(31, 5, 0, 1, 7)
+    assert results[0][1][1] == naive_prescribed(31, 5, 2, 9, 30, 1, 4, 1)
     assert pools == [2, 2, 2, 3, 3, 3]
