@@ -11,7 +11,6 @@ choices and the claim text marks them as such.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import math
@@ -22,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .estimators import (
     GENERATOR_NAME,
     McConfig,
@@ -46,16 +46,6 @@ from .oracles import (
 )
 
 TOOL_NAME = "linbins"
-
-
-@functools.cache
-def _tool_version() -> str:
-    # Looked up on first use: it costs 10 to 25 ms, which no import should pay.
-    from importlib import metadata
-    try:
-        return metadata.version(TOOL_NAME)
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 # Figure-style default scale: the largest configuration the exhaustive
@@ -123,7 +113,7 @@ def csv_body(text: str) -> str:
 
 
 def _base_meta(experiment: str, **params) -> dict:
-    meta = {"tool": TOOL_NAME, "version": _tool_version(), "experiment": experiment}
+    meta = {"tool": TOOL_NAME, "version": __version__, "experiment": experiment}
     meta.update(params)
     meta["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return meta

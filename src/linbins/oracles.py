@@ -6,11 +6,12 @@ element x is (v_x + b) mod p with v_x = a*x mod p, which wraps exactly once
 as b sweeps [0, p), at b = p - v_x.  So the inner loop over b has a closed
 form: for a triple (x, y, z), the b on which h(t) agrees with h(x) (up to
 prescribed bins) are all of [0, p), nothing, one interval ending at x's wrap
-point, or its complement.  One pass, _agreement_sets, finds them for a block
-of rows times multipliers with three reductions mod p and two mod m per
-cell, and keeps only the cells where both sets are non-empty; both triple
-counters intersect the two sets there, counting every b or only those in the
-residue class h(x) = ix fixes, one call per batch of rows.
+point, or its complement.  One pass, _agreement_sets, finds them in two
+stages: y's set once per distinct (x, y, (iy - ix) mod m) over every a, then
+z's set, row by row, only at the multipliers where y's is non-empty (about
+3/m of them).  Both triple counters intersect the two sets where both are
+non-empty, counting every b or only those in the residue class h(x) = ix
+fixes, one call per batch of rows.
 The b values on which h(t) = h(0) form one interval per t, so the interval
 counter intersects them for t = 1, 2, ... and reads off the count for every
 length of [d] along the way.
@@ -124,49 +125,100 @@ def _require_enumerable(p: int) -> None:
         raise ValueError(f"p={p} exceeds the enumerable range ({MAX_MODULUS})")
 
 
-# Cap on rows times multipliers per block of the agreement pass.  The lemma
-# triple checks at (257, 16) (canonical, bounds, decomposition) peak at
-# 0.56 / 0.87 / 1.35 MiB of traced numpy memory and take 0.082 / 0.062 /
-# 0.055 s with 2^12 / 2^13 / 2^14 cells (2-vCPU Xeon, numpy 2.4, median of
-# 5); past 2^13 memory grows faster than time falls.  At (21787, 512) every
-# block is one row whatever the cap (figure1's 163 rows: 1.53 MiB, 0.086 s).
+# Cap on the cells of each block of the agreement pass: groups times
+# multipliers in its first stage, expanded (row, live multiplier) cells in its
+# second.  The lemma triple checks at (257, 16) (canonical, bounds,
+# decomposition) peak at 0.62 / 0.92 / 1.54 MiB of traced memory and take
+# 0.031 / 0.026 / 0.028 s with 2^12 / 2^13 / 2^14 cells (2-vCPU Xeon, numpy
+# 2.4, median of 5); past 2^13 memory grows and time no longer falls.
+# figure1's rows at (21787, 512) form one group: its 163 rows take under
+# 1 ms at 0.84 MiB, and all 21,785 of --full-sweep 0.07 / 0.06 / 0.05 s.
 _ROW_BLOCK_CELLS = 1 << 13
+
+
+def _row_groups(m, rows):
+    """Sort order of the rows by (x, y, (iy - ix) mod m), and where each group starts.
+
+    Rows are (x, y, z) or (x, y, z, ix, iy, iz), targets i_t = 0 in the first
+    form.  Also returns the sorted columns x, y, z, (iy - ix) mod m and
+    iz - ix; the rows of one group share v_x, d_y and e_y at every a.
+    """
+    x, y, z, *targets = rows.T
+    ix, iy, iz = targets or (np.zeros_like(x),) * 3
+    wy = rem(iy - ix, m)
+    order = np.lexsort((wy, y, x))
+    cols = np.stack((x, y, z, wy, iz - ix))[:, order]
+    key = cols[[0, 1, 3]]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
+    return order, np.flatnonzero(new), cols
 
 
 def _agreement_sets(p, m, rows, lo_a, hi_a):
     """Closed-form sets of b on which y and z agree with x, for a in [lo_a, hi_a).
 
     Rows are (x, y, z) or (x, y, z, ix, iy, iz) (targets i_t = 0 in the first
-    form), taken in blocks of at most _ROW_BLOCK_CELLS rows times multipliers
-    (one row at least).  For fixed a, t wraps at c_t = p - v_t, v_t = a*t mod p,
-    so with u_t = v_t - i_t, h(t) - i_t = h(x) - i_x (mod m) holds on
+    form).  For fixed a, t wraps at c_t = p - v_t, v_t = a*t mod p, so with
+    u_t = v_t - i_t, h(t) - i_t = h(x) - i_x (mod m) holds on
     S_t = {b : u_t - u_x = p*([b >= c_t] - [b >= c_x]) (mod m)}.  The right
     side is 0 outside I_t, the interval between c_t and c_x on which exactly
     one of t, x has wrapped, and q = p mod m (t has) or -q (x has) on it, so
     1[S_t] = f_t + k_t*1[I_t] with e_t = (u_t - u_x) mod m, f_t = [e_t = 0]
-    and k_t = [e_t = +-q] - f_t.  S_t is empty unless e_t is 0, q or -q, so
-    per block it yields (r, v_x, y, z) only for the cells (row r, a) where
-    both e_y and e_z are; y and z are (d_t, f_t, k_t), with d_t = v_t - v_x
+    and k_t = [e_t = +-q] - f_t.  S_t is empty unless e_t is 0, q or -q.
+
+    Two stages.  Rows with equal (x, y, (iy - ix) mod m) share v_x, d_y and
+    e_y, so the first computes them once per such group over every a and
+    keeps the multipliers where e_y is live (about 3/m of them); the second
+    expands each row over its group's live multipliers only and finds e_z
+    there.  Each stage works in blocks of at most _ROW_BLOCK_CELLS cells
+    (groups times multipliers, then expanded cells; one group or row at
+    least).  Yields (r, v_x, y, z) for the cells (row r, a) where both e_y
+    and e_z are live; y and z are (d_t, f_t, k_t), with d_t = v_t - v_x
     = c_x - c_t, so I_t lies below c_x when d_t > 0.  All are 1-D arrays.
     """
     a = np.arange(lo_a, hi_a, dtype=np.int64)
-    step = max(1, _ROW_BLOCK_CELLS // max(1, len(a)))
     q, mq = p % m, -p % m
-    for start in range(0, len(rows), step):
-        x, y, z, *targets = rows[start : start + step].T[:, :, None]
-        ix, iy, iz = targets or (0, 0, 0)
-        vx = rem(a * x, p)
-        dy, dz = rem(a * y, p) - vx, rem(a * z, p) - vx
-        ey, ez = rem(dy - (iy - ix), m), rem(dz - (iz - ix), m)
-        live = (ey == 0) | (ey == q) | (ey == mq)
-        live &= (ez == 0) | (ez == q) | (ez == mq)
-        cell = np.flatnonzero(live)
-        sets = []
-        for d, e in ((dy, ey), (dz, ez)):
-            d, e = d.ravel()[cell], e.ravel()[cell]
-            f = e == 0
-            sets.append((d, f, (e == np.where(d > 0, q, mq)) - f.astype(np.int64)))
-        yield start + cell // len(a), vx.ravel()[cell], *sets
+
+    def live(e):
+        return np.flatnonzero((e == 0) | (e == q) | (e == mq))
+
+    def agree(d, e):
+        f = e == 0
+        return d, f, (e == np.where(d > 0, q, mq)) - f.astype(np.int64)
+
+    order, starts, (x, y, z, wy, wz) = _row_groups(m, rows)
+    bounds = np.append(starts, len(rows))
+    step = max(1, _ROW_BLOCK_CELLS // max(1, len(a)))
+    for g in range(0, len(starts), step):
+        first = starts[g : g + step, None]
+        vx = rem(a * x[first], p)
+        dy = rem(a * y[first], p) - vx
+        ey = rem(dy - wy[first], m)
+        cell = live(ey)
+        # Only the live cells outlive this stage.
+        vx, dy, ey = (t.ravel()[cell] for t in (vx, dy, ey))
+        a_live, ys = a[cell % len(a)], agree(dy, ey)
+        # Live cells come grouped by group, and every row of a group reads
+        # its group's run of them: expanded cell e of row i is live cell
+        # e + shift[i].
+        n_live = np.bincount(cell // len(a), minlength=len(first))
+        size = np.diff(bounds[g : g + len(first) + 1])
+        per_row = np.repeat(n_live, size)
+        end = np.cumsum(per_row)
+        shift = np.repeat(np.cumsum(n_live) - n_live, size) - (end - per_row)
+        lo = 0
+        while lo < len(per_row):
+            base = end[lo] - per_row[lo]
+            hi = max(lo + 1, int(np.searchsorted(end, base + _ROW_BLOCK_CELLS, "right")))
+            n = per_row[lo:hi]
+            j = np.repeat(np.arange(starts[g] + lo, starts[g] + hi), n)
+            c = np.arange(base, end[hi - 1]) + np.repeat(shift[lo:hi], n)
+            dz = rem(a_live[c] * z[j], p) - vx[c]
+            ez = rem(dz - wz[j], m)
+            keep = live(ez)
+            c = c[keep]
+            yield order[j[keep]], vx[c], tuple(s[c] for s in ys), agree(dz[keep], ez[keep])
+            lo = hi
 
 
 def _overlap(full, y, n_y, z, n_z):
@@ -236,9 +288,12 @@ def _count_rows(chunk, width, mod, queries, workers, budget, what):
     if not ((targets >= 0) & (targets < m)).all():
         raise ValueError(f"bin targets must lie in [0, {m})")
     # Every row costs one literal query, 3p^2, so a batch is charged that
-    # once; the pool decision sees the kernel work of the whole batch.
+    # once.  The pool decision sees the kernel's cells: p per group, then
+    # each row's live multipliers, on average p*|{0, q, -q}|/m of them.
     _check_budget(3 * p * p, budget, what)
-    return sum(_map_chunks(chunk, p, workers, 3 * p * len(rows), (p, m, rows)))
+    groups = len(_row_groups(m, rows)[1])
+    work = p * groups + len(rows) * p * len({0, p % m, -p % m}) // m
+    return sum(_map_chunks(chunk, p, workers, work, (p, m, rows)))
 
 
 def count_triple_collisions(

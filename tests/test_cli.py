@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import linbins
 from linbins.cli import build_parser
 
 
@@ -130,6 +131,13 @@ def test_collide3_prints_counts(tmp_path):
         "statement_bound,0.299145299145\n"
         "proof_bound,0.42735042735\n"
     )
+
+
+def test_preamble_version_is_package_version(tmp_path):
+    proc = run_cli("collide3", "--p", "13", "--m", "3", "--out", "c.csv", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    preamble = [line for line in (tmp_path / "c.csv").read_text().splitlines() if line[0] == "#"]
+    assert f"# version={linbins.__version__}" in preamble
 
 
 def test_interval_collide_reports_lower_bound(tmp_path):

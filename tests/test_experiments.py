@@ -1,5 +1,6 @@
 """Experiment runners, check functions, and the CSV/report plumbing."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,14 @@ def test_run_figure1_full_sweep(tmp_path):
     report = run_figure1(out, p=257, m=16, full_sweep=True)
     assert report.overall
     assert len(csv_body(out.read_text()).splitlines()) == 1 + 255
+
+
+def test_run_figure1_full_sweep_body_frozen(tmp_path):
+    # Every d at (1031, 32), the one full-sweep body frozen anywhere.
+    out = tmp_path / "fig.csv"
+    run_figure1(out, p=1031, m=32, full_sweep=True)
+    digest = hashlib.sha256(csv_body(out.read_text()).encode()).hexdigest()
+    assert digest == "e3618af39f8f6447247382bdad691951564fb1c9cb0581088b7e565a2317cb3d"
 
 
 def test_run_figure1_rejects_bad_d(tmp_path):

@@ -19,6 +19,8 @@ from linbins.oracles import (
     _maxload_hist_all_b_chunk,
     _maxload_credits,
     _maxloads_b_zero_chunk,
+    _prescribed_chunk,
+    _triple_chunk,
     canonicalize_triple,
     count_interval_collision,
     count_interval_collisions,
@@ -137,6 +139,78 @@ def test_counts_match_full_grid_on_general_rows():
         # An int64 array of rows is accepted as it is.
         fast = count_prescribed_triple(mod, np.array(queries, dtype=np.int64))
         assert fast.tolist() == prescribed, (p, m)
+
+
+def full_grid_counts(p, m, rows):
+    """Per-row counts by a literal h = (a*x + b) % p % m over every (a, b)."""
+    a = np.arange(p, dtype=np.int64)[:, None]
+    b = np.arange(p, dtype=np.int64)[None, :]
+    counts = []
+    for row in rows:
+        hx, hy, hz = ((a * t + b) % p % m for t in row[:3])
+        if len(row) == 3:
+            counts.append(int(((hx == hy) & (hy == hz)).sum()))
+        else:
+            ix, iy, iz = row[3:]
+            counts.append(int(((hx == ix) & (hy == iy) & (hz == iz)).sum()))
+    return counts
+
+
+@pytest.mark.parametrize("m", (1, 2, 5, 31))
+def test_grouped_rows_match_full_grid(monkeypatch, m):
+    # The agreement pass shares the y test among rows with equal
+    # (x, y, (iy - ix) mod m).  Rows here share (x, y) but differ in z; share
+    # (x, y) but differ in iy - ix; and share (x, y, iy - ix mod m) with
+    # different ix, some with iy wrapping past m.
+    p = 31
+    x, y = 5, 12
+    zs = (0, 1, 2, 20, p - 1)
+    triples = [(x, y, z) for z in zs] + [(y, x, 3), (0, y, 3), (x + 1, y, 7)]
+    shifts = range(min(m, 3))
+    queries = [
+        (x, y, z, ix, (ix + s) % m, (ix + s + z) % m)
+        for z in zs
+        for s in shifts
+        for ix in range(m - min(m, 3), m)
+    ] + [(y, x, 3, 0, 0, 0), (0, y, 3, m - 1, 0, m // 2)]
+    triples = np.array(triples, dtype=np.int64)
+    queries = np.array(queries, dtype=np.int64)
+    expected = full_grid_counts(p, m, triples), full_grid_counts(p, m, queries)
+    mod = Modulus(p, m)
+
+    def counts():
+        return (
+            count_triple_collisions(mod, triples).tolist(),
+            count_prescribed_triple(mod, queries).tolist(),
+        )
+
+    assert counts() == expected
+    # Chunks of the a-range sum to the whole, as pool workers return them.
+    chunks = _chunk_bounds(p, 3)
+    assert sum(_triple_chunk(p, m, triples, lo, hi) for lo, hi in chunks).tolist() == expected[0]
+    assert sum(_prescribed_chunk(p, m, queries, lo, hi) for lo, hi in chunks).tolist() == expected[1]
+    # One group and one row per block, then 7 rows' worth of cells, which
+    # splits the largest groups (up to 15 rows) across second-stage blocks.
+    for cells in (1, 7 * p):
+        monkeypatch.setattr(oracles, "_ROW_BLOCK_CELLS", cells)
+        assert counts() == expected, cells
+
+
+def test_full_sweep_sum_rule():
+    # Summing count(0, 1, d) over d = 2..p-1 counts, for every (a, b) with
+    # h(0) = h(1), the other elements of [p] in their bin.
+    p, m = 257, 16
+    counts = count_triple_collisions(Modulus(p, m), [(0, 1, d) for d in range(2, p)])
+    t = np.arange(p, dtype=np.int64)
+    b = np.arange(p, dtype=np.int64)[:, None]
+    offsets = np.arange(p, dtype=np.int64)[:, None] * m
+    expected = 0
+    for a in range(p):
+        h = (a * t + b) % p % m
+        loads = np.bincount((offsets + h).ravel(), minlength=p * m).reshape(p, m)
+        pair = np.flatnonzero(h[:, 0] == h[:, 1])
+        expected += int((loads[pair, h[pair, 0]] - 2).sum())
+    assert int(counts.sum()) == expected
 
 
 def test_prescribed_counts_over_all_targets_sum_to_all_pairs():
@@ -592,7 +666,8 @@ def test_pool_capped_at_available_cores(monkeypatch):
 
     monkeypatch.setattr(oracles, "ProcessPoolExecutor", StandInPool)
     p = 21787
-    # Figure scale: the triple kernel's 3p cells stay under the pool threshold.
+    # Figure scale: one row is one group, p cells and then about 3p/m, far
+    # under the pool threshold.
     count_triple_collisions(Modulus(p, 512), [(0, 1, 5)], workers=100_000)
     assert sizes == []
 
