@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import MAX_MODULUS, Modulus, next_prime_at_least, rem
+from .field import Modulus, next_prime_at_least, rem
 from .loads import Interval, KeySet, materialize, max_loads
 from .oracles import _map_chunks
 
@@ -55,10 +55,9 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-        # Bins are computed as a*x + b in int64, exact only while p <= 2^31.
-        if self.mod.p > MAX_MODULUS:
-            raise ValueError(f"p={self.mod.p} exceeds the supported range ({MAX_MODULUS})")
         _check_seed(self.seed)
+        # A key set that does not fit [p] is refused here, before any sampling.
+        materialize(self.key_set, self.mod)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ choices and the claim text marks them as such.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -25,12 +26,13 @@ from . import __version__
 from .estimators import (
     GENERATOR_NAME,
     McConfig,
+    _check_seed,
     mc_linear_maxload,
     scaling_study,
     tail_log_slope,
 )
-from .field import MAX_MODULUS, Modulus, rem
-from .loads import AffineImage, Explicit, Interval, bin_counts, key_set_size, materialize
+from .field import Modulus, rem
+from .loads import AffineImage, Explicit, Interval, bin_counts, materialize
 from .oracles import (
     _chunk_bounds,
     _maxload_credits,
@@ -194,12 +196,8 @@ def run_figure1(
 
     low = [d for d in ds if d <= p / m]
     drops = [(a, b) for a, b in zip(low, low[1:]) if exact[a] < exact[b]]
-    arr = np.array(ds)
-    worst = 0.0
-    for d in ds:
-        partner = int(arr[np.argmin(np.abs(arr - (p + 1 - d)))])
-        dev = abs(exact[d] - exact[partner]) / exact[partner]
-        worst = max(worst, float(dev))
+    # Both sweeps hold the mirror p+1-d of each of their points.
+    worst = max(float(abs(exact[d] - exact[p + 1 - d]) / exact[p + 1 - d]) for d in ds)
     checks = (
         CheckRow(
             name="probability-nonincreasing-low-d",
@@ -235,8 +233,6 @@ def check_load_sums(mod: Modulus, alpha: int, beta: int) -> tuple[int, int]:
     in the package.  Above p^2 = 90000 only b in {0, 1, p//2, p-1} is checked.
     """
     p, m = mod.p, mod.m
-    if p > MAX_MODULUS:
-        raise ValueError(f"p={p} exceeds the enumerable range ({MAX_MODULUS})")
     if p * p <= 90_000:
         bs = np.arange(p, dtype=np.int64)
     else:
@@ -244,7 +240,6 @@ def check_load_sums(mod: Modulus, alpha: int, beta: int) -> tuple[int, int]:
     rows = p * len(bs)  # row r is the pair (r div |bs|, bs[r mod |bs|])
     checked = violations = 0
     for ks in _lemma_key_sets(mod, alpha, beta):
-        size = key_set_size(ks)
         s = np.asarray(materialize(ks, mod), dtype=np.int64)
 
         def bins_of(lo, hi):
@@ -252,7 +247,7 @@ def check_load_sums(mod: Modulus, alpha: int, beta: int) -> tuple[int, int]:
             return rem(rem(a[:, None] * s + bs[j, None], p), m)
 
         for _, _, counts in bin_counts(rows, len(s), m, bins_of):
-            violations += int(np.count_nonzero(counts.sum(axis=1) != size))
+            violations += int(np.count_nonzero(counts.sum(axis=1) != len(s)))
         checked += rows
     return checked, violations
 
@@ -439,128 +434,74 @@ def run_lemma_checks(
     workers: int = 1,
     budget: int | None = None,
 ) -> AcceptanceReport:
-    """Run every exhaustive invariant at one (p, m) and write the report CSV."""
+    """Run every exhaustive invariant at one (p, m) and write the report CSV.
+
+    Each row of the table is a check name, its claim, the unit of what was
+    checked and a thunk running the check.  A thunk returns (checked,
+    violations), a bare count of the unit, or whether two results are equal.
+    """
     mod = Modulus(p, m)
     if p < 3:
         raise ValueError(f"lemmas needs p >= 3 to form distinct triples, got p={p}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed + 1)
     alpha = 1 + int(rng.integers(p - 1))
     beta = int(rng.integers(p))
-    checks: list[CheckRow] = []
-
-    def add(name, claim, observed, bound, passed):
-        checks.append(CheckRow(name, claim, observed, bound, passed))
-
-    checked, bad = check_load_sums(mod, alpha, beta)
-    add(
-        "load-sum",
-        "per-bin loads sum to the key-set size for every hash function",
-        f"{bad} violations / {checked} profiles",
-        "0 violations",
-        bad == 0,
+    lower_bound = interval_lower_bound_active(mod)
+    # These two checks feed two rows each and run once.
+    triples = functools.cache(lambda: check_triple_bounds(mod, workers, budget))
+    intervals = functools.cache(
+        lambda: check_interval_containment(mod, workers=workers, budget=budget)
     )
-    checked, bad = check_sign_symmetry(mod, workers)
-    add(
-        "sign-symmetry",
-        "negating the multiplier preserves the b=0 max load on 0-free key sets",
-        f"{bad} violations / {checked} multipliers",
-        "0 violations",
-        bad == 0,
-    )
-    checked, bad = check_zero_slack(mod, workers)
-    add(
-        "zero-slack",
-        "negating the multiplier moves the b=0 max load on [m] by at most 1",
-        f"{bad} violations / {checked} multipliers",
-        "0 violations",
-        bad == 0,
-    )
-    checked, bad = check_b_shift_containment(mod)
-    add(
-        "b-shift-containment",
-        "the b=0 max load lies in [floor(L/2), 2L] for the max load L at any b",
-        f"{bad} violations / {checked} parameter pairs",
-        "0 violations",
-        bad == 0,
-    )
-    same = check_affine_histogram(mod, alpha, beta, workers, budget)
-    add(
-        "affine-image-histogram",
-        f"[{m}] and its affine image (alpha={alpha}, beta={beta}) have "
-        "identical all-(a,b) max-load histograms",
-        "histograms equal" if same else "histograms differ",
-        "equal",
-        same,
-    )
-    checked, bad = check_canonical_equality(mod, seed=seed)
-    add(
-        "canonical-equality",
-        "prescribed-bin counts are invariant under affine reduction to (0,1,d)",
-        f"{bad} violations / {checked} target triples",
-        "0 violations",
-        bad == 0,
-    )
-    checked, statement_bad, proof_bad = check_triple_bounds(mod, workers, budget)
-    add(
-        "triple-bound-proof-form",
-        "exhaustive collision probability of {0,1,d} never exceeds "
-        "(1 + (1 + p/d)/m)(1 + d/m)/p",
-        f"{proof_bad} violations / {checked} d values",
-        "0 violations",
-        proof_bad == 0,
-    )
-    add(
-        "triple-bound-statement-form",
-        "exhaustive collision probability of {0,1,d} never exceeds "
-        "(1 + max(1, p/(dm))(1 + d/m))/p",
-        f"{statement_bad} violations / {checked} d values",
-        "0 violations",
-        statement_bad == 0,
-    )
-    if interval_lower_bound_active(mod):
-        checked, bad = check_interval_lower_bound(mod, workers, budget)
-        add(
-            "interval-lower-bound",
-            "exhaustive probability that [d] collides is at least 1/(6dm) "
-            "for d <= m (claimed only when p > 3m^2)",
-            f"{bad} violations / {checked} d values",
-            "0 violations",
-            bad == 0,
-        )
-    checked, containment_bad, monotone_bad = check_interval_containment(
-        mod, workers=workers, budget=budget
-    )
-    add(
-        "interval-containment",
-        "a collision of the whole interval [d] forces {0,1,d-1} to collide",
-        f"{containment_bad} violations / {checked} d values",
-        "0 violations",
-        containment_bad == 0,
-    )
-    add(
-        "interval-monotone",
-        "the interval collision count is non-increasing in the length d",
-        f"{monotone_bad} increases",
-        "0 increases",
-        monotone_bad == 0,
-    )
-    checked, bad = check_decomposition(mod)
-    add(
-        "prescribed-decomposition",
-        "summing prescribed equal-bin counts over all bins reproduces the "
-        "collision count",
-        f"{bad} violations / {checked} triples",
-        "0 violations",
-        bad == 0,
-    )
-    checked, bad = check_partition_determinism(mod)
-    add(
-        "partition-determinism",
-        "exhaustive counts are identical under any chunking of the a-range",
-        f"{bad} violations / {checked} partitions",
-        "0 violations",
-        bad == 0,
-    )
+    triple_claim = "exhaustive collision probability of {0,1,d} never exceeds "
+    table = [
+        ("load-sum", "per-bin loads sum to the key-set size for every hash function",
+         "profiles", lambda: check_load_sums(mod, alpha, beta)),
+        ("sign-symmetry", "negating the multiplier preserves the b=0 max load on 0-free key sets",
+         "multipliers", lambda: check_sign_symmetry(mod, workers)),
+        ("zero-slack", "negating the multiplier moves the b=0 max load on [m] by at most 1",
+         "multipliers", lambda: check_zero_slack(mod, workers)),
+        ("b-shift-containment",
+         "the b=0 max load lies in [floor(L/2), 2L] for the max load L at any b",
+         "parameter pairs", lambda: check_b_shift_containment(mod)),
+        ("affine-image-histogram", f"[{m}] and its affine image (alpha={alpha}, beta={beta}) "
+         "have identical all-(a,b) max-load histograms",
+         "histograms", lambda: check_affine_histogram(mod, alpha, beta, workers, budget)),
+        ("canonical-equality",
+         "prescribed-bin counts are invariant under affine reduction to (0,1,d)",
+         "target triples", lambda: check_canonical_equality(mod, seed=seed)),
+        ("triple-bound-proof-form", triple_claim + "(1 + (1 + p/d)/m)(1 + d/m)/p",
+         "d values", lambda: (triples()[0], triples()[2])),
+        ("triple-bound-statement-form", triple_claim + "(1 + max(1, p/(dm))(1 + d/m))/p",
+         "d values", lambda: triples()[:2]),
+        ("interval-lower-bound", "exhaustive probability that [d] collides is at least "
+         "1/(6dm) for d <= m (claimed only when p > 3m^2)",
+         "d values", lambda: check_interval_lower_bound(mod, workers, budget)),
+        ("interval-containment",
+         "a collision of the whole interval [d] forces {0,1,d-1} to collide",
+         "d values", lambda: intervals()[:2]),
+        ("interval-monotone", "the interval collision count is non-increasing in the length d",
+         "increases", lambda: intervals()[2]),
+        ("prescribed-decomposition",
+         "summing prescribed equal-bin counts over all bins reproduces the collision count",
+         "triples", lambda: check_decomposition(mod)),
+        ("partition-determinism",
+         "exhaustive counts are identical under any chunking of the a-range",
+         "partitions", lambda: check_partition_determinism(mod)),
+    ]
+    if not lower_bound:
+        table = [row for row in table if row[0] != "interval-lower-bound"]
+    checks = []
+    for name, claim, unit, run in table:
+        value = run()
+        if isinstance(value, bool):
+            row = (f"{unit} {'equal' if value else 'differ'}", "equal", value)
+        elif isinstance(value, int):
+            row = (f"{value} {unit}", f"0 {unit}", value == 0)
+        else:
+            checked, bad = value
+            row = (f"{bad} violations / {checked} {unit}", "0 violations", bad == 0)
+        checks.append(CheckRow(name, claim, *row))
 
     report = AcceptanceReport(tuple(checks))
     meta = _base_meta(
@@ -569,8 +510,7 @@ def run_lemma_checks(
         m=m,
         seed=seed,
         workers=workers,
-        interval_lower_bound="active" if interval_lower_bound_active(mod) else
-        "inactive (requires p > 3m^2)",
+        interval_lower_bound="active" if lower_bound else "inactive (requires p > 3m^2)",
     )
     write_report_csv(out, report, meta)
     return report
@@ -663,13 +603,12 @@ def run_transform_demo(
 ) -> AcceptanceReport:
     """Compare max-load estimates for [m] against its affine image."""
     mod = Modulus(p, m)
-    plain = mc_linear_maxload(
-        McConfig(samples=samples, seed=seed, mod=mod, key_set=Interval(m)), workers
-    )
-    moved = mc_linear_maxload(
-        McConfig(samples=samples, seed=seed, mod=mod, key_set=AffineImage(m, alpha, beta)),
-        workers,
-    )
+    # Both configs validate their key sets before either samples.
+    configs = [
+        McConfig(samples=samples, seed=seed, mod=mod, key_set=ks)
+        for ks in (Interval(m), AffineImage(m, alpha, beta))
+    ]
+    plain, moved = (mc_linear_maxload(cfg, workers) for cfg in configs)
     gap = abs(plain.mean - moved.mean)
     combined = math.hypot(plain.std_error, moved.std_error)
     ratio = 0.0 if gap == 0 else (gap / combined if combined else math.inf)

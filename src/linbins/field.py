@@ -1,7 +1,8 @@
-"""Prime-field arithmetic and the simple linear hash family.
+"""Prime-field arithmetic for the simple linear hash family.
 
 The family maps x in [p] to ((a*x + b) mod p) mod m for parameter pairs
-(a, b) in [p]^2, where p is prime and m <= p is the number of bins.
+(a, b) in [p]^2, where p is prime and m <= p is the number of bins.  The
+array kernels elsewhere evaluate it with rem below.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Largest modulus the array-based enumeration code accepts: products of two
-# field elements must fit in a signed 64-bit integer.
+# Largest modulus a Modulus accepts: every kernel forms a*x + b of field
+# elements in int64, exact only while p <= 2^31.
 MAX_MODULUS = 1 << 31
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -65,46 +66,18 @@ def mod_inverse(x: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class Modulus:
-    """A prime modulus p together with a bin count m, 1 <= m <= p."""
+    """A prime modulus p <= MAX_MODULUS together with a bin count m, 1 <= m <= p."""
 
     p: int
     m: int
 
     def __post_init__(self):
+        if self.p > MAX_MODULUS:
+            raise ValueError(f"p={self.p} exceeds the supported range ({MAX_MODULUS})")
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if not 1 <= self.m <= self.p:
             raise ValueError(f"m must satisfy 1 <= m <= p, got m={self.m}, p={self.p}")
-
-
-@dataclass(frozen=True)
-class HashParams:
-    """One function of the family, identified by the pair (a, b)."""
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise ValueError("a and b must be non-negative")
-
-
-def _check_args(params: HashParams, mod: Modulus, x: int) -> None:
-    if not (params.a < mod.p and params.b < mod.p):
-        raise ValueError(f"params {params} out of range for p={mod.p}")
-    if not 0 <= x < mod.p:
-        raise ValueError(f"x={x} out of range for p={mod.p}")
-
-
-def eval_full(params: HashParams, mod: Modulus, x: int) -> int:
-    """Full-range value (a*x + b) mod p."""
-    _check_args(params, mod, x)
-    return (params.a * x + params.b) % mod.p
-
-
-def eval_binned(params: HashParams, mod: Modulus, x: int) -> int:
-    """Bin index ((a*x + b) mod p) mod m."""
-    return eval_full(params, mod, x) % mod.m
 
 
 def rem(x: np.ndarray, n: int) -> np.ndarray:

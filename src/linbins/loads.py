@@ -7,7 +7,7 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .field import HashParams, Modulus, eval_binned
+from .field import Modulus
 
 
 @dataclass(frozen=True)
@@ -75,28 +75,15 @@ def materialize(ks: KeySet, mod: Modulus) -> list[int]:
     raise TypeError(f"not a key set: {ks!r}")
 
 
-def key_set_size(ks: KeySet) -> int:
-    if isinstance(ks, Explicit):
-        return len(ks.elements)
-    return ks.length
-
-
-@dataclass(frozen=True)
-class LoadProfile:
-    """Per-bin occupancy for one hash function and key set."""
-
-    loads: tuple
-    max_load: int
-    params: HashParams
-    mod: Modulus
-
-
-def load_profile(params: HashParams, mod: Modulus, ks: KeySet) -> LoadProfile:
-    """Count how many key-set elements land in each of the m bins."""
-    loads = [0] * mod.m
+def load_profile(a: int, b: int, mod: Modulus, ks: KeySet) -> list[int]:
+    """Per-bin loads of h_{a,b} on the key set, counted one key at a time."""
+    p, m = mod.p, mod.m
+    if not (0 <= a < p and 0 <= b < p):
+        raise ValueError(f"(a, b) = ({a}, {b}) out of range for p={p}")
+    loads = [0] * m
     for x in materialize(ks, mod):
-        loads[eval_binned(params, mod, x)] += 1
-    return LoadProfile(tuple(loads), max(loads), params, mod)
+        loads[(a * x + b) % p % m] += 1
+    return loads
 
 
 # Cells per block of bin_counts: rows times max(n, m), which bounds both the

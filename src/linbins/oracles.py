@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import MAX_MODULUS, Modulus, mod_inverse, rem
+from .field import Modulus, mod_inverse, rem
 from .loads import KeySet, materialize, max_loads
 
 # Refuse exhaustive calls whose cost exceeds this, unless the caller raises
@@ -118,11 +118,6 @@ def canonicalize_triple(p: int, x: int, y: int, z: int) -> CanonicalTriple:
     beta = x % p
     d = mod_inverse(alpha, p) * (z - beta) % p
     return CanonicalTriple(d=d, alpha=alpha, beta=beta)
-
-
-def _require_enumerable(p: int) -> None:
-    if p > MAX_MODULUS:
-        raise ValueError(f"p={p} exceeds the enumerable range ({MAX_MODULUS})")
 
 
 # Cap on the cells of each block of the agreement pass: groups times
@@ -269,7 +264,6 @@ def _prescribed_chunk(p, m, rows, lo_a, hi_a):
 def _count_rows(chunk, width, mod, queries, workers, budget, what):
     """Validate (x, y, z[, ix, iy, iz]) rows, then count them all in one pass over a."""
     p, m = mod.p, mod.m
-    _require_enumerable(p)
     if len(queries) == 0:
         return np.zeros(0, dtype=np.int64)
     try:
@@ -359,7 +353,6 @@ def count_interval_collisions(
     them would cost.
     """
     p, m = mod.p, mod.m
-    _require_enumerable(p)
     if not 2 <= d_max <= p:
         raise ValueError(f"d must satisfy 2 <= d <= p, got {d_max}")
     if m == 1:
@@ -423,7 +416,6 @@ def _maxloads_b_zero_chunk(p, m, elements, lo_a, hi_a):
 def maxloads_b_zero(mod: Modulus, ks: KeySet, workers: int = 1) -> np.ndarray:
     """Max load of h_{a,0} on the key set, for every a in [p]."""
     p, m = mod.p, mod.m
-    _require_enumerable(p)
     elements = materialize(ks, mod)
     parts = _map_chunks(
         _maxloads_b_zero_chunk, p, workers, p * len(elements), (p, m, elements)
@@ -434,7 +426,6 @@ def maxloads_b_zero(mod: Modulus, ks: KeySet, workers: int = 1) -> np.ndarray:
 def maxloads_for_a(mod: Modulus, ks: KeySet, a: int) -> np.ndarray:
     """Max load of h_{a,b} on the key set, for every b in [p] at fixed a."""
     p, m = mod.p, mod.m
-    _require_enumerable(p)
     if not 0 <= a < p:
         raise ValueError(f"a={a} out of range for p={p}")
     v = a * np.asarray(materialize(ks, mod), dtype=np.int64) % p
@@ -524,7 +515,6 @@ def exact_maxload_histogram(
     is what the budget and the pool decision charge.
     """
     p, m = mod.p, mod.m
-    _require_enumerable(p)
     elements = materialize(ks, mod)
     n = len(elements)
     if b_mode == "b_zero":

@@ -72,6 +72,13 @@ def test_invalid_value_exits_two(tmp_path, args):
     assert len(proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_lemmas_seed_outside_64_bits_exits_two(tmp_path, seed):
+    proc = run_cli("lemmas", "--p", "13", "--m", "3", "--seed", seed, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: seed must be a 64-bit unsigned integer, got {seed}\n"
+
+
 def test_budget_only_on_exhaustive_subcommands():
     parser = build_parser()
     exhaustive = ("figure1", "lemmas", "transform", "maxload-exact", "collide3", "interval-collide")

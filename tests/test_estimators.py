@@ -158,9 +158,12 @@ def test_mc_config_rejects_moduli_that_overflow_int64():
         McConfig(
             samples=300, seed=1, mod=Modulus(p, 32), key_set=AffineImage(32, 3000000001, 5)
         )
-    first_too_large = Modulus(next_prime_at_least(MAX_MODULUS), 2)
-    with pytest.raises(ValueError):
-        McConfig(samples=1, seed=0, mod=first_too_large, key_set=Interval(2))
+    # Modulus itself refuses the first prime past MAX_MODULUS.
+    with pytest.raises(ValueError, match="exceeds"):
+        McConfig(
+            samples=1, seed=0, mod=Modulus(next_prime_at_least(MAX_MODULUS), 2),
+            key_set=Interval(2),
+        )
 
 
 def test_mc_linear_exact_at_largest_modulus(maxima_seen):

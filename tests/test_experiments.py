@@ -199,7 +199,8 @@ def test_check_load_sums_counts_dropped_keys(monkeypatch):
 def test_check_load_sums_sampled_b_and_range_guard():
     # Above p^2 = 90000 only four b values per multiplier are checked.
     assert check_load_sums(Modulus(331, 16), alpha=5, beta=2) == (3 * 4 * 331, 0)
-    with pytest.raises(ValueError):
+    # The first prime above 2^31 is refused when its Modulus is built.
+    with pytest.raises(ValueError, match="exceeds"):
         check_load_sums(Modulus(2147483659, 4), alpha=1, beta=0)
 
 
@@ -224,6 +225,21 @@ def test_run_lemma_checks_includes_lower_bound(tmp_path):
     report = run_lemma_checks(197, 8, tmp_path / "l.report.csv", seed=0)
     assert report.overall
     assert report.row("interval-lower-bound").passed
+
+
+@pytest.mark.parametrize(
+    "p,m,digest",
+    [
+        (257, 16, "e8c7ec71b78798e994c3980fea15a932d0b21a3808d4c5e744cdf13ba17d9d1e"),
+        # p > 3m^2: the interval-lower-bound row is present.
+        (197, 8, "828f4c63522a9a89ad6e6bb7dd9ab4e8b7a4b15100382b26f04b29c6a7023a3c"),
+    ],
+)
+def test_lemma_report_body_frozen(tmp_path, p, m, digest):
+    # Every row, claims included, at seed 0.
+    out = tmp_path / "lemmas.report.csv"
+    run_lemma_checks(p, m, out, seed=0)
+    assert hashlib.sha256(csv_body(out.read_text()).encode()).hexdigest() == digest
 
 
 def test_run_scaling_small(tmp_path):
@@ -262,3 +278,15 @@ def test_run_transform_exhaustive(tmp_path):
     body = csv_body(out.read_text())
     assert body.splitlines()[0] == "key_set,mean,std_error,samples,mean_diff_in_se"
     assert len(body.splitlines()) == 3
+
+
+def test_run_transform_validates_both_key_sets_before_sampling(tmp_path, monkeypatch):
+    # alpha = p passes AffineImage but not materialize; no sample may be drawn.
+    def no_sampling(*args):
+        raise AssertionError("sampling started before the key sets were validated")
+
+    monkeypatch.setattr(experiments, "mc_linear_maxload", no_sampling)
+    with pytest.raises(ValueError, match="alpha must be nonzero modulo p"):
+        run_transform_demo(
+            p=1031, m=32, alpha=1031, beta=5, samples=400_000, seed=0, out=tmp_path / "t.csv"
+        )

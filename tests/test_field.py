@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from linbins.field import (
-    HashParams,
+    MAX_MODULUS,
     Modulus,
-    eval_binned,
-    eval_full,
     is_prime,
     mod_inverse,
     next_prime_at_least,
     rem,
 )
+from linbins.loads import Explicit, load_profile
+
+
+def h(a, b, mod, x):
+    """h_{a,b}(x): the one bin that the key set {x} loads."""
+    return load_profile(a, b, mod, Explicit((x,))).index(1)
 
 
 def sieve_primes(limit):
@@ -80,33 +84,28 @@ def test_modulus_validation():
         Modulus(13, 0)
     with pytest.raises(ValueError):
         Modulus(13, 14)
-
-
-def test_hash_params_validation():
-    HashParams(0, 0)
-    with pytest.raises(ValueError):
-        HashParams(-1, 0)
-    with pytest.raises(ValueError):
-        HashParams(0, -2)
+    # The one range check every kernel relies on: a*x + b fits int64.
+    Modulus(2147483647, 2)
+    with pytest.raises(ValueError, match="exceeds"):
+        Modulus(next_prime_at_least(MAX_MODULUS), 2)
 
 
 def test_eval_examples():
-    mod = Modulus(13, 4)
-    assert eval_full(HashParams(1, 0), mod, 5) == 5
-    assert eval_full(HashParams(12, 0), mod, 1) == 12
-    assert eval_binned(HashParams(1, 0), mod, 6) == 2
-    assert eval_binned(HashParams(3, 2), Modulus(13, 5), 5) == 4
+    # With m = p the bin is the full-range value (a*x + b) mod p.
+    assert h(1, 0, Modulus(13, 13), 5) == 5
+    assert h(12, 0, Modulus(13, 13), 1) == 12
+    assert h(1, 0, Modulus(13, 4), 6) == 2
+    assert h(3, 2, Modulus(13, 5), 5) == 4
 
 
 def test_eval_exhaustive_reduction():
-    mod = Modulus(13, 5)
+    full, binned = Modulus(13, 13), Modulus(13, 5)
     for a in range(13):
         for b in range(13):
-            params = HashParams(a, b)
             for x in range(13):
-                full = (a * x + b) % 13
-                assert eval_full(params, mod, x) == full
-                assert eval_binned(params, mod, x) == full % 5
+                value = (a * x + b) % 13
+                assert h(a, b, full, x) == value
+                assert h(a, b, binned, x) == value % 5
 
 
 def test_full_range_pairwise_uniform():
@@ -121,8 +120,7 @@ def test_full_range_pairwise_uniform():
             seen = {}
             for a in range(p):
                 for b in range(p):
-                    params = HashParams(a, b)
-                    pair = (eval_full(params, mod, x), eval_full(params, mod, y))
+                    pair = (h(a, b, mod, x), h(a, b, mod, y))
                     seen[pair] = seen.get(pair, 0) + 1
             assert all(count == 1 for count in seen.values())
             assert len(seen) == p * p

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from linbins import loads
-from linbins.field import HashParams, Modulus
+from linbins.field import Modulus
 from linbins.loads import (
     AffineImage,
     Explicit,
     Interval,
     bin_counts,
-    key_set_size,
     load_profile,
     materialize,
     max_loads,
@@ -43,44 +42,36 @@ def test_affine_image_rejects_zero_alpha():
         AffineImage(3, 0, 2)
 
 
-def test_key_set_size():
-    assert key_set_size(Interval(7)) == 7
-    assert key_set_size(AffineImage(5, 2, 1)) == 5
-    assert key_set_size(Explicit((4, 9))) == 2
-
-
 def test_load_profile_identity():
-    mod = Modulus(13, 5)
-    profile = load_profile(HashParams(1, 0), mod, Interval(5))
-    assert profile.loads == (1, 1, 1, 1, 1)
-    assert profile.max_load == 1
+    assert load_profile(1, 0, Modulus(13, 5), Interval(5)) == [1, 1, 1, 1, 1]
 
 
 def test_load_profile_constant_function():
-    mod = Modulus(13, 5)
-    profile = load_profile(HashParams(0, 0), mod, Interval(5))
-    assert profile.loads[0] == 5
-    assert profile.max_load == 5
+    assert load_profile(0, 0, Modulus(13, 5), Interval(5)) == [5, 0, 0, 0, 0]
 
 
 def test_load_profile_recount_oracle():
     # Independent per-element recount at (p, m, a, b) = (257, 16, 17, 0).
-    mod = Modulus(257, 16)
-    params = HashParams(17, 0)
     counter = Counter((17 * x) % 257 % 16 for x in range(16))
-    profile = load_profile(params, mod, Interval(16))
-    assert profile.max_load == max(counter.values())
-    assert profile.loads == tuple(counter.get(i, 0) for i in range(16))
+    profile = load_profile(17, 0, Modulus(257, 16), Interval(16))
+    assert profile == [counter.get(i, 0) for i in range(16)]
+
+
+def test_load_profile_rejects_parameters_out_of_range():
+    mod = Modulus(13, 5)
+    load_profile(12, 12, mod, Interval(5))
+    for a, b in ((-1, 0), (0, -2), (13, 0), (0, 13)):
+        with pytest.raises(ValueError, match="out of range"):
+            load_profile(a, b, mod, Interval(5))
 
 
 def test_load_sums_exhaustive_small_p():
     mod = Modulus(13, 3)
     for ks in (Interval(3), AffineImage(3, 5, 2), Explicit((1, 2, 7, 11))):
-        size = key_set_size(ks)
+        size = len(materialize(ks, mod))
         for a in range(13):
             for b in range(13):
-                profile = load_profile(HashParams(a, b), mod, ks)
-                assert sum(profile.loads) == size
+                assert sum(load_profile(a, b, mod, ks)) == size
 
 
 def test_max_loads_asks_for_blocks_in_row_order(monkeypatch):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from linbins import oracles
-from linbins.field import HashParams, Modulus, is_prime, next_prime_at_least
+from linbins.field import Modulus, is_prime, next_prime_at_least
 from linbins.loads import AffineImage, Explicit, Interval, load_profile, materialize
 from linbins.oracles import (
     WorkBudgetError,
@@ -419,7 +419,7 @@ def test_maxloads_for_a_matches_load_profile():
     for a in range(13):
         row = maxloads_for_a(mod, ks, a)
         for b in range(13):
-            assert row[b] == load_profile(HashParams(a, b), mod, ks).max_load
+            assert row[b] == max(load_profile(a, b, mod, ks))
     with pytest.raises(ValueError):
         maxloads_for_a(mod, ks, 13)
 
@@ -429,7 +429,7 @@ def test_maxloads_b_zero_matches_load_profile():
     ks = Interval(3)
     loads = maxloads_b_zero(mod, ks)
     for a in range(13):
-        assert loads[a] == load_profile(HashParams(a, 0), mod, ks).max_load
+        assert loads[a] == max(load_profile(a, 0, mod, ks))
 
 
 def _block_edge_cases():
@@ -453,7 +453,7 @@ def _split_blocks(monkeypatch, mod, ks, rows):
 @pytest.mark.parametrize("mod,ks", BLOCK_EDGE_CASES, ids=BLOCK_EDGE_IDS)
 def test_maxloads_b_zero_at_block_edges(monkeypatch, rows, mod, ks):
     _split_blocks(monkeypatch, mod, ks, rows)
-    expected = [load_profile(HashParams(a, 0), mod, ks).max_load for a in range(mod.p)]
+    expected = [max(load_profile(a, 0, mod, ks)) for a in range(mod.p)]
     assert maxloads_b_zero(mod, ks).tolist() == expected
     # Worker chunks count their blocks from their own first a.
     elements = materialize(ks, mod)
@@ -469,7 +469,7 @@ def test_maxloads_b_zero_at_block_edges(monkeypatch, rows, mod, ks):
 def test_maxloads_for_a_at_block_edges(monkeypatch, rows, mod, ks):
     _split_blocks(monkeypatch, mod, ks, rows)
     for a in (0, 1, 77, mod.p - 1):
-        expected = [load_profile(HashParams(a, b), mod, ks).max_load for b in range(mod.p)]
+        expected = [max(load_profile(a, b, mod, ks)) for b in range(mod.p)]
         assert maxloads_for_a(mod, ks, a).tolist() == expected, a
 
 
@@ -492,7 +492,7 @@ def test_exact_histogram_matches_naive():
     naive = {}
     for a in range(13):
         for b in range(13):
-            top = load_profile(HashParams(a, b), mod, ks).max_load
+            top = max(load_profile(a, b, mod, ks))
             naive[top] = naive.get(top, 0) + 1
     assert exact_maxload_histogram(mod, ks, b_mode="all_b") == naive
 
@@ -640,7 +640,7 @@ def test_batch_budget_charged_once_per_query():
 def test_enumeration_range_guard():
     p = 2147483659  # first prime above 2^31
     assert is_prime(p)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds"):
         count_triple_collisions(Modulus(p, 4), [(0, 1, 2)])
 
 

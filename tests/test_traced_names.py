@@ -24,3 +24,24 @@ def test_every_traced_name_resolves():
     assert not missing
     # The tracer also subclasses the pool class the counters start.
     assert isinstance(importlib.import_module("linbins.oracles").ProcessPoolExecutor, type)
+
+
+def test_lemma_checks_run_each_traced_check_once(tmp_path, monkeypatch):
+    # The tracer wraps experiments.check_<name> after import, so
+    # run_lemma_checks must look each one up when it runs.
+    experiments = importlib.import_module("linbins.experiments")
+    calls = {}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    names = load_rep().CHECKS
+    for name in names:
+        attr = f"check_{name}"
+        monkeypatch.setattr(experiments, attr, counting(name, getattr(experiments, attr)))
+    assert experiments.run_lemma_checks(13, 3, tmp_path / "l.report.csv").overall
+    assert calls == {name: 1 for name in names}
