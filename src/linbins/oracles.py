@@ -22,6 +22,13 @@ points and replaying them costs O(n log n) per a instead of the O(p*n) of
 scanning every b.  The resulting counts are identical to the literal double
 loop, which the test suite keeps as an independent reference.  The replay
 yields each a's own histogram over b, which the b-shift check also reads.
+Both max-load histograms place the keys only for a < (p+1)/2 and take each
+p - a from its mirror a.  With b = 0, (p-a)*x = p - a*x (mod p) for x != 0,
+so h_{p-a,0} puts x in class (q - r) mod m when h_{a,0} puts it in class r,
+q = p mod m, and key 0 stays in class 0.  Over every b, on a key set with
+S = c - S (mod p) for some centre c, h_{a,b}(c - x) = h_{p-a,b+ac}(x), so a
+and p - a have equal histograms; on other key sets every a runs.  At p = 2,
+a = 1 is its own mirror, and both modes run every a.
 Every array reduction in these kernels is field.rem, x - n*(x // n) in place
 at about half the cost of numpy's %; maxloads_for_a keeps % as a reference.
 """
@@ -36,12 +43,12 @@ from fractions import Fraction
 import numpy as np
 
 from .field import Modulus, mod_inverse, rem
-from .loads import KeySet, materialize, max_loads
+from .loads import KeySet, bin_counts, materialize, max_loads
 
 # Refuse exhaustive calls whose cost exceeds this, unless the caller raises
 # the budget.  Collision counts are charged the hash evaluations of the
-# literal (a, b) enumeration; max-load histograms the p*n key placements
-# their kernels make.
+# literal (a, b) enumeration; max-load histograms the p*n key placements of
+# every multiplier, even where their kernels place the keys for half of them.
 DEFAULT_WORK_BUDGET = 2**33
 
 # Below this much kernel work (array cells touched, not the notional cost
@@ -407,10 +414,38 @@ def interval_lower_bound(mod: Modulus, d: int) -> Fraction:
     return Fraction(1, 6 * d * m)
 
 
-def _maxloads_b_zero_chunk(p, m, elements, lo_a, hi_a):
+def _b_zero_placement(p, m, elements, lo_a, hi_a):
+    """loads.bin_counts arguments placing the keys under h_{a,0}, a in [lo_a, hi_a)."""
     s = np.asarray(elements, dtype=np.int64)
     a = np.arange(lo_a, hi_a, dtype=np.int64)
-    return max_loads(len(a), len(s), m, lambda lo, hi: rem(rem(a[lo:hi, None] * s, p), m))
+    return len(a), len(s), m, lambda lo, hi: rem(rem(a[lo:hi, None] * s, p), m)
+
+
+def _maxloads_b_zero_chunk(p, m, elements, lo_a, hi_a):
+    return max_loads(*_b_zero_placement(p, m, elements, lo_a, hi_a))
+
+
+def _maxload_hist_b_zero_chunk(p, m, elements, lo_a, hi_a):
+    """Max-load histogram of h_{a,0} and h_{p-a,0} over a in [lo_a, hi_a).
+
+    p - a is counted where it is another multiplier, 0 < a < p/2.  Its bins
+    are a's reflected, class r to (q - r) mod m with q = p mod m, except that
+    key 0 stays in class 0: the reflection of a's counts with key 0 moved
+    from class 0 to class q.
+    """
+    n = len(elements)
+    q = p % m
+    has_zero = 0 in elements
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for lo, hi, counts in bin_counts(*_b_zero_placement(p, m, elements, lo_a, hi_a)):
+        hist += np.bincount(counts.max(axis=1), minlength=n + 1)
+        a = np.arange(lo_a + lo, lo_a + hi)
+        if has_zero:
+            counts[:, 0] -= 1
+            counts[:, q] += 1
+        mirrored = counts.max(axis=1)[(a > 0) & (2 * a < p)]
+        hist += np.bincount(mirrored, minlength=n + 1)
+    return hist
 
 
 def maxloads_b_zero(mod: Modulus, ks: KeySet, workers: int = 1) -> np.ndarray:
@@ -498,6 +533,16 @@ def _maxload_hist_all_b_chunk(p, m, elements, lo_a, hi_a):
     return hist
 
 
+def _mirror_centre(p: int, elements) -> int | None:
+    """A centre c with S = c - S (mod p), or None when S is not its own mirror."""
+    n = len(elements)
+    if n == p:
+        return 0  # the whole field is its own mirror about every c
+    # Summing c - s over S gives n*c = 2*sum(S) (mod p), so c is the one candidate.
+    c = 2 * sum(elements) * mod_inverse(n, p) % p
+    return c if {(c - x) % p for x in elements} == set(elements) else None
+
+
 def exact_maxload_histogram(
     mod: Modulus,
     ks: KeySet,
@@ -511,20 +556,31 @@ def exact_maxload_histogram(
     attaining them; tail probabilities follow by suffix sums.  b_zero bins
     every key once per a.  all_b never scans b: per a it sorts the n wrap
     points of the keys and replays them as class moves (see
-    _maxload_hist_all_b_chunk).  Both modes make p*n key placements, which
-    is what the budget and the pool decision charge.
+    _maxload_hist_all_b_chunk).
+
+    Both modes place the keys only for a < (p+1)/2 and take p - a from a,
+    except at p = 2, where a = 1 is its own mirror and every a runs.  b_zero:
+    (p-a)*x = p - a*x (mod p) for x != 0, so h_{p-a,0} moves a's class r to
+    (q - r) mod m, q = p mod m, and leaves key 0 in class 0.  all_b, on a
+    key set with S = c - S (mod p): h_{a,b}(c - x) = h_{p-a,b+ac}(x), so a
+    and p - a have equal histograms over b; other key sets run every a.  The
+    budget charges p*n key placements, the pool decision the placements made.
     """
     p, m = mod.p, mod.m
     elements = materialize(ks, mod)
     n = len(elements)
+    half = (p + 1) // 2 if p > 2 else p
+    args = (p, m, elements)
     if b_mode == "b_zero":
         _check_budget(p * n, budget, "b=0 max-load histogram")
-        maxima = maxloads_b_zero(mod, ks, workers=workers)
-        hist = np.bincount(maxima, minlength=n + 1)
+        hist = sum(_map_chunks(_maxload_hist_b_zero_chunk, half, workers, half * n, args))
     elif b_mode == "all_b":
         _check_budget(p * n, budget, "all-(a,b) max-load histogram")
-        parts = _map_chunks(_maxload_hist_all_b_chunk, p, workers, p * n, (p, m, elements))
-        hist = sum(parts)
+        if half < p and _mirror_centre(p, elements) is not None:
+            hist = 2 * sum(_map_chunks(_maxload_hist_all_b_chunk, half, workers, half * n, args))
+            hist[n] -= p  # a = 0 is its own mirror: every b puts all n keys in one bin
+        else:
+            hist = sum(_map_chunks(_maxload_hist_all_b_chunk, p, workers, p * n, args))
     else:
         raise ValueError(f"b_mode must be 'all_b' or 'b_zero', got {b_mode!r}")
     return {int(load): int(cnt) for load, cnt in enumerate(hist) if cnt > 0}

@@ -16,9 +16,11 @@ from linbins.oracles import (
     WorkBudgetError,
     _chunk_bounds,
     _interval_chunk,
-    _maxload_hist_all_b_chunk,
     _maxload_credits,
+    _maxload_hist_all_b_chunk,
+    _maxload_hist_b_zero_chunk,
     _maxloads_b_zero_chunk,
+    _mirror_centre,
     _prescribed_chunk,
     _triple_chunk,
     canonicalize_triple,
@@ -63,6 +65,11 @@ def literal_maxload_hist(p, m, elements):
         counts = np.bincount((rows + bins).ravel(), minlength=p * m).reshape(p, m)
         hist += np.bincount(counts.max(axis=1), minlength=len(s) + 1)
     return {load: int(cnt) for load, cnt in enumerate(hist) if cnt > 0}
+
+
+def hist_of(maxima):
+    """Histogram of a per-multiplier max-load array, as exact_maxload_histogram gives it."""
+    return {load: int(cnt) for load, cnt in enumerate(np.bincount(maxima)) if cnt > 0}
 
 
 def naive_interval(p, m, d):
@@ -462,6 +469,15 @@ def test_maxloads_b_zero_at_block_edges(monkeypatch, rows, mod, ks):
         for lo, hi in _chunk_bounds(mod.p, 3)
     ]
     assert np.concatenate(chunks).tolist() == expected
+    # The b = 0 histogram places keys for a < (p+1)/2 only, and its chunks
+    # must count each mirror p - a once, whichever chunk holds a.
+    assert exact_maxload_histogram(mod, ks, b_mode="b_zero") == hist_of(expected)
+    half = (mod.p + 1) // 2
+    mirrored = sum(
+        _maxload_hist_b_zero_chunk(mod.p, mod.m, elements, lo, hi)
+        for lo, hi in _chunk_bounds(half, 3)
+    )
+    assert np.array_equal(mirrored, np.bincount(expected, minlength=len(elements) + 1))
 
 
 @pytest.mark.parametrize("rows", (7, 50))
@@ -497,10 +513,23 @@ def test_exact_histogram_matches_naive():
     assert exact_maxload_histogram(mod, ks, b_mode="all_b") == naive
 
 
-def _all_b_cases():
+def _maxload_cases():
+    # Key sets that are their own mirror (S = c - S mod p) and key sets that
+    # are not, with and without key 0, at odd and even n; q = p mod m is 0 at
+    # m = 1 and m = p.  At p = 2, a = 1 is its own mirror.
+    yield Modulus(2, 1), Interval(2)
+    yield Modulus(2, 2), Explicit((1,))
+    yield Modulus(3, 3), Interval(2)
+    yield Modulus(3, 2), Explicit((1, 2))
+    yield Modulus(11, 3), Explicit((0, 1, 10))  # symmetric about 0, not min + max
+    yield Modulus(11, 4), Explicit((0, 1, 3))
     yield Modulus(13, 1), Interval(4)
     yield Modulus(13, 13), Explicit((0, 2, 5, 9))
     yield Modulus(13, 3), Explicit((0, 4, 7, 12))
+    yield Modulus(13, 5), Explicit((2, 3, 4, 5))
+    yield Modulus(13, 7), Interval(13)
+    yield Modulus(17, 1), Explicit((1, 2, 6))
+    yield Modulus(19, 19), Explicit((1, 2, 6, 9))
     for m in (16, 24, 32):
         mod = Modulus(next_prime_at_least(m * m), m)
         yield mod, Interval(m)
@@ -508,17 +537,32 @@ def _all_b_cases():
         yield mod, Explicit((0, 3, 4, 10, mod.p // 2, mod.p - 1))
 
 
-ALL_B_CASES = list(_all_b_cases())
+MAXLOAD_CASES = list(_maxload_cases())
+MAXLOAD_IDS = [f"p{mod.p}-m{mod.m}-{type(ks).__name__}" for mod, ks in MAXLOAD_CASES]
 
 
-@pytest.mark.parametrize(
-    "mod,ks",
-    ALL_B_CASES,
-    ids=[f"p{mod.p}-m{mod.m}-{type(ks).__name__}" for mod, ks in ALL_B_CASES],
-)
+@pytest.mark.parametrize("mod,ks", MAXLOAD_CASES, ids=MAXLOAD_IDS)
 def test_all_b_histogram_matches_literal_scan(mod, ks):
     expected = literal_maxload_hist(mod.p, mod.m, materialize(ks, mod))
     assert exact_maxload_histogram(mod, ks, b_mode="all_b") == expected
+
+
+@pytest.mark.parametrize("mod,ks", MAXLOAD_CASES, ids=MAXLOAD_IDS)
+def test_b_zero_histogram_matches_per_a_scan(mod, ks):
+    expected = hist_of(maxloads_b_zero(mod, ks))
+    assert exact_maxload_histogram(mod, ks, b_mode="b_zero") == expected
+
+
+def test_mirror_centre():
+    mod = Modulus(257, 16)
+    assert _mirror_centre(257, materialize(Interval(16), mod)) == 15
+    n, alpha, beta = 16, 77, 5
+    affine = materialize(AffineImage(n, alpha, beta), mod)
+    assert _mirror_centre(257, affine) == (2 * beta + alpha * (n - 1)) % 257
+    assert _mirror_centre(11, [0, 1, 10]) == 0
+    assert _mirror_centre(257, [0, 3, 4, 10, 257 // 2, 256]) is None
+    # The whole field is its own mirror about any centre.
+    assert _mirror_centre(13, list(range(13))) is not None
 
 
 CREDIT_CASES = [
@@ -713,3 +757,23 @@ def test_pooled_counts_match_serial(monkeypatch):
     assert results[0][0][0] == naive_triple(31, 5, 0, 1, 7)
     assert results[0][1][1] == naive_prescribed(31, 5, 2, 9, 30, 1, 4, 1)
     assert pools == [2, 2, 2, 3, 3, 3]
+
+    # The max-load kernels, on a key set that is its own mirror (half the
+    # multipliers in both modes) and on one that is not (every a in all_b).
+    key_sets = (Interval(7), Explicit((0, 3, 4, 10, 15, 30)))
+    maxload = [
+        [
+            (
+                exact_maxload_histogram(mod, ks, b_mode="all_b", workers=w),
+                exact_maxload_histogram(mod, ks, b_mode="b_zero", workers=w),
+                maxloads_b_zero(mod, ks, workers=w).tolist(),
+            )
+            for ks in key_sets
+        ]
+        for w in (1, 2, 3)
+    ]
+    assert maxload[0] == maxload[1] == maxload[2]
+    for ks, (all_b, b_zero, at_zero) in zip(key_sets, maxload[0]):
+        assert all_b == literal_maxload_hist(31, 5, materialize(ks, mod))
+        assert b_zero == hist_of(at_zero) and len(at_zero) == 31
+    assert pools[6:] == [2] * 6 + [3] * 6
