@@ -43,8 +43,6 @@ from .loads import (
 )
 from .oracles import (
     DEFAULT_WORK_BUDGET,
-    CanonicalTriple,
-    TripleCollisionBounds,
     WorkBudgetError,
     canonicalize_triple,
     count_interval_collision,
@@ -60,7 +58,6 @@ from .oracles import (
 __all__ = [
     "AcceptanceReport",
     "AffineImage",
-    "CanonicalTriple",
     "CheckRow",
     "DEFAULT_WORK_BUDGET",
     "Explicit",
@@ -72,7 +69,6 @@ __all__ = [
     "McEstimate",
     "Modulus",
     "ScalingRow",
-    "TripleCollisionBounds",
     "WorkBudgetError",
     "canonicalize_triple",
     "count_interval_collision",

@@ -102,24 +102,21 @@ def cmd_collide3(args) -> int:
         mod, [(args.x, args.y, args.z)], workers=args.workers, budget=args.budget
     ).tolist()
     total = args.p * args.p
-    canon = canonicalize_triple(args.p, args.x, args.y, args.z)
-    bounds = triple_bound_formula(mod, canon.d)
+    d = canonicalize_triple(args.p, args.x, args.y, args.z)
+    statement, proof = triple_bound_formula(mod, d)
     print(
-        f"triple ({args.x}, {args.y}, {args.z}) canonical d={canon.d}: "
+        f"triple ({args.x}, {args.y}, {args.z}) canonical d={d}: "
         f"{count}/{total} pairs collide (probability {count / total:.6g})"
     )
-    print(
-        f"statement bound {float(bounds.statement):.6g}, "
-        f"proof bound {float(bounds.proof):.6g}"
-    )
+    print(f"statement bound {float(statement):.6g}, proof bound {float(proof):.6g}")
     if args.out:
         rows = [
             ("count", count),
             ("total", total),
             ("probability", count / total),
-            ("canonical_d", canon.d),
-            ("statement_bound", bounds.statement),
-            ("proof_bound", bounds.proof),
+            ("canonical_d", d),
+            ("statement_bound", statement),
+            ("proof_bound", proof),
         ]
         meta = _base_meta(
             "collide3", p=args.p, m=args.m, x=args.x, y=args.y, z=args.z, workers=args.workers

@@ -184,20 +184,18 @@ def run_figure1(
     counts = count_triple_collisions(
         mod, [(0, 1, d) for d in ds], workers=workers, budget=budget
     )
-    exact = {d: Fraction(c, p * p) for d, c in zip(ds, counts.tolist())}
-    rows = []
-    for d in ds:
-        bounds = triple_bound_formula(mod, d)
-        rows.append((d, exact[d], bounds.statement, bounds.proof))
+    # Python ints: int/int true division is correctly rounded at any size.
+    count = dict(zip(ds, counts.tolist()))
+    rows = [(d, count[d] / (p * p), *triple_bound_formula(mod, d)) for d in ds]
     meta = _base_meta(
         "figure1", p=p, m=m, points=len(ds), full_sweep=full_sweep, workers=workers
     )
     write_csv(out, ("d", "exact_probability", "statement_bound", "proof_bound"), rows, meta)
 
     low = [d for d in ds if d <= p / m]
-    drops = [(a, b) for a, b in zip(low, low[1:]) if exact[a] < exact[b]]
+    drops = [(a, b) for a, b in zip(low, low[1:]) if count[a] < count[b]]
     # Both sweeps hold the mirror p+1-d of each of their points.
-    worst = max(float(abs(exact[d] - exact[p + 1 - d]) / exact[p + 1 - d]) for d in ds)
+    worst = max(abs(count[d] - count[p + 1 - d]) / count[p + 1 - d] for d in ds)
     checks = (
         CheckRow(
             name="probability-nonincreasing-low-d",
@@ -316,7 +314,7 @@ def check_canonical_equality(mod: Modulus, seed: int = 0) -> tuple[int, int]:
             tuple(int(v) for v in rng.choice(p, size=3, replace=False))
             for _ in range(_CANONICAL_SAMPLES)
         ]
-    canonical = [(0, 1, canonicalize_triple(p, *t).d) for t in triples]
+    canonical = [(0, 1, canonicalize_triple(p, *t)) for t in triples]
     # One draw for every target: the same stream as one draw per (triple, target).
     targets = rng.integers(0, m, size=(len(triples) * _TARGETS_PER_TRIPLE, 3))
 
@@ -341,9 +339,9 @@ def check_triple_bounds(
     statement_violations = proof_violations = 0
     for d, count in zip(ds, counts.tolist()):
         prob = Fraction(count, p * p)
-        bounds = triple_bound_formula(mod, d)
-        statement_violations += prob > bounds.statement
-        proof_violations += prob > bounds.proof
+        statement, proof = triple_bound_formula(mod, d)
+        statement_violations += prob > statement
+        proof_violations += prob > proof
     return len(ds), statement_violations, proof_violations
 
 

@@ -50,7 +50,7 @@ def next_prime_at_least(n: int) -> int:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if n > (1 << 62):
-        raise OverflowError(f"{n} exceeds the supported integer range")
+        raise ValueError(f"{n} exceeds the supported integer range")
     candidate = n
     while not is_prime(candidate):
         candidate += 1

@@ -27,8 +27,7 @@ p - a from its mirror a.  With b = 0, (p-a)*x = p - a*x (mod p) for x != 0,
 so h_{p-a,0} puts x in class (q - r) mod m when h_{a,0} puts it in class r,
 q = p mod m, and key 0 stays in class 0.  Over every b, on a key set with
 S = c - S (mod p) for some centre c, h_{a,b}(c - x) = h_{p-a,b+ac}(x), so a
-and p - a have equal histograms; on other key sets every a runs.  At p = 2,
-a = 1 is its own mirror, and both modes run every a.
+and p - a have equal histograms; on other key sets every a runs.
 Every array reduction in these kernels is field.rem, x - n*(x // n) in place
 at about half the cost of numpy's %; maxloads_for_a keeps % as a reference.
 """
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -102,29 +100,16 @@ def _map_chunks(func, p: int, workers: int, work: int, args: tuple) -> list:
         return [f.result() for f in futures]
 
 
-@dataclass(frozen=True)
-class CanonicalTriple:
-    """Reduction of a distinct triple (x, y, z) to (0, 1, d).
+def canonicalize_triple(p: int, x: int, y: int, z: int) -> int:
+    """The d of the canonical (0, 1, d) form of a distinct triple; never 0 or 1.
 
-    The affine map t -> (alpha*t + beta) mod p with alpha = y - x, beta = x
-    sends (0, 1, d) to (x, y, z); composing it with the hash family permutes
-    the parameter pairs, so every joint-mapping count for (x, y, z) equals
-    the count for (0, 1, d).
+    The affine map t -> ((y - x)*t + x) mod p sends (0, 1, d) to (x, y, z);
+    composing it with the hash family permutes the parameter pairs, so every
+    joint-mapping count for (x, y, z) equals the count for (0, 1, d).
     """
-
-    d: int
-    alpha: int
-    beta: int
-
-
-def canonicalize_triple(p: int, x: int, y: int, z: int) -> CanonicalTriple:
-    """Canonical (0, 1, d) form of a distinct triple; d is never 0 or 1."""
     if len({x % p, y % p, z % p}) != 3:
         raise ValueError(f"triple ({x}, {y}, {z}) is not distinct mod {p}")
-    alpha = (y - x) % p
-    beta = x % p
-    d = mod_inverse(alpha, p) * (z - beta) % p
-    return CanonicalTriple(d=d, alpha=alpha, beta=beta)
+    return mod_inverse(y - x, p) * (z - x) % p
 
 
 # Cap on the cells of each block of the agreement pass: groups times
@@ -376,29 +361,23 @@ def count_interval_collision(
     return int(count_interval_collisions(mod, d, workers, budget)[-1])
 
 
-@dataclass(frozen=True)
-class TripleCollisionBounds:
-    """Candidate upper bounds on the collision probability of {0, 1, d}.
+def triple_bound_formula(mod: Modulus, d: int) -> tuple[Fraction, Fraction]:
+    """Candidate upper bounds (statement, proof) on the collision probability of {0, 1, d}.
 
     statement: (1 + max(1, p/(d*m)) * (1 + d/m)) / p
     proof:     (1 + (1 + p/d)/m) * (1 + d/m) / p
 
-    The two forms differ and neither is proved tight here; experiments
-    compare each against the exhaustive count and report which ones hold.
+    Both are exact ratios over p*d*m^2, each formed in one step.  The two
+    forms differ and neither is proved tight here; experiments compare each
+    against the exhaustive count and report which ones hold.
     """
-
-    statement: Fraction
-    proof: Fraction
-
-
-def triple_bound_formula(mod: Modulus, d: int) -> TripleCollisionBounds:
-    """All candidate bound values for the collision probability of {0, 1, d}."""
     p, m = mod.p, mod.m
     if not 2 <= d < p:
         raise ValueError(f"d must satisfy 2 <= d < p, got {d}")
-    statement = (1 + max(Fraction(1), Fraction(p, d * m)) * (1 + Fraction(d, m))) / p
-    proof = (1 + (1 + Fraction(p, d)) / m) * (1 + Fraction(d, m)) / Fraction(p)
-    return TripleCollisionBounds(statement=statement, proof=proof)
+    den = p * d * m * m
+    statement = Fraction(d * m * m + max(d * m, p) * (m + d), den)
+    proof = Fraction((d * m + d + p) * (m + d), den)
+    return statement, proof
 
 
 def interval_lower_bound(mod: Modulus, d: int) -> Fraction:
@@ -558,18 +537,18 @@ def exact_maxload_histogram(
     points of the keys and replays them as class moves (see
     _maxload_hist_all_b_chunk).
 
-    Both modes place the keys only for a < (p+1)/2 and take p - a from a,
-    except at p = 2, where a = 1 is its own mirror and every a runs.  b_zero:
-    (p-a)*x = p - a*x (mod p) for x != 0, so h_{p-a,0} moves a's class r to
-    (q - r) mod m, q = p mod m, and leaves key 0 in class 0.  all_b, on a
-    key set with S = c - S (mod p): h_{a,b}(c - x) = h_{p-a,b+ac}(x), so a
-    and p - a have equal histograms over b; other key sets run every a.  The
-    budget charges p*n key placements, the pool decision the placements made.
+    Both modes place the keys only for a < (p+1)/2 and take p - a from a.
+    b_zero: (p-a)*x = p - a*x (mod p) for x != 0, so h_{p-a,0} moves a's
+    class r to (q - r) mod m, q = p mod m, and leaves key 0 in class 0.
+    all_b, on a key set with S = c - S (mod p): h_{a,b}(c - x) =
+    h_{p-a,b+ac}(x), so a and p - a have equal histograms over b; other key
+    sets run every a.  The budget charges p*n key placements, the pool
+    decision the placements made.
     """
     p, m = mod.p, mod.m
     elements = materialize(ks, mod)
     n = len(elements)
-    half = (p + 1) // 2 if p > 2 else p
+    half = p // 2 + 1
     args = (p, m, elements)
     if b_mode == "b_zero":
         _check_budget(p * n, budget, "b=0 max-load histogram")

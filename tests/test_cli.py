@@ -59,6 +59,7 @@ def test_budget_refusal_exits_two(tmp_path):
     [
         ("maxload-exact", "--p", "12", "--m", "3"),
         ("scaling", "--m-values", "46341", "--samples", "1"),
+        ("scaling", "--m-values", "3037000500", "--samples", "1"),
         ("collide3", "--workers", "0"),
         ("lemmas", "--p", "2", "--m", "2"),
         ("scaling", "--m-values", ","),

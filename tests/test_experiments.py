@@ -108,7 +108,10 @@ def test_run_figure1_full_sweep(tmp_path):
     out = tmp_path / "fig_full.csv"
     report = run_figure1(out, p=257, m=16, full_sweep=True)
     assert report.overall
-    assert len(csv_body(out.read_text()).splitlines()) == 1 + 255
+    body = csv_body(out.read_text())
+    assert len(body.splitlines()) == 1 + 255
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    assert digest == "0dd555c4426b0bb8e1a06a0bced894e3ca0a0b1c96c186027bbe88e3f3b391c5"
 
 
 def test_run_figure1_full_sweep_body_frozen(tmp_path):
@@ -117,6 +120,14 @@ def test_run_figure1_full_sweep_body_frozen(tmp_path):
     run_figure1(out, p=1031, m=32, full_sweep=True)
     digest = hashlib.sha256(csv_body(out.read_text()).encode()).hexdigest()
     assert digest == "e3618af39f8f6447247382bdad691951564fb1c9cb0581088b7e565a2317cb3d"
+
+
+def test_run_figure1_default_body_frozen(tmp_path):
+    # The 64-point sweep at the default (21787, 512).
+    out = tmp_path / "fig.csv"
+    run_figure1(out)
+    digest = hashlib.sha256(csv_body(out.read_text()).encode()).hexdigest()
+    assert digest == "347bedd91a5fa6ec765fd91a93a2cae808a4dc199cadfba59bac029b8938d5ea"
 
 
 def test_run_figure1_rejects_bad_d(tmp_path):

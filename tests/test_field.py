@@ -57,7 +57,7 @@ def test_next_prime_at_least():
 def test_next_prime_at_least_domain():
     with pytest.raises(ValueError):
         next_prime_at_least(1)
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError, match="exceeds the supported integer range"):
         next_prime_at_least(2**62 + 1)
 
 

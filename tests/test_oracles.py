@@ -316,19 +316,19 @@ def test_triple_distinctness_required():
 
 
 def test_canonicalize_examples():
-    canon = canonicalize_triple(13, 0, 1, 7)
-    assert (canon.d, canon.alpha, canon.beta) == (7, 1, 0)
-    canon = canonicalize_triple(13, 2, 5, 11)
-    assert (canon.d, canon.alpha, canon.beta) == (3, 3, 2)
-    canon = canonicalize_triple(13, 5, 2, 11)
-    assert (canon.d, canon.alpha, canon.beta) == (11, 10, 5)
+    assert canonicalize_triple(13, 0, 1, 7) == 7
+    assert canonicalize_triple(13, 2, 5, 11) == 3
+    assert canonicalize_triple(13, 5, 2, 11) == 11
+    # t -> (y - x)*t + x sends (0, 1, d) to (x, y, z).
+    for x, y, z in itertools.permutations(range(13), 3):
+        assert (x + (y - x) * canonicalize_triple(13, x, y, z)) % 13 == z, (x, y, z)
     with pytest.raises(ValueError):
         canonicalize_triple(13, 5, 5, 11)
 
 
 def test_canonicalize_never_degenerate():
     for x, y, z in itertools.permutations(range(3), 3):
-        assert canonicalize_triple(13, x, y, z).d not in (0, 1)
+        assert canonicalize_triple(13, x, y, z) not in (0, 1)
 
 
 def test_canonical_triples_collide_equally():
@@ -346,12 +346,32 @@ def test_prescribed_decomposition():
         assert per_bin.sum() == count
 
 
+def paper_bounds(p, m, d):
+    """Both triple bound forms as the paper writes them, one Fraction step at a time."""
+    statement = (1 + max(Fraction(1), Fraction(p, d * m)) * (1 + Fraction(d, m))) / p
+    proof = (1 + (1 + Fraction(p, d)) / m) * (1 + Fraction(d, m)) / Fraction(p)
+    return statement, proof
+
+
+BOUND_CASES = [(p, m, range(2, p)) for p, m in ((13, 3), (31, 8), (257, 16), (1031, 32))]
+BOUND_CASES += [
+    (p, m, (2, 3, p // m, p // 2, p - 2)) for p, m in ((21787, 512), (2**31 - 1, 46340))
+]
+
+
+@pytest.mark.parametrize("p,m,ds", BOUND_CASES, ids=[f"{p}-{m}" for p, m, _ in BOUND_CASES])
+def test_triple_bound_formula_matches_paper_form(p, m, ds):
+    mod = Modulus(p, m)
+    for d in ds:
+        assert triple_bound_formula(mod, d) == paper_bounds(p, m, d), d
+
+
 def test_triple_bound_formula_values():
     mod = Modulus(257, 16)
-    bounds = triple_bound_formula(mod, 2)
+    statement, proof = triple_bound_formula(mod, 2)
     # statement form at d=2 with p >= 2m: (1 + (p/2m)(1 + 2/m))/p
-    assert bounds.statement == (1 + Fraction(257, 32) * (1 + Fraction(2, 16))) / 257
-    assert bounds.proof == (1 + (1 + Fraction(257, 2)) / 16) * (1 + Fraction(2, 16)) / 257
+    assert statement == (1 + Fraction(257, 32) * (1 + Fraction(2, 16))) / 257
+    assert proof == (1 + (1 + Fraction(257, 2)) / 16) * (1 + Fraction(2, 16)) / 257
     assert ceiling_bound(mod, 2) == Fraction((1 + 9) * (1 + 1), 257)
     with pytest.raises(ValueError):
         triple_bound_formula(mod, 1)
@@ -372,9 +392,9 @@ def test_triple_bounds_hold_exhaustively_small():
         counts = count_triple_collisions(mod, [(0, 1, d) for d in range(2, p)])
         for d, count in zip(range(2, p), counts.tolist()):
             prob = Fraction(count, p * p)
-            bounds = triple_bound_formula(mod, d)
-            assert prob <= bounds.proof, (p, m, d)
-            assert prob <= bounds.statement, (p, m, d)
+            statement, proof = triple_bound_formula(mod, d)
+            assert prob <= proof, (p, m, d)
+            assert prob <= statement, (p, m, d)
             assert prob <= ceiling_bound(mod, d), (p, m, d)
 
 
