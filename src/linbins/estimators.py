@@ -4,8 +4,10 @@ Samples come in blocks of SAMPLES_PER_BLOCK = 64: sample i is row i % 64 of
 one draw from the counter-based substream keyed by (seed, i // 64), so one
 generator serves 64 samples.  Bounded draws below 2^32 take values one after
 another from the stream, so the first k rows of a 64-row draw equal a k-row
-draw: sample i depends only on (seed, i), whatever the sample count.  Workers
-split the blocks, never a block, and any worker count reproduces the
+draw: sample i depends only on (seed, i), whatever the sample count.  They
+are also the same values in int32 as in int64, so the samplers draw in
+field.int_type's choice for the range and hash in int32 where a*x + b fits.
+Workers split the blocks, never a block, and any worker count reproduces the
 sequential result bit for bit.
 """
 
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import Modulus, next_prime_at_least, rem
+from .field import Modulus, int_type, next_prime_at_least, rem
 from .loads import Interval, KeySet, materialize, max_loads
 from .oracles import _map_chunks
 
@@ -99,12 +101,13 @@ def _block_maxima(seed, samples, high, width, m, keys, lo_block, hi_block):
     Block j draws one (rows, width) array from [0, high) out of
     _sample_rng(seed, j), a row per sample.  With keys None a row holds the
     bins of uniform throws; otherwise it is (a, b), and the bins are
-    ((a*x + b) mod high) mod m over the keys x.
+    ((a*x + b) mod high) mod m over the keys x, in the dtype of keys.
     """
     out = []
+    dtype = int_type(high - 1)
     for j in range(lo_block, hi_block):
         rows = min(SAMPLES_PER_BLOCK, samples - j * SAMPLES_PER_BLOCK)
-        draws = _sample_rng(seed, j).integers(0, high, size=(rows, width))
+        draws = _sample_rng(seed, j).integers(0, high, size=(rows, width), dtype=dtype)
         bins = draws if keys is None else rem(rem(draws[:, :1] * keys + draws[:, 1:], high), m)
         out.append(max_loads(rows, bins.shape[1], m, lambda lo, hi: bins[lo:hi]))
     return np.concatenate(out)
@@ -128,7 +131,8 @@ def mc_linear_maxload(cfg: McConfig, workers: int = 1) -> McEstimate:
             f"p={p} is below m^2={m * m}; the constant-max-load claim assumes p >= m^2",
             stacklevel=2,
         )
-    s = np.asarray(materialize(cfg.key_set, cfg.mod), dtype=np.int64)
+    keys = materialize(cfg.key_set, cfg.mod)
+    s = np.asarray(keys, dtype=int_type((p - 1) * (max(keys) + 1)))
     return _summarize(_sample_maxima(cfg.seed, cfg.samples, p, 2, m, s, workers), cfg.seed)
 
 

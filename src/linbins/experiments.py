@@ -31,7 +31,7 @@ from .estimators import (
     scaling_study,
     tail_log_slope,
 )
-from .field import Modulus, rem
+from .field import Modulus, int_type, rem
 from .loads import AffineImage, Explicit, Interval, bin_counts, materialize
 from .oracles import (
     _chunk_bounds,
@@ -231,18 +231,18 @@ def check_load_sums(mod: Modulus, alpha: int, beta: int) -> tuple[int, int]:
     in the package.  Above p^2 = 90000 only b in {0, 1, p//2, p-1} is checked.
     """
     p, m = mod.p, mod.m
-    if p * p <= 90_000:
-        bs = np.arange(p, dtype=np.int64)
-    else:
-        bs = np.array([0, 1, p // 2, p - 1], dtype=np.int64)
+    bs = range(p) if p * p <= 90_000 else (0, 1, p // 2, p - 1)
     rows = p * len(bs)  # row r is the pair (r div |bs|, bs[r mod |bs|])
     checked = violations = 0
     for ks in _lemma_key_sets(mod, alpha, beta):
-        s = np.asarray(materialize(ks, mod), dtype=np.int64)
+        elements = materialize(ks, mod)
+        # int32 where the row indices and a*x + b fit, as in the placements checked.
+        dtype = int_type(max(rows - 1, (p - 1) * (max(elements) + 1)))
+        s, b = np.asarray(elements, dtype=dtype), np.asarray(bs, dtype=dtype)
 
         def bins_of(lo, hi):
-            a, j = np.divmod(np.arange(lo, hi, dtype=np.int64), len(bs))
-            return rem(rem(a[:, None] * s + bs[j, None], p), m)
+            a, j = np.divmod(np.arange(lo, hi, dtype=dtype), len(b))
+            return rem(rem(a[:, None] * s + b[j, None], p), m)
 
         for _, _, counts in bin_counts(rows, len(s), m, bins_of):
             violations += int(np.count_nonzero(counts.sum(axis=1) != len(s)))

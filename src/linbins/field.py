@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Largest modulus a Modulus accepts: every kernel forms a*x + b of field
-# elements in int64, exact only while p <= 2^31.
+# Largest modulus a Modulus accepts: a*x + b of field elements then stays
+# below 2^62, so it is exact in int64, the widest type int_type picks.
 MAX_MODULUS = 1 << 31
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -80,8 +80,18 @@ class Modulus:
             raise ValueError(f"m must satisfy 1 <= m <= p, got m={self.m}, p={self.p}")
 
 
+def int_type(bound: int) -> type:
+    """np.int32 if every value of a kernel stays below 2^31 in absolute value, else np.int64.
+
+    bound is the largest absolute value the kernel forms, intermediate
+    products included.  Products, reductions and sorts of int32 arrays move
+    half the bytes of int64 ones.
+    """
+    return np.int32 if bound < 1 << 31 else np.int64
+
+
 def rem(x: np.ndarray, n: int) -> np.ndarray:
-    """x % n for an int64 array x and n >= 1, negative x included, written into x.
+    """x % n for an int32 or int64 array x and n >= 1, negative x included, written into x.
 
     numpy floor-divides by a scalar through one precomputed reciprocal but
     takes remainders element by element, so x - n*(x // n) costs about half.

@@ -30,6 +30,11 @@ S = c - S (mod p) for some centre c, h_{a,b}(c - x) = h_{p-a,b+ac}(x), so a
 and p - a have equal histograms; on other key sets every a runs.
 Every array reduction in these kernels is field.rem, x - n*(x // n) in place
 at about half the cost of numpy's %; maxloads_for_a keeps % as a reference.
+The max-load placements run in field.int_type's choice for the largest value
+each call forms: a*x below (hi_a - 1)*max(S), and the all-b sort keys
+(p - v)*m + r below (p + 1)*m.  That is int32 at every m up to 1024 on [m],
+at about half the cost of int64; the triple and interval counters and
+maxloads_for_a stay in int64.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import Modulus, mod_inverse, rem
+from .field import Modulus, int_type, mod_inverse, rem
 from .loads import KeySet, bin_counts, materialize, max_loads
 
 # Refuse exhaustive calls whose cost exceeds this, unless the caller raises
@@ -276,10 +281,14 @@ def _count_rows(chunk, width, mod, queries, workers, budget, what):
     # Every row costs one literal query, 3p^2, so a batch is charged that
     # once.  The pool decision sees the kernel's cells: p per group, then
     # each row's live multipliers, on average p*|{0, q, -q}|/m of them.
+    # The rows form at most one group each, so they are grouped here only
+    # when that bound reaches the pool threshold; each chunk groups its own.
     _check_budget(3 * p * p, budget, what)
-    groups = len(_row_groups(m, rows)[1])
-    work = p * groups + len(rows) * p * len({0, p % m, -p % m}) // m
-    return sum(_map_chunks(chunk, p, workers, work, (p, m, rows)))
+    live = len(rows) * p * len({0, p % m, -p % m}) // m
+    groups = len(rows)
+    if workers > 1 and p * groups + live >= _MIN_PARALLEL_WORK:
+        groups = len(_row_groups(m, rows)[1])
+    return sum(_map_chunks(chunk, p, workers, p * groups + live, (p, m, rows)))
 
 
 def count_triple_collisions(
@@ -395,8 +404,9 @@ def interval_lower_bound(mod: Modulus, d: int) -> Fraction:
 
 def _b_zero_placement(p, m, elements, lo_a, hi_a):
     """loads.bin_counts arguments placing the keys under h_{a,0}, a in [lo_a, hi_a)."""
-    s = np.asarray(elements, dtype=np.int64)
-    a = np.arange(lo_a, hi_a, dtype=np.int64)
+    dtype = int_type((hi_a - 1) * max(elements))
+    s = np.asarray(elements, dtype=dtype)
+    a = np.arange(lo_a, hi_a, dtype=dtype)
     return len(a), len(s), m, lambda lo, hi: rem(rem(a[lo:hi, None] * s, p), m)
 
 
@@ -460,47 +470,62 @@ def _maxload_credits(p, m, elements, lo_a, hi_a):
     For fixed a, key x sits in class r_x = v_x mod m of the b-rotated bins
     until b reaches its wrap point c_x = p - v_x (p when v_x = 0, i.e. never),
     where it moves to class (r_x - p) mod m.  Rows of a block are replayed in
-    lockstep, one event per step; per-class counts plus a count of classes
-    at each load keep the running max exact in O(1) per event, and each
-    segment [c_{k-1}, c_k) credits its length to the max in force on it.
+    lockstep, one event per step.  Per-class counts plus, for each load L,
+    the number of classes holding at least L keys keep the running max exact
+    in O(1) per event: a key moving out of a class at load L lowers the
+    count at L, one moving into a class now at L raises it.  Each segment
+    [c_{k-1}, c_k) credits its length to the max in force on it.  Every
+    class count and the running max are held as their row's index into
+    these counts and credit, load_base + load, so a step does no index
+    arithmetic.
     """
-    s = np.asarray(elements, dtype=np.int64)
-    n = len(s)
+    dtype = int_type((hi_a - 1) * max(elements))
+    key_type = int_type((p + 1) * m)
+    s = np.asarray(elements, dtype=dtype)
+    n, q = len(s), p % m
     step = max(1, _EVENT_BLOCK_CELLS // (n + m + 1))
     for blk in range(lo_a, hi_a, step):
-        a = np.arange(blk, min(blk + step, hi_a), dtype=np.int64)
+        a = np.arange(blk, min(blk + step, hi_a), dtype=dtype)
         rows = np.arange(len(a), dtype=np.int64)
-        v = rem(a[:, None] * s[None, :], p)
-        events = (p - v) * m
-        r = rem(v, m)  # v itself is not read past here
+        v = rem(a[:, None] * s, p)
         # One sort orders each row by wrap point and carries the class along.
-        events = np.sort(events + r, axis=1)
+        events = np.multiply(p - v, m, dtype=key_type)
+        events += rem(v, m)
+        del v
+        events.sort(axis=1)
         wrap, cls = np.divmod(np.ascontiguousarray(events.T), m)
+        del events
+        # Segment k ends at wrap k; the last one runs from the last wrap to p.
+        seg = np.diff(wrap, axis=0, prepend=0, append=p)
+        del wrap
         cls_base = rows * m
+        leave = cls + cls_base
+        cls -= q
+        join = rem(cls, m) + cls_base
+        del cls
         load_base = rows * (n + 1)
-        cnt = np.bincount((cls_base[:, None] + r).ravel(), minlength=len(a) * m)
-        n_at = np.bincount(
-            (load_base[:, None] + cnt.reshape(-1, m)).ravel(), minlength=len(a) * (n + 1)
-        )
-        top = cnt.reshape(-1, m).max(axis=1)
+        # Every key starts in the class it leaves at its wrap.
+        cnt = np.bincount(leave.ravel(), minlength=len(a) * m).reshape(-1, m)
+        cnt += load_base[:, None]
+        top = cnt.max(axis=1)
+        cnt = cnt.ravel()
+        at_least = np.bincount(cnt, minlength=len(a) * (n + 1)).reshape(-1, n + 1)
+        np.cumsum(at_least[:, ::-1], axis=1, out=at_least[:, ::-1])
+        at_least = at_least.ravel()
         credit = np.zeros(len(a) * (n + 1), dtype=np.int64)
-        prev = 0
         for k in range(n):
-            credit[load_base + top] += wrap[k] - prev
-            prev = wrap[k]
-            i = cls_base + cls[k]
+            credit[top] += seg[k]
+            i = leave[k]
             old = cnt[i]
-            n_at[load_base + old] -= 1
-            n_at[load_base + old - 1] += 1
+            at_least[old] -= 1
             cnt[i] = old - 1
-            top -= n_at[load_base + top] == 0
-            j = cls_base + rem(cls[k] - p, m)
+            top -= at_least[top] == 0
+            j = join[k]
             new = cnt[j] + 1
-            n_at[load_base + new - 1] -= 1
-            n_at[load_base + new] += 1
+            at_least[new] += 1
             cnt[j] = new
             np.maximum(top, new, out=top)
-        credit[load_base + top] += p - prev
+        credit[top] += seg[n]
         yield blk, blk + len(a), credit.reshape(-1, n + 1)
 
 

@@ -179,6 +179,28 @@ def test_mc_linear_exact_at_largest_modulus(maxima_seen):
     assert maxima_seen == [maxima]
 
 
+@pytest.mark.parametrize("ks,dtype", [(Interval(1), np.int32), (Interval(2), np.int64)])
+def test_mc_linear_hash_type_at_largest_modulus(monkeypatch, ks, dtype):
+    # a*x + b reaches (p - 1)*(max key + 1): 2^31 - 2 on [1], which int32
+    # holds, and 2^32 - 4 on [2], which it does not.
+    p, m, samples, seed = 2147483647, 32, 100, 4
+    cfg = McConfig(samples=samples, seed=seed, mod=Modulus(p, m), key_set=ks)
+    placed = []
+    real = estimators.max_loads
+
+    def recording(rows, n, m, bins_of):
+        placed.append(bins_of(0, rows))
+        return real(rows, n, m, bins_of)
+
+    monkeypatch.setattr(estimators, "max_loads", recording)
+    mc_linear_maxload(cfg)
+    bins = np.concatenate(placed)
+    assert bins.dtype == dtype
+    draws = (map(int, sample_draw(seed, i, p, 2)) for i in range(samples))
+    elements = materialize(ks, cfg.mod)
+    assert bins.tolist() == [[(a * x + b) % p % m for x in elements] for a, b in draws]
+
+
 def test_generator_name_records_block_layout():
     assert estimators.GENERATOR_NAME == f"philox4x64/block{BLOCK}"
     assert estimators.SAMPLES_PER_BLOCK == BLOCK

@@ -6,6 +6,7 @@ import pytest
 from linbins.field import (
     MAX_MODULUS,
     Modulus,
+    int_type,
     is_prime,
     mod_inverse,
     next_prime_at_least,
@@ -151,3 +152,12 @@ def test_rem_on_blocks_of_products():
     keys = np.arange(-40, 40, dtype=np.int64)
     assert rem(rem(a * keys, p), m).tolist() == (a * keys % p % m).tolist()
     assert rem(np.zeros((0, 3), dtype=np.int64), 5).shape == (0, 3)
+
+
+def test_int_type_boundaries():
+    assert int_type(0) is np.int32
+    assert int_type(2**31 - 1) is np.int32
+    assert np.int32(2**31 - 1) == 2**31 - 1
+    assert int_type(2**31) is np.int64
+    # The largest value a field kernel forms, (p - 1)*(p - 1) + (p - 1) at p = 2^31 - 1.
+    assert int_type((MAX_MODULUS - 2) * (MAX_MODULUS - 1)) is np.int64

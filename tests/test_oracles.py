@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from linbins import oracles
-from linbins.field import Modulus, is_prime, next_prime_at_least
+from linbins.field import Modulus, int_type, is_prime, next_prime_at_least
 from linbins.loads import AffineImage, Explicit, Interval, load_profile, materialize
 from linbins.oracles import (
     WorkBudgetError,
@@ -616,6 +616,31 @@ def test_maxload_credits_match_per_a_scan(monkeypatch, mod, ks, block_rows):
     assert covered == mod.p
 
 
+def maxloads_over_b(p, m, elements, a):
+    """Max load at every b for fixed a, by comparing every pair of keys.
+
+    Costs p*n^2 for n keys at any m, where maxloads_for_a costs p*m.
+    """
+    b = np.arange(p, dtype=np.int64)[:, None]
+    bins = (a * np.asarray(elements, dtype=np.int64) + b) % p % m
+    return (bins[:, :, None] == bins[:, None, :]).sum(axis=2).max(axis=1)
+
+
+@pytest.mark.parametrize("m,key_type", [(32767, np.int32), (32768, np.int64)])
+def test_maxload_credits_either_side_of_int32_sort_keys(m, key_type):
+    # The sort keys (p - v)*m + r stay below (p + 1)*m, 2^31 - 2 at
+    # m = 32767 and 2^31 + 65536 at m = 32768.  With key 65536, v = a*x is
+    # int32 up to a = 32768 and int64 above it.
+    p = 65537
+    assert int_type((p + 1) * m) is key_type
+    elements = [0, 1, 2, 3, 4, 5, 6, 65536]
+    for a in (1, 2, 3, 4096, 32768, 65535, 65536):
+        [(lo, hi, credit)] = _maxload_credits(p, m, elements, a, a + 1)
+        expected = np.bincount(maxloads_over_b(p, m, elements, a), minlength=len(elements) + 1)
+        assert (lo, hi) == (a, a + 1)
+        assert credit[0].tolist() == expected.tolist(), a
+
+
 def test_all_b_chunks_sum_to_unchunked():
     mod = Modulus(577, 24)
     elements = materialize(AffineImage(24, 77, 5), mod)
@@ -708,12 +733,10 @@ def test_enumeration_range_guard():
         count_triple_collisions(Modulus(p, 4), [(0, 1, 2)])
 
 
-def test_pool_capped_at_available_cores(monkeypatch):
-    sizes = []
+def stand_in_pool(sizes):
+    """A pool class that records each size in sizes and runs every task in this process."""
 
     class StandInPool:
-        """Records its size and runs each task in this process; starts nothing."""
-
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -728,7 +751,12 @@ def test_pool_capped_at_available_cores(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(oracles, "ProcessPoolExecutor", StandInPool)
+    return StandInPool
+
+
+def test_pool_capped_at_available_cores(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(oracles, "ProcessPoolExecutor", stand_in_pool(sizes))
     p = 21787
     # Figure scale: one row is one group, p cells and then about 3p/m, far
     # under the pool threshold.
@@ -797,3 +825,65 @@ def test_pooled_counts_match_serial(monkeypatch):
         assert all_b == literal_maxload_hist(31, 5, materialize(ks, mod))
         assert b_zero == hist_of(at_zero) and len(at_zero) == 31
     assert pools[6:] == [2] * 6 + [3] * 6
+
+
+def test_pooled_maxloads_mix_int32_and_int64_chunks(monkeypatch):
+    # Key 65536 at p = 65537: a*x stays below (hi_a - 1)*65536, which fits
+    # int32 in the first of two chunks and not in the second.  Pooled and
+    # serial runs must equal a run with every kernel in int64.
+    monkeypatch.setattr(oracles, "_MIN_PARALLEL_WORK", 0)
+    monkeypatch.setattr(oracles, "_available_cores", lambda: 2)
+    mod = Modulus(65537, 16)
+    ks = Explicit((0, 1, 2, 65534, 65535, 65536))  # its own mirror about 65536
+    # Both modes place the keys for the first half of the multipliers,
+    # maxloads_b_zero for all of them.
+    for n_a in (mod.p // 2 + 1, mod.p):
+        types = [int_type((hi - 1) * 65536) for _, hi in _chunk_bounds(n_a, 2)]
+        assert types == [np.int32, np.int64]
+
+    def run(workers):
+        return (
+            exact_maxload_histogram(mod, ks, b_mode="all_b", workers=workers),
+            exact_maxload_histogram(mod, ks, b_mode="b_zero", workers=workers),
+            maxloads_b_zero(mod, ks, workers=workers).tolist(),
+        )
+
+    pooled, serial = run(2), run(1)
+    with monkeypatch.context() as wide:
+        wide.setattr(oracles, "int_type", lambda bound: np.int64)
+        assert run(1) == serial == pooled
+    bins = np.arange(mod.p)[:, None] * np.asarray(ks.elements) % mod.p % mod.m
+    at_zero = [np.bincount(row, minlength=mod.m).max() for row in bins]
+    assert serial[2] == at_zero and serial[1] == hist_of(at_zero)
+    assert sum(serial[0].values()) == mod.p * mod.p
+
+
+def test_rows_grouped_for_the_pool_decision_only_when_a_pool_can_start(monkeypatch):
+    calls = []
+    real = oracles._row_groups
+
+    def counting(m, rows):
+        calls.append(len(rows))
+        return real(m, rows)
+
+    sizes = []
+    monkeypatch.setattr(oracles, "_row_groups", counting)
+    monkeypatch.setattr(oracles, "ProcessPoolExecutor", stand_in_pool(sizes))
+    monkeypatch.setattr(oracles, "_available_cores", lambda: 2)
+    mod = Modulus(31, 5)
+    # One group: 29 rows bound the work at 29*31 + 29*31*3 // 5 = 1438
+    # cells; grouped, it is 31 + 539 = 570.  Every chunk groups its rows.
+    triples = [(0, 1, d) for d in range(2, 31)]
+    expected = count_triple_collisions(mod, triples)
+    for threshold, workers, groupings, pool in (
+        (2**26, 2, 1, []),  # the bound stays under the threshold
+        (1000, 1, 1, []),  # one worker never starts a pool
+        (1000, 2, 2, []),  # the bound reaches it, the grouped work does not
+        (500, 2, 3, [2]),  # both reach it: the decision and two chunks
+    ):
+        calls.clear()
+        sizes.clear()
+        monkeypatch.setattr(oracles, "_MIN_PARALLEL_WORK", threshold)
+        assert np.array_equal(count_triple_collisions(mod, triples, workers=workers), expected)
+        assert sizes == pool
+        assert calls == [29] * groupings
