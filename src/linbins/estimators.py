@@ -1,4 +1,4 @@
-"""Monte Carlo estimation of maximum bin loads, with exact small-case baselines.
+"""Monte Carlo estimation of maximum bin loads.
 
 Samples come in blocks of SAMPLES_PER_BLOCK = 64: sample i is row i % 64 of
 one draw from the counter-based substream keyed by (seed, i // 64), so one
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,9 +31,6 @@ GENERATOR_NAME = "philox4x64/block64"
 # cost memory: scaling over m = 16..1024 with 10,000 samples peaks at 39 MiB
 # with 64-sample blocks, 44 MiB with 256 and 62 MiB with 1024.
 SAMPLES_PER_BLOCK = 64
-
-# The exact dynamic program below is only intended for calibration scale.
-MAX_EXACT_BINS = 64
 
 # Seeds are Philox key words: unsigned 64-bit integers.
 SEED_SPACE = 2**64
@@ -150,41 +146,6 @@ def mc_fully_random_maxload(
     return _summarize(_sample_maxima(seed, samples, m, balls, m, None, workers), seed)
 
 
-def max_load_distribution(m: int, balls: int) -> dict[int, Fraction]:
-    """Exact max-load distribution for uniform throws, by dynamic programming.
-
-    Counts assignments whose bins all hold at most t balls via
-    W(i, r) = sum_k C(r, k) * W(i-1, r-k), then differences the CDF.
-    Intended for calibration only, hence the small-m guard.
-    """
-    if not 1 <= m <= MAX_EXACT_BINS:
-        raise ValueError(f"m must be in [1, {MAX_EXACT_BINS}], got {m}")
-    if balls < 1:
-        raise ValueError(f"balls must be >= 1, got {balls}")
-    total = m**balls
-    dist: dict[int, Fraction] = {}
-    prev = Fraction(0)
-    for t in range(1, balls + 1):
-        w = [1] + [0] * balls
-        for _ in range(m):
-            w = [
-                sum(math.comb(r, k) * w[r - k] for k in range(min(r, t) + 1))
-                for r in range(balls + 1)
-            ]
-        at_most_t = Fraction(w[balls], total)
-        if at_most_t > prev:
-            dist[t] = at_most_t - prev
-        prev = at_most_t
-        if at_most_t == 1:
-            break
-    return dist
-
-
-def fully_random_exact_mean(m: int, balls: int) -> Fraction:
-    """Exact expected max load of uniform throws, from the distribution."""
-    return sum((t * pr for t, pr in max_load_distribution(m, balls).items()), Fraction(0))
-
-
 @dataclass(frozen=True)
 class ScalingRow:
     """One bin count in the scaling study: linear-hash vs fully random."""
@@ -207,16 +168,20 @@ def scaling_study(
     _check_seed(seed)
     if not m_values:
         raise ValueError("scaling study needs at least one m value, got an empty list")
-    rows = []
+    # Every m is validated, and its modulus built, before any m samples.
+    configs = []
     for k, m in enumerate(m_values):
         if m < 2:
             raise ValueError(f"scaling study needs m >= 2, got {m}")
-        p = next_prime_at_least(m * m)
+        mod = Modulus(next_prime_at_least(m * m), m)
         linear_seed = (seed + 2 * k) % SEED_SPACE
-        cfg = McConfig(samples=samples, seed=linear_seed, mod=Modulus(p, m), key_set=Interval(m))
+        configs.append(McConfig(samples=samples, seed=linear_seed, mod=mod, key_set=Interval(m)))
+    rows = []
+    for cfg in configs:
+        m = cfg.mod.m
         linear = mc_linear_maxload(cfg, workers)
-        random = mc_fully_random_maxload(m, m, samples, (linear_seed + 1) % SEED_SPACE, workers)
-        rows.append(ScalingRow(m=m, p=p, linear=linear, random=random))
+        random = mc_fully_random_maxload(m, m, samples, (cfg.seed + 1) % SEED_SPACE, workers)
+        rows.append(ScalingRow(m=m, p=cfg.mod.p, linear=linear, random=random))
     return rows
 
 

@@ -77,12 +77,6 @@ class AcceptanceReport:
     def overall(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def row(self, name: str) -> CheckRow:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def _fmt(value) -> str:
     """Render one CSV cell: integers verbatim, reals to 12 significant digits."""
@@ -105,13 +99,6 @@ def write_csv(path, columns, rows, meta) -> None:
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
     Path(path).write_text(buf.getvalue())
-
-
-def csv_body(text: str) -> str:
-    """Data portion of a CSV: everything except '#' metadata comment lines."""
-    return "".join(
-        line for line in text.splitlines(keepends=True) if not line.startswith("#")
-    )
 
 
 def _base_meta(experiment: str, **params) -> dict:
@@ -300,7 +287,9 @@ _CANONICAL_SAMPLES = 300
 _TARGETS_PER_TRIPLE = 5
 
 
-def check_canonical_equality(mod: Modulus, seed: int = 0) -> tuple[int, int]:
+def check_canonical_equality(
+    mod: Modulus, seed: int = 0, budget: int | None = None
+) -> tuple[int, int]:
     """Prescribed-bin counts must be invariant under reduction to (0, 1, d).
 
     Every ordered triple is checked for p <= 31, a random sample above.
@@ -322,8 +311,8 @@ def check_canonical_equality(mod: Modulus, seed: int = 0) -> tuple[int, int]:
         rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
         return np.hstack([rows.repeat(_TARGETS_PER_TRIPLE, axis=0), targets])
 
-    direct = count_prescribed_triple(mod, queries(triples))
-    reduced = count_prescribed_triple(mod, queries(canonical))
+    direct = count_prescribed_triple(mod, queries(triples), budget=budget)
+    reduced = count_prescribed_triple(mod, queries(canonical), budget=budget)
     return len(direct), int(np.count_nonzero(direct != reduced))
 
 
@@ -386,7 +375,7 @@ def check_interval_containment(
     return len(triples), containment_violations, monotone_violations
 
 
-def check_decomposition(mod: Modulus) -> tuple[int, int]:
+def check_decomposition(mod: Modulus, budget: int | None = None) -> tuple[int, int]:
     """Summing prescribed equal-bin counts over bins gives the collision count."""
     p, m = mod.p, mod.m
     if p <= 13:
@@ -394,18 +383,18 @@ def check_decomposition(mod: Modulus) -> tuple[int, int]:
     else:
         triples = [(0, 1, 2), (0, 2, p - 2), (1, p // 2, p - 3)]
     prescribed = count_prescribed_triple(
-        mod, [(*t, i, i, i) for t in triples for i in range(m)]
+        mod, [(*t, i, i, i) for t in triples for i in range(m)], budget=budget
     )
-    collisions = count_triple_collisions(mod, triples)
+    collisions = count_triple_collisions(mod, triples, budget=budget)
     violations = np.count_nonzero(prescribed.reshape(-1, m).sum(axis=1) != collisions)
     return len(triples), int(violations)
 
 
-def check_partition_determinism(mod: Modulus) -> tuple[int, int]:
+def check_partition_determinism(mod: Modulus, budget: int | None = None) -> tuple[int, int]:
     """Counts must not depend on how the a-range is chunked across workers."""
     p, m = mod.p, mod.m
     d = (p - 1) // 2 if p > 5 else 2
-    [base] = count_triple_collisions(mod, [(0, 1, d)])
+    [base] = count_triple_collisions(mod, [(0, 1, d)], budget=budget)
     rows = np.array([(0, 1, d)], dtype=np.int64)
     checked = violations = 0
     for chunks in (2, 3, 7):
@@ -413,7 +402,7 @@ def check_partition_determinism(mod: Modulus) -> tuple[int, int]:
         violations += int(split[0] != base)
         checked += 1
     # The event kernel, summed over two sub-ranges of a, as a pool would split it.
-    whole = exact_maxload_histogram(mod, Interval(m), "all_b")
+    whole = exact_maxload_histogram(mod, Interval(m), "all_b", budget=budget)
     split = sum(
         credit.sum(axis=0)
         for lo, hi in _chunk_bounds(p, 2)
@@ -467,7 +456,7 @@ def run_lemma_checks(
          "histograms", lambda: check_affine_histogram(mod, alpha, beta, workers, budget)),
         ("canonical-equality",
          "prescribed-bin counts are invariant under affine reduction to (0,1,d)",
-         "target triples", lambda: check_canonical_equality(mod, seed=seed)),
+         "target triples", lambda: check_canonical_equality(mod, seed, budget)),
         ("triple-bound-proof-form", triple_claim + "(1 + (1 + p/d)/m)(1 + d/m)/p",
          "d values", lambda: (triples()[0], triples()[2])),
         ("triple-bound-statement-form", triple_claim + "(1 + max(1, p/(dm))(1 + d/m))/p",
@@ -482,10 +471,10 @@ def run_lemma_checks(
          "increases", lambda: intervals()[2]),
         ("prescribed-decomposition",
          "summing prescribed equal-bin counts over all bins reproduces the collision count",
-         "triples", lambda: check_decomposition(mod)),
+         "triples", lambda: check_decomposition(mod, budget)),
         ("partition-determinism",
          "exhaustive counts are identical under any chunking of the a-range",
-         "partitions", lambda: check_partition_determinism(mod)),
+         "partitions", lambda: check_partition_determinism(mod, budget)),
     ]
     if not lower_bound:
         table = [row for row in table if row[0] != "interval-lower-bound"]

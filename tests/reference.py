@@ -1,0 +1,62 @@
+"""Test-only references: the exact fully random baseline and report helpers.
+
+Nothing in the package calls these.  The dynamic program is the oracle the
+Monte Carlo estimators are calibrated against; csv_body and report_row read
+what the experiments wrote and returned.
+"""
+
+import math
+from fractions import Fraction
+
+# The exact dynamic program below is only intended for calibration scale.
+MAX_EXACT_BINS = 64
+
+
+def max_load_distribution(m: int, balls: int) -> dict[int, Fraction]:
+    """Exact max-load distribution for uniform throws, by dynamic programming.
+
+    Counts assignments whose bins all hold at most t balls via
+    W(i, r) = sum_k C(r, k) * W(i-1, r-k), then differences the CDF.
+    Intended for calibration only, hence the small-m guard.
+    """
+    if not 1 <= m <= MAX_EXACT_BINS:
+        raise ValueError(f"m must be in [1, {MAX_EXACT_BINS}], got {m}")
+    if balls < 1:
+        raise ValueError(f"balls must be >= 1, got {balls}")
+    total = m**balls
+    dist: dict[int, Fraction] = {}
+    prev = Fraction(0)
+    for t in range(1, balls + 1):
+        w = [1] + [0] * balls
+        for _ in range(m):
+            w = [
+                sum(math.comb(r, k) * w[r - k] for k in range(min(r, t) + 1))
+                for r in range(balls + 1)
+            ]
+        at_most_t = Fraction(w[balls], total)
+        if at_most_t > prev:
+            dist[t] = at_most_t - prev
+        prev = at_most_t
+        if at_most_t == 1:
+            break
+    return dist
+
+
+def fully_random_exact_mean(m: int, balls: int) -> Fraction:
+    """Exact expected max load of uniform throws, from the distribution."""
+    return sum((t * pr for t, pr in max_load_distribution(m, balls).items()), Fraction(0))
+
+
+def csv_body(text: str) -> str:
+    """Data portion of a CSV: everything except '#' metadata comment lines."""
+    return "".join(
+        line for line in text.splitlines(keepends=True) if not line.startswith("#")
+    )
+
+
+def report_row(report, name: str):
+    """The check row of an AcceptanceReport with the given name."""
+    for c in report.checks:
+        if c.name == name:
+            return c
+    raise KeyError(name)

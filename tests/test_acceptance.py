@@ -10,7 +10,6 @@ import time
 
 from linbins.estimators import (
     McConfig,
-    fully_random_exact_mean,
     mc_fully_random_maxload,
     mc_linear_maxload,
 )
@@ -27,6 +26,7 @@ from linbins.experiments import (
 from linbins.field import Modulus
 from linbins.loads import Interval
 from linbins.oracles import exact_maxload_histogram
+from reference import fully_random_exact_mean, report_row
 
 SEED = 20260814
 
@@ -60,8 +60,8 @@ def test_criterion_1_figure_sweep_shape(tmp_path, capsys):
     started = time.monotonic()
     report = run_figure1(tmp_path / "figure1.csv", p=21787, m=512, points=64)
     elapsed = time.monotonic() - started
-    monotone = report.row("probability-nonincreasing-low-d")
-    symmetric = report.row("probability-near-symmetric")
+    monotone = report_row(report, "probability-nonincreasing-low-d")
+    symmetric = report_row(report, "probability-near-symmetric")
     ok = monotone.passed and symmetric.passed and elapsed <= 1800
     announce(
         capsys, 1, "figure sweep shape", ok,

@@ -12,8 +12,6 @@ from linbins.estimators import (
     McConfig,
     _sample_rng,
     _summarize,
-    fully_random_exact_mean,
-    max_load_distribution,
     mc_fully_random_maxload,
     mc_linear_maxload,
     scaling_study,
@@ -22,6 +20,7 @@ from linbins.estimators import (
 from linbins.field import MAX_MODULUS, Modulus, next_prime_at_least
 from linbins.loads import AffineImage, Explicit, Interval, materialize
 from linbins.oracles import exact_maxload_histogram
+from reference import fully_random_exact_mean, max_load_distribution
 
 
 # The stream layout these tests pin: sample i is row i % 64 of a 64-row draw
@@ -359,6 +358,17 @@ def test_scaling_study_shape():
         assert r.linear.samples == 500
     with pytest.raises(ValueError):
         scaling_study([1], samples=10, seed=0)
+
+
+@pytest.mark.parametrize("m_values", [[16, 1], [16, 46341]])
+def test_scaling_study_validates_every_m_before_sampling(monkeypatch, m_values):
+    # nextprime(46341^2) is above MAX_MODULUS.
+    calls = []
+    monkeypatch.setattr(estimators, "mc_linear_maxload", lambda *a: calls.append(a))
+    monkeypatch.setattr(estimators, "mc_fully_random_maxload", lambda *a: calls.append(a))
+    with pytest.raises(ValueError):
+        scaling_study(m_values, samples=20000, seed=0)
+    assert calls == []
 
 
 def test_scaling_study_wraps_derived_seeds():

@@ -7,7 +7,7 @@ import pytest
 
 import numpy as np
 
-from linbins import experiments, loads
+from linbins import experiments, loads, oracles
 from linbins.experiments import (
     AcceptanceReport,
     CheckRow,
@@ -23,7 +23,6 @@ from linbins.experiments import (
     check_sign_symmetry,
     check_triple_bounds,
     check_zero_slack,
-    csv_body,
     default_figure1_sweep,
     format_report,
     interval_lower_bound_active,
@@ -37,6 +36,7 @@ from linbins.experiments import (
 from linbins.field import Modulus
 from linbins.loads import Interval
 from linbins.oracles import maxloads_for_a
+from reference import csv_body, report_row
 
 
 def test_fmt_values():
@@ -72,7 +72,7 @@ def test_format_report():
     assert "[FAIL] two" in text
     assert text.endswith("overall: FAIL")
     assert not report.overall
-    assert report.row("one").passed
+    assert report_row(report, "one").passed
 
 
 def test_default_figure1_sweep_shape():
@@ -232,10 +232,21 @@ def test_run_lemma_checks_smoke(tmp_path):
     assert "load-sum" in text and "pass" in text
 
 
+def test_run_lemma_checks_passes_budget_to_every_check(tmp_path, monkeypatch):
+    # With the default budget at 1, any counter left on the default refuses.
+    monkeypatch.setattr(oracles, "DEFAULT_WORK_BUDGET", 1)
+    report = run_lemma_checks(13, 3, tmp_path / "l.report.csv", budget=10**9)
+    assert report.overall
+    mod = Modulus(13, 3)
+    for check in (check_canonical_equality, check_decomposition, check_partition_determinism):
+        with pytest.raises(oracles.WorkBudgetError):
+            check(mod, budget=1)
+
+
 def test_run_lemma_checks_includes_lower_bound(tmp_path):
     report = run_lemma_checks(197, 8, tmp_path / "l.report.csv", seed=0)
     assert report.overall
-    assert report.row("interval-lower-bound").passed
+    assert report_row(report, "interval-lower-bound").passed
 
 
 @pytest.mark.parametrize(
@@ -274,8 +285,8 @@ def test_run_transform_identity(tmp_path):
     report = run_transform_demo(
         p=257, m=16, alpha=1, beta=0, samples=400, seed=5, out=out
     )
-    assert report.row("transform-identity").passed
-    assert report.row("transform-mean-agreement").observed.startswith("difference = 0")
+    assert report_row(report, "transform-identity").passed
+    assert report_row(report, "transform-mean-agreement").observed.startswith("difference = 0")
     assert report.overall
 
 
@@ -284,8 +295,8 @@ def test_run_transform_exhaustive(tmp_path):
     report = run_transform_demo(
         p=257, m=16, alpha=77, beta=5, samples=2000, seed=5, out=out, exhaustive=True
     )
-    assert report.row("transform-exhaustive-histogram").passed
-    assert report.row("transform-mean-agreement").passed
+    assert report_row(report, "transform-exhaustive-histogram").passed
+    assert report_row(report, "transform-mean-agreement").passed
     body = csv_body(out.read_text())
     assert body.splitlines()[0] == "key_set,mean,std_error,samples,mean_diff_in_se"
     assert len(body.splitlines()) == 3
