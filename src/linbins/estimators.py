@@ -7,7 +7,9 @@ another from the stream, so the first k rows of a 64-row draw equal a k-row
 draw: sample i depends only on (seed, i), whatever the sample count.  They
 are also the same values in int32 as in int64, so the samplers draw in
 field.int_type's choice for the range and hash in int32 where a*x + b fits.
-Workers split the blocks, never a block, and any worker count reproduces the
+Each range of blocks re-keys one generator per block, to the stream a fresh
+one would draw, and hashes and bins consecutive blocks together.  Workers
+split the blocks, never a block, and any worker count reproduces the
 sequential result bit for bit.
 """
 
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import loads
 from .field import Modulus, int_type, next_prime_at_least, rem
 from .loads import Interval, KeySet, materialize, max_loads
 from .oracles import _map_chunks
@@ -73,14 +76,6 @@ class McEstimate:
     seed: int
 
 
-def _sample_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent substream for one block of samples, derived only from (seed, index)."""
-    # An explicit uint64 key: a list would go through float64 for seeds
-    # >= 2^63 and merge neighbouring seeds into one stream.
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _summarize(maxima: np.ndarray, seed: int) -> McEstimate:
     n = len(maxima)
     mean = float(maxima.mean())
@@ -94,18 +89,32 @@ def _summarize(maxima: np.ndarray, seed: int) -> McEstimate:
 def _block_maxima(seed, samples, high, width, m, keys, lo_block, hi_block):
     """Per-sample max loads of the samples in blocks [lo_block, hi_block).
 
-    Block j draws one (rows, width) array from [0, high) out of
-    _sample_rng(seed, j), a row per sample.  With keys None a row holds the
-    bins of uniform throws; otherwise it is (a, b), and the bins are
+    Block j draws one (rows, width) array from [0, high) out of the Philox
+    stream keyed by (seed, j), a row per sample, in passes of whole blocks up
+    to loads._BLOCK_CELLS cells.  With keys None a row holds the bins of
+    uniform throws; otherwise it is (a, b), and the bins are
     ((a*x + b) mod high) mod m over the keys x, in the dtype of keys.
     """
-    out = []
     dtype = int_type(high - 1)
-    for j in range(lo_block, hi_block):
-        rows = min(SAMPLES_PER_BLOCK, samples - j * SAMPLES_PER_BLOCK)
-        draws = _sample_rng(seed, j).integers(0, high, size=(rows, width), dtype=dtype)
+    n = width if keys is None else len(keys)
+    per_pass = max(1, loads._BLOCK_CELLS // (SAMPLES_PER_BLOCK * max(n, m)))
+    # One generator, set before each block to the state a fresh one keyed
+    # (seed, j) starts in.  The key is explicit uint64: a list would go through
+    # float64 for seeds >= 2^63 and merge neighbouring seeds into one stream.
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    fresh = bitgen.state
+    gen = np.random.Generator(bitgen)
+    out = []
+    for first in range(lo_block, hi_block, per_pass):
+        parts = []
+        for j in range(first, min(first + per_pass, hi_block)):
+            fresh["state"]["key"][1] = j
+            bitgen.state = fresh
+            rows = min(SAMPLES_PER_BLOCK, samples - j * SAMPLES_PER_BLOCK)
+            parts.append(gen.integers(0, high, size=(rows, width), dtype=dtype))
+        draws = np.concatenate(parts)
         bins = draws if keys is None else rem(rem(draws[:, :1] * keys + draws[:, 1:], high), m)
-        out.append(max_loads(rows, bins.shape[1], m, lambda lo, hi: bins[lo:hi]))
+        out.append(max_loads(len(bins), n, m, lambda lo, hi: bins[lo:hi]))
     return np.concatenate(out)
 
 

@@ -40,7 +40,6 @@ maxloads_for_a stay in int64.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -85,6 +84,15 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
+def __getattr__(name: str):
+    # The pool class loads on first use, sparing runs with no pool 20 ms.
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    return globals().setdefault(name, ProcessPoolExecutor)
+
+
 def _map_chunks(func, p: int, workers: int, work: int, args: tuple) -> list:
     """Apply func(*args, lo, hi) over a partition of [0, p).
 
@@ -100,7 +108,7 @@ def _map_chunks(func, p: int, workers: int, work: int, args: tuple) -> list:
     chunks = _chunk_bounds(p, workers)
     if len(chunks) == 1:
         return [func(*args, *chunks[0])]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+    with __getattr__("ProcessPoolExecutor")(max_workers=len(chunks)) as pool:
         futures = [pool.submit(func, *args, lo, hi) for lo, hi in chunks]
         return [f.result() for f in futures]
 

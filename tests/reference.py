@@ -1,12 +1,25 @@
-"""Test-only references: the exact fully random baseline and report helpers.
+"""Test-only references: the sample stream, the exact fully random baseline and report helpers.
 
-Nothing in the package calls these.  The dynamic program is the oracle the
-Monte Carlo estimators are calibrated against; csv_body and report_row read
-what the experiments wrote and returned.
+Nothing in the package calls these.  _sample_rng builds each block's
+substream literally, a fresh generator per block, for the stream-lock tests
+of the re-keyed generator in estimators.  The dynamic program is the oracle
+the Monte Carlo estimators are calibrated against; csv_body and report_row
+read what the experiments wrote and returned.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
+
+
+def _sample_rng(seed: int, index: int) -> np.random.Generator:
+    """Independent substream for one block of samples, derived only from (seed, index)."""
+    # An explicit uint64 key: a list would go through float64 for seeds
+    # >= 2^63 and merge neighbouring seeds into one stream.
+    key = np.array([seed, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
 
 # The exact dynamic program below is only intended for calibration scale.
 MAX_EXACT_BINS = 64

@@ -10,7 +10,6 @@ import pytest
 from linbins import estimators, loads, oracles
 from linbins.estimators import (
     McConfig,
-    _sample_rng,
     _summarize,
     mc_fully_random_maxload,
     mc_linear_maxload,
@@ -20,7 +19,7 @@ from linbins.estimators import (
 from linbins.field import MAX_MODULUS, Modulus, next_prime_at_least
 from linbins.loads import AffineImage, Explicit, Interval, materialize
 from linbins.oracles import exact_maxload_histogram
-from reference import fully_random_exact_mean, max_load_distribution
+from reference import _sample_rng, fully_random_exact_mean, max_load_distribution
 
 
 # The stream layout these tests pin: sample i is row i % 64 of a 64-row draw
@@ -234,6 +233,7 @@ def maxima_seen(monkeypatch):
         (Modulus(577, 24), AffineImage(24, 77, 5), 63),
         (Modulus(1031, 32), Explicit((0, 3, 4, 10, 515, 1030)), 64),
         (Modulus(257, 16), Interval(16), 65),
+        (Modulus(1048583, 1024), Interval(1024), 130),
     ],
 )
 def test_mc_linear_stream_locked(monkeypatch, maxima_seen, block_rows, mod, ks, samples):
@@ -258,6 +258,7 @@ def test_mc_linear_stream_locked(monkeypatch, maxima_seen, block_rows, mod, ks, 
         (5, 12, 63),
         (40, 9, 64),
         (16, 16, 65),
+        (1024, 1024, 130),
     ],
 )
 def test_mc_fully_random_stream_locked(monkeypatch, maxima_seen, block_rows, m, balls, samples):

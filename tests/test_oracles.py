@@ -3,6 +3,8 @@
 import itertools
 import math
 import os
+import subprocess
+import sys
 from concurrent.futures import Future
 from fractions import Fraction
 
@@ -752,6 +754,20 @@ def stand_in_pool(sizes):
             return future
 
     return StandInPool
+
+
+def test_pool_class_loads_on_first_use():
+    # Runs below the pool threshold never start a pool, so importing the
+    # program must not load concurrent.futures (multiprocessing, socket).
+    code = (
+        "import sys\n"
+        "import linbins.cli, linbins.experiments, linbins.estimators, linbins.oracles\n"
+        "assert 'concurrent.futures' not in sys.modules, 'loaded at import'\n"
+        "pool = linbins.oracles.ProcessPoolExecutor\n"
+        "assert pool is sys.modules['concurrent.futures'].ProcessPoolExecutor\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_pool_capped_at_available_cores(monkeypatch):
