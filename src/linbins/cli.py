@@ -148,12 +148,20 @@ def cmd_interval_collide(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The linbins parser; only subcommand `command` (every one if None) gets its arguments.
+
+    Every subcommand is registered either way, so usage, help and error texts do not change.
+    """
     parser = argparse.ArgumentParser(
         prog="linbins",
         description="Max-load experiments for the hash family ((a*x+b) mod p) mod m",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, help_text):
+        sp = sub.add_parser(name, help=help_text)
+        return sp if command in (None, name) else None
 
     def common(sp, p, m, out, seed=None, samples=None, budget=True):
         sp.add_argument("--p", type=int, default=p, help="prime modulus")
@@ -167,59 +175,61 @@ def build_parser() -> argparse.ArgumentParser:
         if samples is not None:
             sp.add_argument("--samples", type=int, default=samples, help="Monte Carlo samples")
 
-    sp = sub.add_parser("figure1", help="exact collision-probability sweep over d")
-    common(sp, FIGURE1_DEFAULT_P, FIGURE1_DEFAULT_M, "figure1.csv")
-    sp.add_argument("--points", type=int, default=64, help="sweep size (mirrored log spacing)")
-    sp.add_argument("--full-sweep", action="store_true", help="sweep every d in [2, p-1]")
-    sp.set_defaults(func=cmd_report, run=run_figure1)
+    if sp := add("figure1", "exact collision-probability sweep over d"):
+        common(sp, FIGURE1_DEFAULT_P, FIGURE1_DEFAULT_M, "figure1.csv")
+        sp.add_argument("--points", type=int, default=64, help="sweep size (mirrored log spacing)")
+        sp.add_argument("--full-sweep", action="store_true", help="sweep every d in [2, p-1]")
+        sp.set_defaults(func=cmd_report, run=run_figure1)
 
-    sp = sub.add_parser("lemmas", help="exhaustive invariant checks at one (p, m)")
-    common(sp, 257, 16, "lemmas.report.csv", seed=0)
-    sp.set_defaults(func=cmd_report, run=run_lemma_checks)
+    if sp := add("lemmas", "exhaustive invariant checks at one (p, m)"):
+        common(sp, 257, 16, "lemmas.report.csv", seed=0)
+        sp.set_defaults(func=cmd_report, run=run_lemma_checks)
 
-    sp = sub.add_parser("scaling", help="linear vs fully random mean max load across m")
-    sp.add_argument(
-        "--m-values", type=m_values, default="16,64,256,1024", help="comma-separated bin counts"
-    )
-    sp.add_argument("--samples", type=int, default=100_000, help="Monte Carlo samples")
-    sp.add_argument("--seed", type=int, default=0, help="random seed")
-    sp.add_argument("--out", default="scaling.csv", help="output CSV path")
-    sp.add_argument("--workers", type=int, default=1, help="parallel workers")
-    sp.set_defaults(func=cmd_report, run=run_scaling)
+    if sp := add("scaling", "linear vs fully random mean max load across m"):
+        sp.add_argument(
+            "--m-values", type=m_values, default="16,64,256,1024", help="comma-separated bin counts"
+        )
+        sp.add_argument("--samples", type=int, default=100_000, help="Monte Carlo samples")
+        sp.add_argument("--seed", type=int, default=0, help="random seed")
+        sp.add_argument("--out", default="scaling.csv", help="output CSV path")
+        sp.add_argument("--workers", type=int, default=1, help="parallel workers")
+        sp.set_defaults(func=cmd_report, run=run_scaling)
 
-    sp = sub.add_parser("transform", help="interval vs affine-image max-load comparison")
-    common(sp, 1031, 32, "transform.csv", seed=0, samples=20_000)
-    sp.add_argument("--alpha", type=int, default=77, help="affine multiplier (nonzero)")
-    sp.add_argument("--beta", type=int, default=5, help="affine offset")
-    sp.add_argument("--exhaustive", action="store_true", help="also compare exact histograms")
-    sp.set_defaults(func=cmd_report, run=run_transform_demo)
+    if sp := add("transform", "interval vs affine-image max-load comparison"):
+        common(sp, 1031, 32, "transform.csv", seed=0, samples=20_000)
+        sp.add_argument("--alpha", type=int, default=77, help="affine multiplier (nonzero)")
+        sp.add_argument("--beta", type=int, default=5, help="affine offset")
+        sp.add_argument("--exhaustive", action="store_true", help="also compare exact histograms")
+        sp.set_defaults(func=cmd_report, run=run_transform_demo)
 
-    sp = sub.add_parser("maxload-exact", help="exact max-load histogram on [m]")
-    common(sp, 257, 16, "maxload_exact.csv")
-    sp.add_argument("--b-mode", choices=("all_b", "b_zero"), default="all_b")
-    sp.set_defaults(func=cmd_maxload_exact)
+    if sp := add("maxload-exact", "exact max-load histogram on [m]"):
+        common(sp, 257, 16, "maxload_exact.csv")
+        sp.add_argument("--b-mode", choices=("all_b", "b_zero"), default="all_b")
+        sp.set_defaults(func=cmd_maxload_exact)
 
-    sp = sub.add_parser("maxload-mc", help="Monte Carlo max-load estimate on [m]")
-    common(sp, 1031, 32, "maxload_mc.csv", seed=0, samples=20_000, budget=False)
-    sp.set_defaults(func=cmd_maxload_mc)
+    if sp := add("maxload-mc", "Monte Carlo max-load estimate on [m]"):
+        common(sp, 1031, 32, "maxload_mc.csv", seed=0, samples=20_000, budget=False)
+        sp.set_defaults(func=cmd_maxload_mc)
 
-    sp = sub.add_parser("collide3", help="exact collision count of one triple")
-    common(sp, 257, 16, None)
-    sp.add_argument("--x", type=int, default=0)
-    sp.add_argument("--y", type=int, default=1)
-    sp.add_argument("--z", type=int, default=2)
-    sp.set_defaults(func=cmd_collide3)
+    if sp := add("collide3", "exact collision count of one triple"):
+        common(sp, 257, 16, None)
+        sp.add_argument("--x", type=int, default=0)
+        sp.add_argument("--y", type=int, default=1)
+        sp.add_argument("--z", type=int, default=2)
+        sp.set_defaults(func=cmd_collide3)
 
-    sp = sub.add_parser("interval-collide", help="exact collision count of [0, d)")
-    common(sp, 257, 16, None)
-    sp.add_argument("--d", type=int, default=4, help="interval length")
-    sp.set_defaults(func=cmd_interval_collide)
+    if sp := add("interval-collide", "exact collision count of [0, d)"):
+        common(sp, 257, 16, None)
+        sp.add_argument("--d", type=int, default=4, help="interval length")
+        sp.set_defaults(func=cmd_interval_collide)
 
-    return parser
+    # A name that is no subcommand gets the full parser, as if none were given.
+    return parser if command is None or command in sub.choices else build_parser()
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.workers < 1:
             raise ValueError(f"--workers must be at least 1, got {args.workers}")

@@ -44,7 +44,7 @@ from .oracles import (
     exact_maxload_histogram,
     interval_lower_bound,
     maxloads_b_zero,
-    triple_bound_formula,
+    triple_bound_terms,
 )
 
 TOOL_NAME = "linbins"
@@ -96,8 +96,18 @@ def write_csv(path, columns, rows, meta) -> None:
         buf.write(f"# {key}={value}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
+    templates = {}  # row type signature -> one '%' template, or '' where _fmt must run
     for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        if kinds not in templates:
+            # _fmt's rendering of plain ints and floats, which never need CSV quoting.
+            formats = [{int: "%d", float: "%.12g"}.get(kind) for kind in kinds]
+            templates[kinds] = "" if None in formats else ",".join(formats) + "\n"
+        if template := templates[kinds]:
+            buf.write(template % row)
+        else:
+            writer.writerow([_fmt(v) for v in row])
     Path(path).write_text(buf.getvalue())
 
 
@@ -171,9 +181,12 @@ def run_figure1(
     counts = count_triple_collisions(
         mod, [(0, 1, d) for d in ds], workers=workers, budget=budget
     )
-    # Python ints: int/int true division is correctly rounded at any size.
+    # Python ints: int/int true division is correctly rounded at any size, as float(Fraction).
     count = dict(zip(ds, counts.tolist()))
-    rows = [(d, count[d] / (p * p), *triple_bound_formula(mod, d)) for d in ds]
+    rows = []
+    for d in ds:
+        statement, proof, den = triple_bound_terms(mod, d)
+        rows.append((d, count[d] / (p * p), statement / den, proof / den))
     meta = _base_meta(
         "figure1", p=p, m=m, points=len(ds), full_sweep=full_sweep, workers=workers
     )
@@ -326,11 +339,11 @@ def check_triple_bounds(
         mod, [(0, 1, d) for d in ds], workers=workers, budget=budget
     )
     statement_violations = proof_violations = 0
+    # count / p^2 > num / den, compared in integers.
     for d, count in zip(ds, counts.tolist()):
-        prob = Fraction(count, p * p)
-        statement, proof = triple_bound_formula(mod, d)
-        statement_violations += prob > statement
-        proof_violations += prob > proof
+        statement, proof, den = triple_bound_terms(mod, d)
+        statement_violations += count * den > statement * p * p
+        proof_violations += count * den > proof * p * p
     return len(ds), statement_violations, proof_violations
 
 

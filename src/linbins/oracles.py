@@ -378,23 +378,27 @@ def count_interval_collision(
     return int(count_interval_collisions(mod, d, workers, budget)[-1])
 
 
-def triple_bound_formula(mod: Modulus, d: int) -> tuple[Fraction, Fraction]:
-    """Candidate upper bounds (statement, proof) on the collision probability of {0, 1, d}.
+def triple_bound_terms(mod: Modulus, d: int) -> tuple[int, int, int]:
+    """Integer numerators (statement, proof) and common denominator p*d*m^2 of the triple bounds.
 
     statement: (1 + max(1, p/(d*m)) * (1 + d/m)) / p
     proof:     (1 + (1 + p/d)/m) * (1 + d/m) / p
 
-    Both are exact ratios over p*d*m^2, each formed in one step.  The two
-    forms differ and neither is proved tight here; experiments compare each
-    against the exhaustive count and report which ones hold.
+    The two forms differ and neither is proved tight here; experiments compare
+    each against the exhaustive count and report which ones hold.
     """
     p, m = mod.p, mod.m
     if not 2 <= d < p:
         raise ValueError(f"d must satisfy 2 <= d < p, got {d}")
-    den = p * d * m * m
-    statement = Fraction(d * m * m + max(d * m, p) * (m + d), den)
-    proof = Fraction((d * m + d + p) * (m + d), den)
-    return statement, proof
+    statement = d * m * m + max(d * m, p) * (m + d)
+    proof = (d * m + d + p) * (m + d)
+    return statement, proof, p * d * m * m
+
+
+def triple_bound_formula(mod: Modulus, d: int) -> tuple[Fraction, Fraction]:
+    """Candidate upper bounds (statement, proof) on P[{0, 1, d} collide], as exact Fractions."""
+    statement, proof, den = triple_bound_terms(mod, d)
+    return Fraction(statement, den), Fraction(proof, den)
 
 
 def interval_lower_bound(mod: Modulus, d: int) -> Fraction:

@@ -6,7 +6,12 @@ import sys
 import pytest
 
 import linbins
-from linbins.cli import build_parser
+from linbins.cli import build_parser, main
+
+SUBCOMMANDS = (
+    "figure1", "lemmas", "scaling", "transform",
+    "maxload-exact", "maxload-mc", "collide3", "interval-collide",
+)
 
 
 def run_cli(*args, cwd):
@@ -90,6 +95,39 @@ def test_budget_only_on_exhaustive_subcommands():
         with pytest.raises(SystemExit):
             parser.parse_args([command, "--budget", "7"])
     assert parser.parse_args(["maxload-mc", "--workers", "2"]).workers == 2
+
+
+def exit_output(parse, argv, capsys):
+    """Exit status, stdout and stderr of a parse that ends the program."""
+    with pytest.raises(SystemExit) as stop:
+        parse(argv)
+    return (stop.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_one_subcommand_parser_keeps_every_text(command, capsys):
+    # Only `command` gets its arguments; the texts must match the full parser's.
+    full, one = build_parser(), build_parser(command)
+    assert one.format_help() == full.format_help()
+    assert one.format_usage() == full.format_usage()
+    for argv in ([command, "-h"], [command, "--bogus"], ["-h"], []):
+        assert exit_output(one.parse_args, argv, capsys) == exit_output(
+            full.parse_args, argv, capsys
+        ), argv
+    other = "lemmas" if command == "figure1" else "figure1"
+    with pytest.raises(SystemExit):
+        one.parse_args([other, "--p", "13"])
+    capsys.readouterr()
+
+
+def test_main_error_texts_match_the_full_parser(capsys):
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in build_parser().format_usage()
+    for argv in (["figure1", "--bogus"], [], ["bogus"], ["-h"]):
+        assert exit_output(main, argv, capsys) == exit_output(
+            build_parser().parse_args, argv, capsys
+        ), argv
+    # A name that is no subcommand gets every subcommand's arguments.
+    assert build_parser("bogus").parse_args(["figure1", "--points", "3"]).points == 3
 
 
 def test_maxload_exact_b_zero_partitions(tmp_path):

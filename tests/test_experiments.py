@@ -1,6 +1,8 @@
 """Experiment runners, check functions, and the CSV/report plumbing."""
 
+import csv
 import hashlib
+import io
 from fractions import Fraction
 
 import pytest
@@ -35,7 +37,7 @@ from linbins.experiments import (
 )
 from linbins.field import Modulus
 from linbins.loads import Interval
-from linbins.oracles import maxloads_for_a
+from linbins.oracles import count_triple_collisions, maxloads_for_a, triple_bound_formula
 from reference import csv_body, report_row
 
 
@@ -53,6 +55,41 @@ def test_write_csv_and_body(tmp_path):
     text = path.read_text()
     assert text.startswith("# seed=5\n")
     assert csv_body(text) == "x,y\n1,0.25\n2,0.333333333333\n"
+
+
+def per_cell_body(columns, rows):
+    """The CSV body as every row through _fmt and the csv writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    return buf.getvalue()
+
+
+CSV_ROWS = [
+    (2**63, -(2**70), -5, 0),
+    (float("nan"), float("inf"), -float("inf"), -0.0),
+    (1e-300, 1 / 7, 0.25, 1e22),
+    (True, False, np.int64(-7), np.float64(1 / 3)),
+    (Fraction(1, 3), Fraction(-7, 2), 3, 0.5),
+    ("a,b", 'say "hi"', "plain", ""),
+    (1, 2, 3, 4),
+    (1.5, 2, 3, 4),  # the first column switches from int to float partway down
+    (5, 2, 3, 4),
+    [6, 0.125, -1, 2**64],  # a list row, as run_scaling writes
+]
+
+
+@pytest.mark.parametrize("as_generator", (False, True))
+def test_write_csv_matches_per_cell_path(tmp_path, as_generator):
+    columns = ("w", "x", "y", "z")
+    path = tmp_path / "rows.csv"
+    rows = (row for row in CSV_ROWS) if as_generator else CSV_ROWS
+    write_csv(path, columns, rows, {"seed": 1})
+    text = path.read_text()
+    assert text.startswith("# seed=1\n")
+    assert csv_body(text) == per_cell_body(columns, CSV_ROWS)
 
 
 def test_report_csv_path():
@@ -149,6 +186,20 @@ def test_check_functions_small_config():
     assert check_interval_containment(mod) == (11, 0, 0)
     assert check_decomposition(mod) == (1716, 0)
     assert check_partition_determinism(mod) == (4, 0)
+
+
+@pytest.mark.parametrize("p,m", ((541, 4), (1579, 8), (5417, 16)))
+def test_check_triple_bounds_statement_form_fails_once(p, m):
+    # The first primes at which the statement form fails: at exactly one d.
+    # The integer comparison must agree with Fraction comparisons of the counts.
+    mod = Modulus(p, m)
+    assert check_triple_bounds(mod) == (p - 2, 1, 0)
+    counts = count_triple_collisions(mod, [(0, 1, d) for d in range(2, p)]).tolist()
+    violations = [0, 0]
+    for d, count in zip(range(2, p), counts):
+        for k, bound in enumerate(triple_bound_formula(mod, d)):
+            violations[k] += Fraction(count, p * p) > bound
+    assert violations == [1, 0]
 
 
 def test_partition_determinism_splits_the_event_kernel(monkeypatch):

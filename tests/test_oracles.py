@@ -35,6 +35,7 @@ from linbins.oracles import (
     maxloads_b_zero,
     maxloads_for_a,
     triple_bound_formula,
+    triple_bound_terms,
 )
 
 
@@ -366,6 +367,21 @@ def test_triple_bound_formula_matches_paper_form(p, m, ds):
     mod = Modulus(p, m)
     for d in ds:
         assert triple_bound_formula(mod, d) == paper_bounds(p, m, d), d
+
+
+TERM_CASES = [(1031, 32, range(2, 1031))]
+TERM_CASES += [(2**31 - 1, 65536, (2, 3, (2**31 - 1) // 65536, (2**31 - 1) // 2, 2**31 - 3))]
+
+
+@pytest.mark.parametrize("p,m,ds", TERM_CASES, ids=[f"{p}-{m}" for p, m, _ in TERM_CASES])
+def test_triple_bound_terms_give_the_formula(p, m, ds):
+    # At p = 2^31 - 1 the denominator p*d*m^2 nears 2^94, far past float precision.
+    mod = Modulus(p, m)
+    for d in ds:
+        statement, proof, den = triple_bound_terms(mod, d)
+        formula = triple_bound_formula(mod, d)
+        assert formula == (Fraction(statement, den), Fraction(proof, den)), d
+        assert (statement / den, proof / den) == tuple(map(float, formula)), d
 
 
 def test_triple_bound_formula_values():
