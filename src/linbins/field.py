@@ -93,9 +93,14 @@ def int_type(bound: int) -> type:
 def rem(x: np.ndarray, n: int) -> np.ndarray:
     """x % n for an int32 or int64 array x and n >= 1, negative x included, written into x.
 
-    numpy floor-divides by a scalar through one precomputed reciprocal but
-    takes remainders element by element, so x - n*(x // n) costs about half.
+    A power of two n is one mask, x & (n - 1), which in two's complement is
+    the floor-mod of negative x too.  Otherwise: numpy floor-divides by a
+    scalar through one precomputed reciprocal but takes remainders element
+    by element, so x - n*(x // n) costs about half.
     """
+    if n & (n - 1) == 0:
+        x &= n - 1
+        return x
     q = x // n
     q *= n
     x -= q

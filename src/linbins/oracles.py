@@ -28,11 +28,11 @@ so h_{p-a,0} puts x in class (q - r) mod m when h_{a,0} puts it in class r,
 q = p mod m, and key 0 stays in class 0.  Over every b, on a key set with
 S = c - S (mod p) for some centre c, h_{a,b}(c - x) = h_{p-a,b+ac}(x), so a
 and p - a have equal histograms; on other key sets every a runs.
-Every array reduction in these kernels is field.rem, x - n*(x // n) in place
-at about half the cost of numpy's %; maxloads_for_a keeps % as a reference.
+Every array reduction in these kernels is field.rem, in place and cheaper
+than numpy's %; maxloads_for_a keeps % as a reference.
 The max-load placements run in field.int_type's choice for the largest value
-each call forms: a*x below (hi_a - 1)*max(S), and the all-b sort keys
-(p - v)*m + r below (p + 1)*m.  That is int32 at every m up to 1024 on [m],
+each call forms: a*x below (hi_a - 1)*max(S), and the all-b wrap points
+p - v at most p.  That is int32 at every m up to 1024 on [m],
 at about half the cost of int64; the triple and interval counters and
 maxloads_for_a stay in int64.
 """
@@ -492,24 +492,20 @@ def _maxload_credits(p, m, elements, lo_a, hi_a):
     arithmetic.
     """
     dtype = int_type((hi_a - 1) * max(elements))
-    key_type = int_type((p + 1) * m)
     s = np.asarray(elements, dtype=dtype)
     n, q = len(s), p % m
     step = max(1, _EVENT_BLOCK_CELLS // (n + m + 1))
     for blk in range(lo_a, hi_a, step):
         a = np.arange(blk, min(blk + step, hi_a), dtype=dtype)
         rows = np.arange(len(a), dtype=np.int64)
-        v = rem(a[:, None] * s, p)
-        # One sort orders each row by wrap point and carries the class along.
-        events = np.multiply(p - v, m, dtype=key_type)
-        events += rem(v, m)
-        del v
-        events.sort(axis=1)
-        wrap, cls = np.divmod(np.ascontiguousarray(events.T), m)
-        del events
+        # Key x sits in class v_x mod m = (p - c_x) mod m, so sorting the
+        # wrap points alone orders the events and gives each one's class.
+        wrap = np.subtract(p, rem(a[:, None] * s, p), dtype=int_type(p))
+        wrap.sort(axis=1)
+        wrap = np.ascontiguousarray(wrap.T)
         # Segment k ends at wrap k; the last one runs from the last wrap to p.
         seg = np.diff(wrap, axis=0, prepend=0, append=p)
-        del wrap
+        cls = rem(np.subtract(p, wrap, out=wrap), m)
         cls_base = rows * m
         leave = cls + cls_base
         cls -= q

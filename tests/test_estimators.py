@@ -259,6 +259,11 @@ def test_mc_linear_stream_locked(monkeypatch, maxima_seen, block_rows, mod, ks, 
         (40, 9, 64),
         (16, 16, 65),
         (1024, 1024, 130),
+        # Power-of-two m reads the raw words; an odd last block leaves half
+        # of its last 64-bit word unused.
+        (16, 9, 65),
+        (2, 3, 65),
+        (2, 2, 130),
     ],
 )
 def test_mc_fully_random_stream_locked(monkeypatch, maxima_seen, block_rows, m, balls, samples):

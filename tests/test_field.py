@@ -127,22 +127,21 @@ def test_full_range_pairwise_uniform():
             assert len(seen) == p * p
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 512, 21787, 2147483647])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 512, 21787, 2**30, 2147483647])
 def test_rem_equals_numpy_remainder(n):
+    # Powers of two take the mask, other n the floor division, in both dtypes.
     p = 2147483647
-    top = (p - 1) * (p - 1) + (p - 1)
-    x = np.array(
-        [0, 1, -1, n - 1, n, n + 1, -n, -n - 1, 5 * n + 3, -(5 * n + 3),
-         p - 1, -(p - 1), top, top - 1, -top, 2**62, -(2**62)],
-        dtype=np.int64,
-    )
-    x = np.concatenate([x, np.random.default_rng(n).integers(-top, top, 1000)])
-    expected = (x % n).tolist()
-    assert expected == [v % n for v in x.tolist()]
-    out = rem(x, n)
-    assert out is x
-    assert out.dtype == np.int64
-    assert out.tolist() == expected
+    for dtype, top in ((np.int64, (p - 1) * (p - 1) + (p - 1)), (np.int32, 2**31 - 1)):
+        values = [0, 1, -1, n - 1, n, n + 1, -n, -n - 1, 5 * n + 3, -(5 * n + 3),
+                  p - 1, -(p - 1), top, top - 1, -top, -top - 1, 2**62, -(2**62)]
+        x = np.array([v for v in values if -top - 1 <= v <= top], dtype=dtype)
+        x = np.concatenate([x, np.random.default_rng(n).integers(-top - 1, top, 1000, dtype=dtype)])
+        expected = (x % n).tolist()
+        assert expected == [v % n for v in x.tolist()]
+        out = rem(x, n)
+        assert out is x
+        assert out.dtype == dtype
+        assert out.tolist() == expected
 
 
 def test_rem_on_blocks_of_products():

@@ -646,8 +646,9 @@ def maxloads_over_b(p, m, elements, a):
 
 @pytest.mark.parametrize("m,key_type", [(32767, np.int32), (32768, np.int64)])
 def test_maxload_credits_either_side_of_int32_sort_keys(m, key_type):
-    # The sort keys (p - v)*m + r stay below (p + 1)*m, 2^31 - 2 at
-    # m = 32767 and 2^31 + 65536 at m = 32768.  With key 65536, v = a*x is
+    # A composite sort key (p - v)*m + r would stay below (p + 1)*m, 2^31 - 2
+    # at m = 32767 and 2^31 + 65536 at m = 32768; the kernel sorts the wrap
+    # points p - v alone, int32 on both sides.  With key 65536, v = a*x is
     # int32 up to a = 32768 and int64 above it.
     p = 65537
     assert int_type((p + 1) * m) is key_type
