@@ -124,8 +124,13 @@ def _block_maxima(seed, samples, high, width, m, keys, lo_block, hi_block):
                 words = bitgen.random_raw(-(-rows * width // 2)).view(np.uint32)[: rows * width]
                 words >>= shift
                 parts.append(words.view(np.int32).reshape(rows, width))
-        draws = np.concatenate(parts)
-        bins = draws if keys is None else rem(rem(draws[:, :1] * keys + draws[:, 1:], high), m)
+        draws = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if keys is None:
+            bins = draws
+        else:
+            bins = draws[:, :1] * keys
+            bins += draws[:, 1:]
+            bins = rem(rem(bins, high), m)
         out.append(max_loads(len(bins), n, m, lambda lo, hi: bins[lo:hi]))
     return np.concatenate(out)
 

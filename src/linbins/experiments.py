@@ -242,7 +242,9 @@ def check_load_sums(mod: Modulus, alpha: int, beta: int) -> tuple[int, int]:
 
         def bins_of(lo, hi):
             a, j = np.divmod(np.arange(lo, hi, dtype=dtype), len(b))
-            return rem(rem(a[:, None] * s + b[j, None], p), m)
+            v = a[:, None] * s
+            v += b[j, None]
+            return rem(rem(v, p), m)
 
         for _, _, counts in bin_counts(rows, len(s), m, bins_of):
             violations += int(np.count_nonzero(counts.sum(axis=1) != len(s)))

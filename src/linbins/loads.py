@@ -99,12 +99,19 @@ def bin_counts(
     bins_of(lo, hi) returns the (hi - lo, n) bin indices of rows lo..hi-1.  It
     is called once per block, in row order, so callers build blocks lazily.
     Yields (lo, hi, counts) with counts of shape (hi - lo, m), from one
-    bincount per block.
+    bincount per block.  Row r's bin i gets the code r*m + i in the bins' own
+    dtype, in a new array: the array bins_of returns is never written.
     """
     step = max(1, _BLOCK_CELLS // max(n, m))
+    offsets = None
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
-        codes = (np.arange(hi - lo)[:, None] * m + bins_of(lo, hi)).ravel()
+        bins = bins_of(lo, hi)
+        if offsets is None:
+            # Codes stay below _BLOCK_CELLS when a block has more than one row
+            # and equal the bins when it has one, so int32 bins hold them.
+            offsets = (np.arange(min(step, rows)) * m).astype(bins.dtype)[:, None]
+        codes = (bins + offsets[: hi - lo]).ravel()
         yield lo, hi, np.bincount(codes, minlength=(hi - lo) * m).reshape(hi - lo, m)
 
 

@@ -110,3 +110,22 @@ def test_bin_counts_yields_per_bin_loads_block_by_block(monkeypatch):
     assert [(lo, hi) for lo, hi, _ in blocks] == [(0, 3), (3, 6), (6, 9), (9, 11)]
     counts = np.concatenate([c for _, _, c in blocks])
     assert counts.tolist() == [np.bincount(row, minlength=5).tolist() for row in bins]
+
+
+@pytest.mark.parametrize(
+    "rows,n,m,sizes",
+    [
+        (400, 50, 100, [163, 163, 74]),  # the last block partial
+        (5, 1, 1 << 14, [1] * 5),  # one row per block
+        (4, 3, (1 << 14) + 3, [1] * 4),  # more bins than _BLOCK_CELLS
+    ],
+)
+def test_bin_counts_same_for_int32_and_int64_bins_and_never_writes_them(rows, n, m, sizes):
+    bins = np.random.default_rng(2).integers(0, m, size=(rows, n))
+    expected = [np.bincount(row, minlength=m).tolist() for row in bins]
+    for dtype in (np.int32, np.int64):
+        placed = bins.astype(dtype)
+        blocks = list(bin_counts(rows, n, m, lambda lo, hi: placed[lo:hi]))
+        assert np.array_equal(placed, bins), dtype
+        assert [hi - lo for lo, hi, _ in blocks] == sizes
+        assert np.concatenate([c for _, _, c in blocks]).tolist() == expected, dtype

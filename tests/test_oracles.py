@@ -644,16 +644,16 @@ def maxloads_over_b(p, m, elements, a):
     return (bins[:, :, None] == bins[:, None, :]).sum(axis=2).max(axis=1)
 
 
-@pytest.mark.parametrize("m,key_type", [(32767, np.int32), (32768, np.int64)])
-def test_maxload_credits_either_side_of_int32_sort_keys(m, key_type):
-    # A composite sort key (p - v)*m + r would stay below (p + 1)*m, 2^31 - 2
-    # at m = 32767 and 2^31 + 65536 at m = 32768; the kernel sorts the wrap
-    # points p - v alone, int32 on both sides.  With key 65536, v = a*x is
-    # int32 up to a = 32768 and int64 above it.
+@pytest.mark.parametrize("m", [32767, 32768])
+def test_maxload_credits_either_side_of_int32_products(m):
+    # The kernel forms v = a*x in int_type((hi_a - 1) * max key): with key
+    # 65536 and one multiplier per call, int32 up to a = 32767, int64 from
+    # a = 32768.
     p = 65537
-    assert int_type((p + 1) * m) is key_type
+    assert int_type(32767 * 65536) is np.int32
+    assert int_type(32768 * 65536) is np.int64
     elements = [0, 1, 2, 3, 4, 5, 6, 65536]
-    for a in (1, 2, 3, 4096, 32768, 65535, 65536):
+    for a in (1, 2, 3, 4096, 32767, 32768, 65535, 65536):
         [(lo, hi, credit)] = _maxload_credits(p, m, elements, a, a + 1)
         expected = np.bincount(maxloads_over_b(p, m, elements, a), minlength=len(elements) + 1)
         assert (lo, hi) == (a, a + 1)
