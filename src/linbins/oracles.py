@@ -7,11 +7,12 @@ as b sweeps [0, p), at b = p - v_x.  So the inner loop over b has a closed
 form: for a triple (x, y, z), the b on which h(t) agrees with h(x) (up to
 prescribed bins) are all of [0, p), nothing, one interval ending at x's wrap
 point, or its complement.  One pass, _agreement_sets, finds them in two
-stages: y's set once per distinct (x, y, (iy - ix) mod m) over every a, then
-z's set, row by row, only at the multipliers where y's is non-empty (about
-3/m of them).  Both triple counters intersect the two sets where both are
-non-empty, counting every b or only those in the residue class h(x) = ix
-fixes, one call per batch of rows.
+stages: y's set once per distinct (x, y, (iy - ix) mod m), only at the at
+most 4*ceil(p/m) multipliers where a*(y - x) mod p lies in a residue class
+mod m that can leave it non-empty, then z's set, row by row, only where
+y's is non-empty (about 3/m of the multipliers).  Both triple counters
+intersect the two sets where both are non-empty, counting every b or only
+those in the residue class h(x) = ix fixes, one call per batch of rows.
 The b values on which h(t) = h(0) form one interval per t, so the interval
 counter intersects them for t = 1, 2, ... and reads off the count for every
 length of [d] along the way.
@@ -126,13 +127,14 @@ def canonicalize_triple(p: int, x: int, y: int, z: int) -> int:
 
 
 # Cap on the cells of each block of the agreement pass: groups times
-# multipliers in its first stage, expanded (row, live multiplier) cells in its
-# second.  The lemma triple checks at (257, 16) (canonical, bounds,
-# decomposition) peak at 0.62 / 0.92 / 1.54 MiB of traced memory and take
-# 0.031 / 0.026 / 0.028 s with 2^12 / 2^13 / 2^14 cells (2-vCPU Xeon, numpy
-# 2.4, median of 5); past 2^13 memory grows and time no longer falls.
-# figure1's rows at (21787, 512) form one group: its 163 rows take under
-# 1 ms at 0.84 MiB, and all 21,785 of --full-sweep 0.07 / 0.06 / 0.05 s.
+# candidate multipliers in its first stage, expanded (row, live multiplier)
+# cells in its second.  The lemma triple checks at (257, 16) (canonical,
+# bounds, decomposition) peak at 0.61 / 0.95 / 1.61 MiB of traced memory
+# and take 0.030 / 0.025 / 0.023 s with 2^12 / 2^13 / 2^14 cells (2-vCPU
+# Xeon, numpy 2.4, median of 15); past 2^13 memory grows by two thirds for
+# a tenth off the time.  figure1's rows at (21787, 512) form one group: its
+# 163 rows take about 1 ms at 0.48 MiB, and all 21,785 of --full-sweep
+# 0.12 / 0.09 / 0.08 s.
 _ROW_BLOCK_CELLS = 1 << 13
 
 
@@ -154,6 +156,16 @@ def _row_groups(m, rows):
     return order, np.flatnonzero(new), cols
 
 
+def _candidate_classes(p, m):
+    """Residues of u = a*(y - x) mod p, less (iy - ix) mod m, at which e_y can be live.
+
+    d_y = v_y - v_x is u or u - p, so e_y in {0, q, -q} needs u in one of
+    these classes mod m: {-q, 0, q} for d_y = u, {0, q, 2q} for d_y = u - p.
+    """
+    q = p % m
+    return sorted({-q % m, 0, q, 2 * q % m})
+
+
 def _agreement_sets(p, m, rows, lo_a, hi_a):
     """Closed-form sets of b on which y and z agree with x, for a in [lo_a, hi_a).
 
@@ -166,21 +178,30 @@ def _agreement_sets(p, m, rows, lo_a, hi_a):
     1[S_t] = f_t + k_t*1[I_t] with e_t = (u_t - u_x) mod m, f_t = [e_t = 0]
     and k_t = [e_t = +-q] - f_t.  S_t is empty unless e_t is 0, q or -q.
 
-    Two stages.  Rows with equal (x, y, (iy - ix) mod m) share v_x, d_y and
-    e_y, so the first computes them once per such group over every a and
-    keeps the multipliers where e_y is live (about 3/m of them); the second
-    expands each row over its group's live multipliers only and finds e_z
-    there.  Each stage works in blocks of at most _ROW_BLOCK_CELLS cells
-    (groups times multipliers, then expanded cells; one group or row at
-    least).  Yields (r, v_x, y, z) for the cells (row r, a) where both e_y
-    and e_z are live; y and z are (d_t, f_t, k_t), with d_t = v_t - v_x
-    = c_x - c_t, so I_t lies below c_x when d_t > 0.  All are 1-D arrays.
+    Two stages.  Rows with equal (x, y, wy), wy = (iy - ix) mod m, share
+    v_x, d_y and e_y, so the first stage works once per such group, and it
+    does not scan every a.  With u = a*(y - x) mod p, d_y is u or u - p, so
+    e_y can be live only where u mod m is wy plus one of the
+    _candidate_classes: at most 4*ceil(p/m) values of u.  The stage
+    enumerates them, class by class in runs of m, and maps each to
+    a = u/(y - x) mod p, with one inverse per distinct y - x.  It keeps the
+    a in [lo_a, hi_a), so that any partition of the a-range counts each a
+    once, and of those the ones where e_y is live (about 3/m of all
+    multipliers).  The second stage expands each row over its group's live
+    multipliers only and finds e_z there.  Each stage works in blocks of at
+    most _ROW_BLOCK_CELLS cells (groups times candidates, then expanded
+    cells; one group or row at least).  Yields (r, v_x, y, z) for the cells
+    (row r, a) where both e_y and e_z are live; y and z are (d_t, f_t, k_t),
+    with d_t = v_t - v_x = c_x - c_t, so I_t lies below c_x when d_t > 0.
+    All are 1-D arrays.
     """
-    a = np.arange(lo_a, hi_a, dtype=np.int64)
     q, mq = p % m, -p % m
+    classes = np.array(_candidate_classes(p, m), dtype=np.int64)
+    runs = np.arange(0, p, m, dtype=np.int64)
+    per_group = len(classes) * len(runs)
 
     def live(e):
-        return np.flatnonzero((e == 0) | (e == q) | (e == mq))
+        return (e == 0) | (e == q) | (e == mq)
 
     def agree(d, e):
         f = e == 0
@@ -188,20 +209,31 @@ def _agreement_sets(p, m, rows, lo_a, hi_a):
 
     order, starts, (x, y, z, wy, wz) = _row_groups(m, rows)
     bounds = np.append(starts, len(rows))
-    step = max(1, _ROW_BLOCK_CELLS // max(1, len(a)))
+    diff = (y[starts] - x[starts]).tolist()
+    inverse_of = {d: pow(d, -1, p) for d in set(diff)}
+    inverse = np.array([inverse_of[d] for d in diff], dtype=np.int64)
+
+    def first_stage(first, inv):
+        """Live cells of a block of groups: their count per group, a, v_x and y's (d, f, k)."""
+        # Candidate u, class by class in runs of m; the last run may pass p.
+        u = (rem(wy[first] + classes, m)[:, :, None] + runs).reshape(len(first), -1)
+        a = rem(u * inv, p)
+        vx = rem(a * x[first], p)
+        # v_y = (v_x + u) mod p, so d_y is u, less p where v_x + u passes p.
+        dy = u - p * (vx + u >= p)
+        ey = rem(dy - wy[first], m)
+        cell = np.flatnonzero((u < p) & (a >= lo_a) & (a < hi_a) & live(ey))
+        a, vx, dy, ey = (t.ravel()[cell] for t in (a, vx, dy, ey))
+        return np.bincount(cell // per_group, minlength=len(first)), a, vx, agree(dy, ey)
+
+    step = max(1, _ROW_BLOCK_CELLS // per_group)
     for g in range(0, len(starts), step):
         first = starts[g : g + step, None]
-        vx = rem(a * x[first], p)
-        dy = rem(a * y[first], p) - vx
-        ey = rem(dy - wy[first], m)
-        cell = live(ey)
-        # Only the live cells outlive this stage.
-        vx, dy, ey = (t.ravel()[cell] for t in (vx, dy, ey))
-        a_live, ys = a[cell % len(a)], agree(dy, ey)
+        # Only the live cells outlive the first stage.
+        n_live, a_live, vx, ys = first_stage(first, inverse[g : g + step, None])
         # Live cells come grouped by group, and every row of a group reads
         # its group's run of them: expanded cell e of row i is live cell
         # e + shift[i].
-        n_live = np.bincount(cell // len(a), minlength=len(first))
         size = np.diff(bounds[g : g + len(first) + 1])
         per_row = np.repeat(n_live, size)
         end = np.cumsum(per_row)
@@ -215,10 +247,13 @@ def _agreement_sets(p, m, rows, lo_a, hi_a):
             c = np.arange(base, end[hi - 1]) + np.repeat(shift[lo:hi], n)
             dz = rem(a_live[c] * z[j], p) - vx[c]
             ez = rem(dz - wz[j], m)
-            keep = live(ez)
+            keep = np.flatnonzero(live(ez))
             c = c[keep]
             yield order[j[keep]], vx[c], tuple(s[c] for s in ys), agree(dz[keep], ez[keep])
             lo = hi
+        # Free this block's cells before the next block's first stage, which
+        # would otherwise run beside them and raise the peak memory.
+        del a_live, vx, ys, j, c, dz, ez, keep
 
 
 def _overlap(full, y, n_y, z, n_z):
@@ -287,16 +322,19 @@ def _count_rows(chunk, width, mod, queries, workers, budget, what):
     if not ((targets >= 0) & (targets < m)).all():
         raise ValueError(f"bin targets must lie in [0, {m})")
     # Every row costs one literal query, 3p^2, so a batch is charged that
-    # once.  The pool decision sees the kernel's cells: p per group, then
+    # once.  The pool decision sees the kernel's cells: each group's
+    # candidate multipliers, which every a-chunk enumerates in full, then
     # each row's live multipliers, on average p*|{0, q, -q}|/m of them.
     # The rows form at most one group each, so they are grouped here only
     # when that bound reaches the pool threshold; each chunk groups its own.
     _check_budget(3 * p * p, budget, what)
     live = len(rows) * p * len({0, p % m, -p % m}) // m
+    chunks = min(workers, _available_cores(), p) if workers > 1 else 1
+    candidates = chunks * len(_candidate_classes(p, m)) * -(-p // m)
     groups = len(rows)
-    if workers > 1 and p * groups + live >= _MIN_PARALLEL_WORK:
+    if chunks > 1 and candidates * groups + live >= _MIN_PARALLEL_WORK:
         groups = len(_row_groups(m, rows)[1])
-    return sum(_map_chunks(chunk, p, workers, p * groups + live, (p, m, rows)))
+    return sum(_map_chunks(chunk, p, workers, candidates * groups + live, (p, m, rows)))
 
 
 def count_triple_collisions(

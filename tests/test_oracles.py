@@ -116,13 +116,45 @@ def test_batched_counts_at_partial_row_blocks(monkeypatch):
     triples = list(itertools.permutations(range(5), 3))  # 60 rows
     queries = [(*t, i, (i + 1) % 3, i) for t in triples for i in range(3)]  # 180 rows
     whole = (count_triple_collisions(mod, triples), count_prescribed_triple(mod, queries))
-    for rows in (1, 7, 59):
-        # `rows` rows of 13 multipliers per block; 7 and 59 leave a partial last block.
-        monkeypatch.setattr(oracles, "_ROW_BLOCK_CELLS", rows * 13)
+    # At m = 3 every multiplier is live, so a row expands to 13 cells: 1, 7
+    # and 59 rows per second-stage block, 7 and 59 leaving a partial last
+    # block.  Each batch has 20 groups of 15 first-stage candidates (3
+    # classes, runs of 5), so 45 cells hold 3 groups, the last block 2.
+    assert len(oracles._candidate_classes(13, 3)) * -(-13 // 3) == 15
+    for cells in (1 * 13, 7 * 13, 59 * 13, 3 * 15):
+        monkeypatch.setattr(oracles, "_ROW_BLOCK_CELLS", cells)
         blocked = (count_triple_collisions(mod, triples), count_prescribed_triple(mod, queries))
-        assert all(map(np.array_equal, blocked, whole)), rows
+        assert all(map(np.array_equal, blocked, whole)), cells
     assert whole[0].tolist() == [naive_triple(13, 3, *t) for t in triples]
     assert whole[1].tolist() == [naive_prescribed(13, 3, *q) for q in queries]
+
+
+@pytest.mark.parametrize("p, m", ((11, 3), (11, 11), (11, 1), (13, 5)))
+def test_many_group_batches_match_naive_over_chunks(p, m):
+    # The first stage of the agreement pass maps each group's candidate
+    # u = a*(y - x) mod p back to a and keeps those in the chunk.  At (11, 3)
+    # 3q = 0 (mod m), so the classes -q and 2q coincide; at m = p the one
+    # class is u = (iy - ix) mod m; at m = 1 every u is a candidate.  At
+    # (11, 3) and (13, 5) m does not divide p, so some class's last run of
+    # candidates passes p.
+    classes = {(11, 3): 3, (11, 11): 1, (11, 1): 1, (13, 5): 4}[p, m]
+    assert len(oracles._candidate_classes(p, m)) == classes
+    rng = np.random.default_rng(p * m)
+    # 42 groups of 5 triples; the queries take each triple with random
+    # targets and with the targets of one (a, b), so that few counts are 0,
+    # and split the groups further by (iy - ix) mod m.
+    triples = np.array(list(itertools.permutations(range(7), 3)), dtype=np.int64)
+    a, b = rng.integers(0, p, size=(2, len(triples), 1))
+    hit = (a * triples + b) % p % m
+    queries = np.vstack(
+        [np.hstack([triples, rng.integers(0, m, size=triples.shape)]), np.hstack([triples, hit])]
+    )
+    chunks = _chunk_bounds(p, 3)
+    assert len(chunks) == 3
+    triple = sum(_triple_chunk(p, m, triples, lo, hi) for lo, hi in chunks)
+    prescribed = sum(_prescribed_chunk(p, m, queries, lo, hi) for lo, hi in chunks)
+    assert triple.tolist() == [naive_triple(p, m, *t) for t in triples.tolist()]
+    assert prescribed.tolist() == [naive_prescribed(p, m, *r) for r in queries.tolist()]
 
 
 def test_counts_match_full_grid_on_general_rows():
@@ -787,12 +819,26 @@ def test_pool_class_loads_on_first_use():
     assert run.returncode == 0, run.stderr
 
 
+def test_lemmas_never_load_numpy_ma(tmp_path):
+    # np.unique loads numpy.ma on its first call, which costs a fresh
+    # process more than the agreement pass's first stage saves.
+    out = str(tmp_path / "r.csv")
+    code = (
+        "import sys\n"
+        "from linbins.cli import main\n"
+        f"assert main(['lemmas', '--p', '13', '--m', '3', '--out', {out!r}]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma loaded'\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def test_pool_capped_at_available_cores(monkeypatch):
     sizes = []
     monkeypatch.setattr(oracles, "ProcessPoolExecutor", stand_in_pool(sizes))
     p = 21787
-    # Figure scale: one row is one group, p cells and then about 3p/m, far
-    # under the pool threshold.
+    # Figure scale: one row is one group, 4*43 candidates in each chunk and
+    # then about 3p/m live cells, far under the pool threshold.
     count_triple_collisions(Modulus(p, 512), [(0, 1, 5)], workers=100_000)
     assert sizes == []
 
@@ -904,8 +950,9 @@ def test_rows_grouped_for_the_pool_decision_only_when_a_pool_can_start(monkeypat
     monkeypatch.setattr(oracles, "ProcessPoolExecutor", stand_in_pool(sizes))
     monkeypatch.setattr(oracles, "_available_cores", lambda: 2)
     mod = Modulus(31, 5)
-    # One group: 29 rows bound the work at 29*31 + 29*31*3 // 5 = 1438
-    # cells; grouped, it is 31 + 539 = 570.  Every chunk groups its rows.
+    # One group of 28 candidates (4 classes, runs of 7), enumerated by each
+    # of 2 chunks: 29 rows bound the work at 29*28*2 + 29*31*3 // 5 = 2163
+    # cells; grouped, it is 56 + 539 = 595.  Every chunk groups its rows.
     triples = [(0, 1, d) for d in range(2, 31)]
     expected = count_triple_collisions(mod, triples)
     for threshold, workers, groupings, pool in (
