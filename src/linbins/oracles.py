@@ -94,6 +94,11 @@ def __getattr__(name: str):
     return globals().setdefault(name, ProcessPoolExecutor)
 
 
+def _pool_chunks(p: int, workers: int) -> int:
+    """How many parts _map_chunks makes of [0, p) once its work reaches the pool threshold."""
+    return max(1, min(workers, _available_cores(), p))
+
+
 def _map_chunks(func, p: int, workers: int, work: int, args: tuple) -> list:
     """Apply func(*args, lo, hi) over a partition of [0, p).
 
@@ -102,11 +107,7 @@ def _map_chunks(func, p: int, workers: int, work: int, args: tuple) -> list:
     over the whole range; a pool starts only once it reaches
     _MIN_PARALLEL_WORK, and never with more processes than available cores.
     """
-    if work < _MIN_PARALLEL_WORK:
-        workers = 1
-    else:
-        workers = min(workers, _available_cores())
-    chunks = _chunk_bounds(p, workers)
+    chunks = _chunk_bounds(p, 1 if work < _MIN_PARALLEL_WORK else _pool_chunks(p, workers))
     if len(chunks) == 1:
         return [func(*args, *chunks[0])]
     with __getattr__("ProcessPoolExecutor")(max_workers=len(chunks)) as pool:
@@ -329,7 +330,7 @@ def _count_rows(chunk, width, mod, queries, workers, budget, what):
     # when that bound reaches the pool threshold; each chunk groups its own.
     _check_budget(3 * p * p, budget, what)
     live = len(rows) * p * len({0, p % m, -p % m}) // m
-    chunks = min(workers, _available_cores(), p) if workers > 1 else 1
+    chunks = _pool_chunks(p, workers)
     candidates = chunks * len(_candidate_classes(p, m)) * -(-p // m)
     groups = len(rows)
     if chunks > 1 and candidates * groups + live >= _MIN_PARALLEL_WORK:

@@ -821,13 +821,17 @@ def test_pool_class_loads_on_first_use():
 
 def test_lemmas_never_load_numpy_ma(tmp_path):
     # np.unique loads numpy.ma on its first call, which costs a fresh
-    # process more than the agreement pass's first stage saves.
+    # process more than the agreement pass's first stage saves.  numpy 1.x
+    # imports numpy.ma with numpy itself, so there the check has nothing
+    # to see and only the run's exit status is asserted.
     out = str(tmp_path / "r.csv")
     code = (
         "import sys\n"
+        "import numpy\n"
+        "before = 'numpy.ma' in sys.modules\n"
         "from linbins.cli import main\n"
         f"assert main(['lemmas', '--p', '13', '--m', '3', '--out', {out!r}]) == 0\n"
-        "assert 'numpy.ma' not in sys.modules, 'numpy.ma loaded'\n"
+        "assert before or 'numpy.ma' not in sys.modules, 'numpy.ma loaded'\n"
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
