@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .estimators import GENERATOR_NAME, McConfig, mc_linear_maxload
 from .experiments import (
     FIGURE1_DEFAULT_M,
     FIGURE1_DEFAULT_P,
@@ -71,28 +70,6 @@ def cmd_maxload_exact(args) -> int:
     mean = sum(load * count for load, count in hist.items()) / total
     print(f"wrote {args.out}")
     print(f"tuples={total} mean_max_load={mean:.6f}")
-    return 0
-
-
-def cmd_maxload_mc(args) -> int:
-    mod = Modulus(args.p, args.m)
-    cfg = McConfig(samples=args.samples, seed=args.seed, mod=mod, key_set=Interval(args.m))
-    est = mc_linear_maxload(cfg, args.workers)
-    rows = [("mean", est.mean), ("std_error", est.std_error), ("samples", est.samples)]
-    rows += [(f"tail_{l}", value) for l, value in sorted(est.tail.items())]
-    meta = _base_meta(
-        "maxload-mc",
-        p=args.p,
-        m=args.m,
-        key_set=f"interval[{args.m}]",
-        samples=args.samples,
-        seed=args.seed,
-        generator=GENERATOR_NAME,
-        workers=args.workers,
-    )
-    write_csv(args.out, ("metric", "value"), rows, meta)
-    print(f"wrote {args.out}")
-    print(f"mean={est.mean:.6f} std_error={est.std_error:.6f}")
     return 0
 
 
@@ -163,17 +140,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         return sp if command in (None, name) else None
 
-    def common(sp, p, m, out, seed=None, samples=None, budget=True):
+    def common(sp, p, m, out):
         sp.add_argument("--p", type=int, default=p, help="prime modulus")
         sp.add_argument("--m", type=int, default=m, help="number of bins")
         sp.add_argument("--out", default=out, help="output CSV path")
         sp.add_argument("--workers", type=int, default=1, help="parallel workers")
-        if budget:
-            sp.add_argument("--budget", type=int, help="cap on exhaustive work (see README)")
-        if seed is not None:
-            sp.add_argument("--seed", type=int, default=seed, help="random seed")
-        if samples is not None:
-            sp.add_argument("--samples", type=int, default=samples, help="Monte Carlo samples")
+        sp.add_argument("--budget", type=int, help="cap on exhaustive work (see README)")
 
     if sp := add("figure1", "exact collision-probability sweep over d"):
         common(sp, FIGURE1_DEFAULT_P, FIGURE1_DEFAULT_M, "figure1.csv")
@@ -182,7 +154,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sp.set_defaults(func=cmd_report, run=run_figure1)
 
     if sp := add("lemmas", "exhaustive invariant checks at one (p, m)"):
-        common(sp, 257, 16, "lemmas.report.csv", seed=0)
+        common(sp, 257, 16, "lemmas.report.csv")
+        sp.add_argument("--seed", type=int, default=0, help="random seed")
         sp.set_defaults(func=cmd_report, run=run_lemma_checks)
 
     if sp := add("scaling", "linear vs fully random mean max load across m"):
@@ -195,21 +168,16 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sp.add_argument("--workers", type=int, default=1, help="parallel workers")
         sp.set_defaults(func=cmd_report, run=run_scaling)
 
-    if sp := add("transform", "interval vs affine-image max-load comparison"):
-        common(sp, 1031, 32, "transform.csv", seed=0, samples=20_000)
+    if sp := add("transform", "exact interval vs affine-image max-load histograms"):
+        common(sp, 1031, 32, "transform.csv")
         sp.add_argument("--alpha", type=int, default=77, help="affine multiplier (nonzero)")
         sp.add_argument("--beta", type=int, default=5, help="affine offset")
-        sp.add_argument("--exhaustive", action="store_true", help="also compare exact histograms")
         sp.set_defaults(func=cmd_report, run=run_transform_demo)
 
     if sp := add("maxload-exact", "exact max-load histogram on [m]"):
         common(sp, 257, 16, "maxload_exact.csv")
         sp.add_argument("--b-mode", choices=("all_b", "b_zero"), default="all_b")
         sp.set_defaults(func=cmd_maxload_exact)
-
-    if sp := add("maxload-mc", "Monte Carlo max-load estimate on [m]"):
-        common(sp, 1031, 32, "maxload_mc.csv", seed=0, samples=20_000, budget=False)
-        sp.set_defaults(func=cmd_maxload_mc)
 
     if sp := add("collide3", "exact collision count of one triple"):
         common(sp, 257, 16, None)

@@ -4,8 +4,8 @@ Every experiment writes '#'-commented metadata plus a plain CSV body, and
 returns an AcceptanceReport whose rows carry the property checked, the
 observed value, and the required bound.  Tolerances that arithmetic does not
 force (the 25% symmetry band, the -1.5 tail slope, the 1.0 mean spread and
-separation margins, the 4-standard-error agreement windows) are artifact
-choices and the claim text marks them as such.
+separation margins) are artifact choices and the claim text marks them as
+such.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import csv
 import functools
 import io
 import itertools
-import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -23,14 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimators import (
-    GENERATOR_NAME,
-    McConfig,
-    _check_seed,
-    mc_linear_maxload,
-    scaling_study,
-    tail_log_slope,
-)
+from .estimators import GENERATOR_NAME, _check_seed, scaling_study, tail_log_slope
 from .field import Modulus, int_type, rem
 from .loads import AffineImage, Explicit, Interval, bin_counts, materialize
 from .oracles import (
@@ -285,14 +277,21 @@ def check_b_shift_containment(mod: Modulus) -> tuple[int, int]:
     return p * p, violations
 
 
+def _affine_histograms(
+    mod: Modulus, alpha: int, beta: int, workers: int = 1, budget: int | None = None
+) -> tuple[dict[int, int], dict[int, int]]:
+    """All-(a,b) max-load histograms of [m] and of its image under x -> alpha*x + beta."""
+    return tuple(
+        exact_maxload_histogram(mod, ks, "all_b", workers, budget)
+        for ks in (Interval(mod.m), AffineImage(mod.m, alpha, beta))
+    )
+
+
 def check_affine_histogram(
     mod: Modulus, alpha: int, beta: int, workers: int = 1, budget: int | None = None
 ) -> bool:
     """All-(a,b) max-load histograms of [m] and its affine image must match."""
-    plain = exact_maxload_histogram(mod, Interval(mod.m), "all_b", workers, budget)
-    moved = exact_maxload_histogram(
-        mod, AffineImage(mod.m, alpha, beta), "all_b", workers, budget
-    )
+    plain, moved = _affine_histograms(mod, alpha, beta, workers, budget)
     return plain == moved
 
 
@@ -596,76 +595,31 @@ def run_transform_demo(
     m: int,
     alpha: int,
     beta: int,
-    samples: int,
-    seed: int,
     out,
-    exhaustive: bool = False,
     workers: int = 1,
     budget: int | None = None,
 ) -> AcceptanceReport:
-    """Compare max-load estimates for [m] against its affine image."""
-    mod = Modulus(p, m)
-    # Both configs validate their key sets before either samples.
-    configs = [
-        McConfig(samples=samples, seed=seed, mod=mod, key_set=ks)
-        for ks in (Interval(m), AffineImage(m, alpha, beta))
-    ]
-    plain, moved = (mc_linear_maxload(cfg, workers) for cfg in configs)
-    gap = abs(plain.mean - moved.mean)
-    combined = math.hypot(plain.std_error, moved.std_error)
-    ratio = 0.0 if gap == 0 else (gap / combined if combined else math.inf)
-    columns = ("key_set", "mean", "std_error", "samples", "mean_diff_in_se")
-    rows = [
-        ("interval", plain.mean, plain.std_error, plain.samples, 0.0),
-        ("affine_image", moved.mean, moved.std_error, moved.samples, ratio),
-    ]
-    meta = _base_meta(
-        "transform",
-        p=p,
-        m=m,
-        alpha=alpha,
-        beta=beta,
-        samples=samples,
-        seed=seed,
-        generator=GENERATOR_NAME,
-        exhaustive=exhaustive,
-        workers=workers,
-    )
-    write_csv(out, columns, rows, meta)
+    """Compare the exact all-(a,b) max-load histograms of [m] and its affine image.
 
-    checks = [
-        CheckRow(
-            name="transform-mean-agreement",
-            claim="interval and affine-image key sets give the same expected "
-            "max load (4 combined std errors is an artifact choice)",
-            observed=f"difference = {ratio:.6g} combined std errors",
-            bound="<= 4",
-            passed=ratio <= 4,
-        )
-    ]
-    if alpha % p == 1 and beta % p == 0:
-        checks.append(
-            CheckRow(
-                name="transform-identity",
-                claim="the identity transform yields the identical estimate "
-                "under the same seed",
-                observed="estimates equal" if plain == moved else "estimates differ",
-                bound="equal",
-                passed=plain == moved,
-            )
-        )
-    if exhaustive:
-        same = check_affine_histogram(mod, alpha, beta, workers, budget)
-        checks.append(
-            CheckRow(
-                name="transform-exhaustive-histogram",
-                claim="all-(a,b) max-load histograms of the two key sets are "
-                "exactly equal",
-                observed="histograms equal" if same else "histograms differ",
-                bound="equal",
-                passed=same,
-            )
-        )
-    report = AcceptanceReport(tuple(checks))
+    Writes columns max_load, interval_count, affine_image_count, each count
+    an integer over p^2, and checks that the two histograms are equal.
+    """
+    mod = Modulus(p, m)
+    for ks in (Interval(m), AffineImage(m, alpha, beta)):
+        materialize(ks, mod)  # both key sets are valid before either histogram runs
+    plain, moved = _affine_histograms(mod, alpha, beta, workers, budget)
+    rows = [(load, plain.get(load, 0), moved.get(load, 0)) for load in sorted({*plain, *moved})]
+    meta = _base_meta("transform", p=p, m=m, alpha=alpha, beta=beta, workers=workers)
+    write_csv(out, ("max_load", "interval_count", "affine_image_count"), rows, meta)
+
+    same = plain == moved
+    check = CheckRow(
+        name="transform-exhaustive-histogram",
+        claim="all-(a,b) max-load histograms of the two key sets are exactly equal",
+        observed="histograms equal" if same else "histograms differ",
+        bound="equal",
+        passed=same,
+    )
+    report = AcceptanceReport((check,))
     write_report_csv(report_csv_path(out), report, meta)
     return report

@@ -10,7 +10,7 @@ from linbins.cli import build_parser, main
 
 SUBCOMMANDS = (
     "figure1", "lemmas", "scaling", "transform",
-    "maxload-exact", "maxload-mc", "collide3", "interval-collide",
+    "maxload-exact", "collide3", "interval-collide",
 )
 
 
@@ -91,10 +91,9 @@ def test_budget_only_on_exhaustive_subcommands():
     for command in exhaustive:
         assert parser.parse_args([command, "--budget", "7"]).budget == 7, command
     # Sampling alone does no exhaustive work, so there is nothing to cap.
-    for command in ("maxload-mc", "scaling"):
-        with pytest.raises(SystemExit):
-            parser.parse_args([command, "--budget", "7"])
-    assert parser.parse_args(["maxload-mc", "--workers", "2"]).workers == 2
+    with pytest.raises(SystemExit):
+        parser.parse_args(["scaling", "--budget", "7"])
+    assert parser.parse_args(["scaling", "--workers", "2"]).workers == 2
 
 
 def exit_output(parse, argv, capsys):
@@ -140,21 +139,6 @@ def test_maxload_exact_b_zero_partitions(tmp_path):
     assert rows[0] == "max_load,count,probability"
     counts = [int(r.split(",")[1]) for r in rows[1:]]
     assert sum(counts) == 257
-
-
-def test_maxload_mc_reproducible(tmp_path):
-    args = (
-        "maxload-mc", "--p", "257", "--m", "16", "--samples", "500", "--seed", "9",
-    )
-    first = run_cli(*args, "--out", "a.csv", cwd=tmp_path)
-    second = run_cli(*args, "--out", "b.csv", cwd=tmp_path)
-    assert first.returncode == second.returncode == 0
-    assert body(tmp_path / "a.csv") == body(tmp_path / "b.csv")
-    assert "mean=" in first.stdout
-    third = run_cli(*args, "--workers", "2", "--out", "c.csv", cwd=tmp_path)
-    assert third.returncode == 0
-    assert body(tmp_path / "a.csv") == body(tmp_path / "c.csv")
-    assert "# workers=2\n" in (tmp_path / "c.csv").read_text()
 
 
 def test_collide3_prints_counts(tmp_path):
@@ -223,8 +207,13 @@ def test_scaling_cli_rerun_identical(tmp_path):
 def test_transform_cli(tmp_path):
     proc = run_cli(
         "transform", "--p", "257", "--m", "16", "--alpha", "77", "--beta", "5",
-        "--samples", "400", "--seed", "2", "--exhaustive", "--out", "t.csv",
-        cwd=tmp_path,
+        "--out", "t.csv", cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "transform-exhaustive-histogram" in proc.stdout
+    # The comparison is exact, so there is nothing to sample or seed.
+    sub = next(action for action in build_parser()._actions if action.dest == "command")
+    flags = {flag for action in sub.choices["transform"]._actions for flag in action.option_strings}
+    assert flags == {
+        "-h", "--help", "--p", "--m", "--out", "--workers", "--budget", "--alpha", "--beta",
+    }

@@ -35,6 +35,7 @@ from linbins.experiments import (
     run_transform_demo,
     write_csv,
 )
+from linbins.cli import main
 from linbins.field import Modulus
 from linbins.loads import Interval
 from linbins.oracles import count_triple_collisions, maxloads_for_a, triple_bound_formula
@@ -331,35 +332,60 @@ def test_run_scaling_small(tmp_path):
     assert csv_body(out.read_text()) == body
 
 
+def transform_rows(out, p):
+    """The transform CSV's rows as integer triples, after checking its header and totals."""
+    header, *lines = csv_body(out.read_text()).splitlines()
+    assert header == "max_load,interval_count,affine_image_count"
+    rows = [tuple(map(int, line.split(","))) for line in lines]
+    assert sum(r[1] for r in rows) == sum(r[2] for r in rows) == p * p
+    return rows
+
+
 def test_run_transform_identity(tmp_path):
     out = tmp_path / "transform.csv"
-    report = run_transform_demo(
-        p=257, m=16, alpha=1, beta=0, samples=400, seed=5, out=out
-    )
-    assert report_row(report, "transform-identity").passed
-    assert report_row(report, "transform-mean-agreement").observed.startswith("difference = 0")
+    report = run_transform_demo(p=257, m=16, alpha=1, beta=0, out=out)
+    assert [c.name for c in report.checks] == ["transform-exhaustive-histogram"]
     assert report.overall
+    assert all(plain == moved for _, plain, moved in transform_rows(out, 257))
 
 
 def test_run_transform_exhaustive(tmp_path):
     out = tmp_path / "transform.csv"
-    report = run_transform_demo(
-        p=257, m=16, alpha=77, beta=5, samples=2000, seed=5, out=out, exhaustive=True
-    )
+    report = run_transform_demo(p=257, m=16, alpha=77, beta=5, out=out)
     assert report_row(report, "transform-exhaustive-histogram").passed
-    assert report_row(report, "transform-mean-agreement").passed
-    body = csv_body(out.read_text())
-    assert body.splitlines()[0] == "key_set,mean,std_error,samples,mean_diff_in_se"
-    assert len(body.splitlines()) == 3
+    assert report.overall
+    plain = oracles.exact_maxload_histogram(Modulus(257, 16), Interval(16))
+    assert transform_rows(out, 257) == [(load, c, c) for load, c in sorted(plain.items())]
 
 
 def test_run_transform_validates_both_key_sets_before_sampling(tmp_path, monkeypatch):
-    # alpha = p passes AffineImage but not materialize; no sample may be drawn.
-    def no_sampling(*args):
-        raise AssertionError("sampling started before the key sets were validated")
+    # alpha = p passes AffineImage but not materialize; no histogram may run.
+    def no_histogram(*args):
+        raise AssertionError("a histogram started before the key sets were validated")
 
-    monkeypatch.setattr(experiments, "mc_linear_maxload", no_sampling)
+    monkeypatch.setattr(experiments, "exact_maxload_histogram", no_histogram)
     with pytest.raises(ValueError, match="alpha must be nonzero modulo p"):
-        run_transform_demo(
-            p=1031, m=32, alpha=1031, beta=5, samples=400_000, seed=0, out=tmp_path / "t.csv"
-        )
+        run_transform_demo(p=1031, m=32, alpha=1031, beta=5, out=tmp_path / "t.csv")
+
+
+def test_run_transform_reports_unequal_histograms(tmp_path, monkeypatch):
+    # Move one affine-image tuple from the lowest max load to the next one up.
+    exact = oracles.exact_maxload_histogram
+
+    def skewed(mod, ks, *args):
+        hist = exact(mod, ks, *args)
+        if isinstance(ks, loads.AffineImage):
+            low = min(hist)
+            hist[low] -= 1
+            hist[low + 1] = hist.get(low + 1, 0) + 1
+        return hist
+
+    monkeypatch.setattr(experiments, "exact_maxload_histogram", skewed)
+    out = tmp_path / "transform.csv"
+    report = run_transform_demo(p=257, m=16, alpha=77, beta=5, out=out)
+    row = report_row(report, "transform-exhaustive-histogram")
+    assert not row.passed and row.observed == "histograms differ"
+    assert not report.overall
+    assert sum(plain != moved for _, plain, moved in transform_rows(out, 257)) == 2
+    argv = ["transform", "--p", "257", "--m", "16", "--out", str(tmp_path / "cli.csv")]
+    assert main(argv) == 1
