@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import itertools
+import random
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -307,19 +308,19 @@ def check_canonical_equality(
     """Prescribed-bin counts must be invariant under reduction to (0, 1, d).
 
     Every ordered triple is checked for p <= 31, a random sample above.
+    Triples and targets come from the stdlib's random.Random(seed).
     """
+    # random.Random(-s) is the stream of random.Random(s), so the range is checked here.
+    _check_seed(seed)
     p, m = mod.p, mod.m
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     if p <= 31:
         triples = list(itertools.permutations(range(p), 3))
     else:
-        triples = [
-            tuple(int(v) for v in rng.choice(p, size=3, replace=False))
-            for _ in range(_CANONICAL_SAMPLES)
-        ]
+        triples = [tuple(rng.sample(range(p), 3)) for _ in range(_CANONICAL_SAMPLES)]
     canonical = [(0, 1, canonicalize_triple(p, *t)) for t in triples]
-    # One draw for every target: the same stream as one draw per (triple, target).
-    targets = rng.integers(0, m, size=(len(triples) * _TARGETS_PER_TRIPLE, 3))
+    draws = rng.choices(range(m), k=len(triples) * _TARGETS_PER_TRIPLE * 3)
+    targets = np.array(draws, dtype=np.int64).reshape(-1, 3)
 
     def queries(rows):
         rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
@@ -445,9 +446,9 @@ def run_lemma_checks(
     if p < 3:
         raise ValueError(f"lemmas needs p >= 3 to form distinct triples, got p={p}")
     _check_seed(seed)
-    rng = np.random.default_rng(seed + 1)
-    alpha = 1 + int(rng.integers(p - 1))
-    beta = int(rng.integers(p))
+    rng = random.Random(seed + 1)
+    alpha = 1 + rng.randrange(p - 1)
+    beta = rng.randrange(p)
     lower_bound = interval_lower_bound_active(mod)
     # These two checks feed two rows each and run once.
     triples = functools.cache(lambda: check_triple_bounds(mod, workers, budget))
@@ -510,6 +511,7 @@ def run_lemma_checks(
         p=p,
         m=m,
         seed=seed,
+        rng="python random.Random (MT19937); canonical sample from seed, affine map from seed + 1",
         workers=workers,
         interval_lower_bound="active" if lower_bound else "inactive (requires p > 3m^2)",
     )

@@ -85,6 +85,47 @@ def test_lemmas_seed_outside_64_bits_exits_two(tmp_path, seed):
     assert proc.stderr == f"error: seed must be a 64-bit unsigned integer, got {seed}\n"
 
 
+def test_lemmas_largest_seed_reproducible(tmp_path):
+    # The affine map comes from random.Random(seed + 1) = random.Random(2^64).
+    args = ("lemmas", "--p", "13", "--m", "3", "--seed", str(2**64 - 1))
+    first = run_cli(*args, "--out", "a.csv", cwd=tmp_path)
+    second = run_cli(*args, "--out", "b.csv", cwd=tmp_path)
+    assert first.returncode == second.returncode == 0, first.stderr
+    assert body(tmp_path / "a.csv") == body(tmp_path / "b.csv")
+
+
+def test_only_scaling_loads_numpy_random(tmp_path):
+    # numpy >= 2 imports numpy.random, and about 20 modules with it, on
+    # first use; only the Monte Carlo sampler needs it.
+    # numpy 1.x imports it with numpy itself, so there is nothing to see.
+    code = (
+        "import contextlib, io, sys\n"
+        "import numpy\n"
+        "if 'numpy.random' in sys.modules:\n"
+        "    print('eager')\n"
+        "    sys.exit(0)\n"
+        "from linbins.cli import main\n"
+        "commands = [\n"
+        "    ['lemmas', '--p', '13', '--m', '3'],\n"
+        "    ['figure1', '--p', '1031', '--m', '32', '--points', '16'],\n"
+        "    ['maxload-exact'], ['transform'], ['collide3'], ['interval-collide'],\n"
+        "]\n"
+        "for argv in commands:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    assert 'numpy.random' not in sys.modules, argv[0]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['scaling', '--m-values', '8,16', '--samples', '400', '--seed', '3'])\n"
+        "assert 'numpy.random' in sys.modules, 'scaling'\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    if run.stdout == "eager\n":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+
+
 def test_budget_only_on_exhaustive_subcommands():
     parser = build_parser()
     exhaustive = ("figure1", "lemmas", "transform", "maxload-exact", "collide3", "interval-collide")
