@@ -27,15 +27,14 @@ from .estimators import GENERATOR_NAME, _check_seed, scaling_study, tail_log_slo
 from .field import Modulus, int_type, rem
 from .loads import AffineImage, Explicit, Interval, bin_counts, materialize
 from .oracles import (
-    _chunk_bounds,
-    _maxload_credits,
-    _triple_chunk,
     canonicalize_triple,
+    check_partition_determinism,
     count_interval_collisions,
     count_prescribed_triple,
     count_triple_collisions,
     exact_maxload_histogram,
     interval_lower_bound,
+    maxload_credits,
     maxloads_b_zero,
     triple_bound_terms,
 )
@@ -272,7 +271,7 @@ def check_b_shift_containment(mod: Modulus) -> tuple[int, int]:
     at_zero = maxloads_b_zero(mod, Interval(m))
     load = np.arange(m + 1)
     violations = 0
-    for lo, hi, credit in _maxload_credits(p, m, range(m), 0, p):
+    for lo, hi, credit in maxload_credits(p, m, range(m), 0, p):
         l0 = at_zero[lo:hi, None]
         violations += int(credit[(load // 2 > l0) | (l0 > 2 * load)].sum())
     return p * p, violations
@@ -405,29 +404,6 @@ def check_decomposition(mod: Modulus, budget: int | None = None) -> tuple[int, i
     return len(triples), int(violations)
 
 
-def check_partition_determinism(mod: Modulus, budget: int | None = None) -> tuple[int, int]:
-    """Counts must not depend on how the a-range is chunked across workers."""
-    p, m = mod.p, mod.m
-    d = (p - 1) // 2 if p > 5 else 2
-    [base] = count_triple_collisions(mod, [(0, 1, d)], budget=budget)
-    rows = np.array([(0, 1, d)], dtype=np.int64)
-    checked = violations = 0
-    for chunks in (2, 3, 7):
-        split = sum(_triple_chunk(p, m, rows, lo, hi) for lo, hi in _chunk_bounds(p, chunks))
-        violations += int(split[0] != base)
-        checked += 1
-    # The event kernel, summed over two sub-ranges of a, as a pool would split it.
-    whole = exact_maxload_histogram(mod, Interval(m), "all_b", budget=budget)
-    split = sum(
-        credit.sum(axis=0)
-        for lo, hi in _chunk_bounds(p, 2)
-        for _, _, credit in _maxload_credits(p, m, range(m), lo, hi)
-    )
-    violations += whole != {load: c for load, c in enumerate(split.tolist()) if c}
-    checked += 1
-    return checked, violations
-
-
 def run_lemma_checks(
     p: int,
     m: int,
@@ -493,6 +469,9 @@ def run_lemma_checks(
     ]
     if not lower_bound:
         table = [row for row in table if row[0] != "interval-lower-bound"]
+    # Refuse an over-budget run before the uncharged checks: the interval
+    # sweep charges d_max*p^2, more than any row but the lower bound's at m > 128.
+    intervals()
     checks = []
     for name, claim, unit, run in table:
         value = run()

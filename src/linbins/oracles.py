@@ -21,8 +21,8 @@ the bins are the classes v_x mod m rotated by b, so the max load is
 constant, and each wrap moves one key between classes.  Sorting the n wrap
 points and replaying them costs O(n log n) per a instead of the O(p*n) of
 scanning every b.  The resulting counts are identical to the literal double
-loop, which the test suite keeps as an independent reference.  The replay
-yields each a's own histogram over b, which the b-shift check also reads.
+loop, which the test suite keeps as an independent reference.  The replay,
+maxload_credits, yields each a's histogram over b, read by the b-shift check.
 Both max-load histograms place the keys only for a < (p+1)/2 and take each
 p - a from its mirror a.  With b = 0, (p-a)*x = p - a*x (mod p) for x != 0,
 so h_{p-a,0} puts x in class (q - r) mod m when h_{a,0} puts it in class r,
@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .field import Modulus, int_type, mod_inverse, rem
-from .loads import KeySet, bin_counts, materialize, max_loads
+from .loads import Interval, KeySet, bin_counts, materialize, max_loads
 
 # Refuse exhaustive calls whose cost exceeds this, unless the caller raises
 # the budget.  Collision counts are charged the hash evaluations of the
@@ -115,6 +115,30 @@ def _map_chunks(func, p: int, workers: int, work: int, args: tuple) -> list:
         return [f.result() for f in futures]
 
 
+def check_partition_determinism(mod: Modulus, budget: int | None = None) -> tuple[int, int]:
+    """Counts must not depend on how the a-range is chunked across workers."""
+    p, m = mod.p, mod.m
+    d = (p - 1) // 2 if p > 5 else 2
+    [base] = count_triple_collisions(mod, [(0, 1, d)], budget=budget)
+    rows = np.array([(0, 1, d)], dtype=np.int64)
+    args = p, m, rows, _row_groups(m, rows)
+    checked = violations = 0
+    for chunks in (2, 3, 7):
+        split = sum(_triple_chunk(*args, lo, hi) for lo, hi in _chunk_bounds(p, chunks))
+        violations += int(split[0] != base)
+        checked += 1
+    # The event kernel, summed over two sub-ranges of a, as a pool would split it.
+    whole = exact_maxload_histogram(mod, Interval(m), "all_b", budget=budget)
+    split = sum(
+        credit.sum(axis=0)
+        for lo, hi in _chunk_bounds(p, 2)
+        for _, _, credit in maxload_credits(p, m, range(m), lo, hi)
+    )
+    violations += whole != {load: c for load, c in enumerate(split.tolist()) if c}
+    checked += 1
+    return checked, violations
+
+
 def canonicalize_triple(p: int, x: int, y: int, z: int) -> int:
     """The d of the canonical (0, 1, d) form of a distinct triple; never 0 or 1.
 
@@ -167,12 +191,12 @@ def _candidate_classes(p, m):
     return sorted({-q % m, 0, q, 2 * q % m})
 
 
-def _agreement_sets(p, m, rows, lo_a, hi_a):
+def _agreement_sets(p, m, groups, lo_a, hi_a):
     """Closed-form sets of b on which y and z agree with x, for a in [lo_a, hi_a).
 
-    Rows are (x, y, z) or (x, y, z, ix, iy, iz) (targets i_t = 0 in the first
-    form).  For fixed a, t wraps at c_t = p - v_t, v_t = a*t mod p, so with
-    u_t = v_t - i_t, h(t) - i_t = h(x) - i_x (mod m) holds on
+    groups is _row_groups of (x, y, z) or (x, y, z, ix, iy, iz) rows (targets
+    i_t = 0 in the first form).  For fixed a, t wraps at c_t = p - v_t,
+    v_t = a*t mod p, so with u_t = v_t - i_t, h(t) - i_t = h(x) - i_x (mod m) holds on
     S_t = {b : u_t - u_x = p*([b >= c_t] - [b >= c_x]) (mod m)}.  The right
     side is 0 outside I_t, the interval between c_t and c_x on which exactly
     one of t, x has wrapped, and q = p mod m (t has) or -q (x has) on it, so
@@ -208,8 +232,8 @@ def _agreement_sets(p, m, rows, lo_a, hi_a):
         f = e == 0
         return d, f, (e == np.where(d > 0, q, mq)) - f.astype(np.int64)
 
-    order, starts, (x, y, z, wy, wz) = _row_groups(m, rows)
-    bounds = np.append(starts, len(rows))
+    order, starts, (x, y, z, wy, wz) = groups
+    bounds = np.append(starts, len(order))
     diff = (y[starts] - x[starts]).tolist()
     inverse_of = {d: pow(d, -1, p) for d in set(diff)}
     inverse = np.array([inverse_of[d] for d in diff], dtype=np.int64)
@@ -268,17 +292,17 @@ def _overlap(full, y, n_y, z, n_z):
     return f_y * (f_z * full + k_z * n_z) + k_y * (f_z * n_y + k_z * both)
 
 
-def _triple_chunk(p, m, rows, lo_a, hi_a):
-    """Per-row collision counts of (x, y, z) rows over a in [lo_a, hi_a)."""
+def _triple_chunk(p, m, rows, groups, lo_a, hi_a):
+    """Per-row collision counts of (x, y, z) rows, in their _row_groups, over a in [lo_a, hi_a)."""
     out = np.zeros(len(rows), dtype=np.int64)
-    for r, _, y, z in _agreement_sets(p, m, rows, lo_a, hi_a):
+    for r, _, y, z in _agreement_sets(p, m, groups, lo_a, hi_a):
         # Every b counts, so the measure of I_t is its length.
         np.add.at(out, r, _overlap(p, y, abs(y[0]), z, abs(z[0])))
     return out
 
 
-def _prescribed_chunk(p, m, rows, lo_a, hi_a):
-    """Per-row counts of (x, y, z, ix, iy, iz) rows over a in [lo_a, hi_a)."""
+def _prescribed_chunk(p, m, rows, groups, lo_a, hi_a):
+    """Per-row counts of (x, y, z, ix, iy, iz) rows, in their _row_groups, over [lo_a, hi_a)."""
     out = np.zeros(len(rows), dtype=np.int64)
     q = p % m
 
@@ -286,7 +310,7 @@ def _prescribed_chunk(p, m, rows, lo_a, hi_a):
         """How many b < c lie in residue class rho mod m."""
         return (c - rho + m - 1) // m
 
-    for r, vx, y, z in _agreement_sets(p, m, rows, lo_a, hi_a):
+    for r, vx, y, z in _agreement_sets(p, m, groups, lo_a, hi_a):
         # h(x) = ix pins b to one residue class mod m: rho0 below x's wrap
         # point c_x, rho1 = rho0 + q from there on.  Every I_t ends at c_x.
         cx = p - vx
@@ -323,19 +347,16 @@ def _count_rows(chunk, width, mod, queries, workers, budget, what):
     if not ((targets >= 0) & (targets < m)).all():
         raise ValueError(f"bin targets must lie in [0, {m})")
     # Every row costs one literal query, 3p^2, so a batch is charged that
-    # once.  The pool decision sees the kernel's cells: each group's
+    # once.  The rows are grouped once, here, and every a-chunk reads that
+    # grouping.  The pool decision sees the kernel's cells: each group's
     # candidate multipliers, which every a-chunk enumerates in full, then
     # each row's live multipliers, on average p*|{0, q, -q}|/m of them.
-    # The rows form at most one group each, so they are grouped here only
-    # when that bound reaches the pool threshold; each chunk groups its own.
     _check_budget(3 * p * p, budget, what)
+    groups = _row_groups(m, rows)
     live = len(rows) * p * len({0, p % m, -p % m}) // m
-    chunks = _pool_chunks(p, workers)
-    candidates = chunks * len(_candidate_classes(p, m)) * -(-p // m)
-    groups = len(rows)
-    if chunks > 1 and candidates * groups + live >= _MIN_PARALLEL_WORK:
-        groups = len(_row_groups(m, rows)[1])
-    return sum(_map_chunks(chunk, p, workers, candidates * groups + live, (p, m, rows)))
+    candidates = _pool_chunks(p, workers) * len(_candidate_classes(p, m)) * -(-p // m)
+    work = candidates * len(groups[1]) + live
+    return sum(_map_chunks(chunk, p, workers, work, (p, m, rows, groups)))
 
 
 def count_triple_collisions(
@@ -513,7 +534,7 @@ def maxloads_for_a(mod: Modulus, ks: KeySet, a: int) -> np.ndarray:
 _EVENT_BLOCK_CELLS = 1 << 19
 
 
-def _maxload_credits(p, m, elements, lo_a, hi_a):
+def maxload_credits(p, m, elements, lo_a, hi_a):
     """Per-a histograms of the max load over every b, by wrap events.
 
     Yields (lo, hi, credit) per block of multipliers a in [lo_a, hi_a);
@@ -579,7 +600,7 @@ def _maxload_credits(p, m, elements, lo_a, hi_a):
 def _maxload_hist_all_b_chunk(p, m, elements, lo_a, hi_a):
     """Max-load histogram over a in [lo_a, hi_a) and every b."""
     hist = np.zeros(len(elements) + 1, dtype=np.int64)
-    for _, _, credit in _maxload_credits(p, m, elements, lo_a, hi_a):
+    for _, _, credit in maxload_credits(p, m, elements, lo_a, hi_a):
         hist += credit.sum(axis=0)
     return hist
 
@@ -607,7 +628,7 @@ def exact_maxload_histogram(
     attaining them; tail probabilities follow by suffix sums.  b_zero bins
     every key once per a.  all_b never scans b: per a it sorts the n wrap
     points of the keys and replays them as class moves (see
-    _maxload_hist_all_b_chunk).
+    maxload_credits).
 
     Both modes place the keys only for a < (p+1)/2 and take p - a from a.
     b_zero: (p-a)*x = p - a*x (mod p) for x != 0, so h_{p-a,0} moves a's

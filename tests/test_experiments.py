@@ -1,9 +1,11 @@
 """Experiment runners, check functions, and the CSV/report plumbing."""
 
+import ast
 import csv
 import hashlib
 import io
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -206,7 +208,7 @@ def test_check_triple_bounds_statement_form_fails_once(p, m):
 def test_partition_determinism_splits_the_event_kernel(monkeypatch):
     # A kernel that miscounts only on a sub-range starting past a = 0 must
     # show as one violated partition, so the histogram really is split.
-    real = experiments._maxload_credits
+    real = oracles.maxload_credits
 
     def skewed(p, m, elements, lo_a, hi_a):
         for lo, hi, credit in real(p, m, elements, lo_a, hi_a):
@@ -214,7 +216,7 @@ def test_partition_determinism_splits_the_event_kernel(monkeypatch):
                 credit[0, 0] += 1
             yield lo, hi, credit
 
-    monkeypatch.setattr(experiments, "_maxload_credits", skewed)
+    monkeypatch.setattr(oracles, "maxload_credits", skewed)
     assert check_partition_determinism(Modulus(257, 16)) == (4, 1)
 
 
@@ -299,6 +301,30 @@ def test_run_lemma_checks_passes_budget_to_every_check(tmp_path, monkeypatch):
     for check in (check_canonical_equality, check_decomposition, check_partition_determinism):
         with pytest.raises(oracles.WorkBudgetError):
             check(mod, budget=1)
+
+
+def test_run_lemma_checks_refuses_over_budget_before_uncharged_checks(tmp_path, monkeypatch):
+    # At p = 2^31 - 1 the load-sum check alone would work for hours; the
+    # interval sweep's charge must refuse the run before it starts.
+    def unreachable(*args):
+        raise AssertionError("check_load_sums ran before the budget refusal")
+
+    monkeypatch.setattr(experiments, "check_load_sums", unreachable)
+    with pytest.raises(oracles.WorkBudgetError, match="interval collision count"):
+        run_lemma_checks(2147483647, 2, tmp_path / "l.report.csv")
+
+
+def test_experiments_imports_no_private_oracle_name():
+    # The a-range partition and the chunk kernels stay behind oracles.
+    tree = ast.parse(Path(experiments.__file__).read_text())
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "oracles" and node.level == 1
+        for alias in node.names
+    ]
+    assert "count_triple_collisions" in names
+    assert [name for name in names if name.startswith("_")] == []
 
 
 def test_run_lemma_checks_includes_lower_bound(tmp_path):

@@ -18,7 +18,6 @@ from linbins.oracles import (
     WorkBudgetError,
     _chunk_bounds,
     _interval_chunk,
-    _maxload_credits,
     _maxload_hist_all_b_chunk,
     _maxload_hist_b_zero_chunk,
     _maxloads_b_zero_chunk,
@@ -32,11 +31,17 @@ from linbins.oracles import (
     count_triple_collisions,
     exact_maxload_histogram,
     interval_lower_bound,
+    maxload_credits,
     maxloads_b_zero,
     maxloads_for_a,
     triple_bound_formula,
     triple_bound_terms,
 )
+
+
+def chunk_args(p, m, rows):
+    """The leading arguments of a triple chunk kernel: rows grouped once, as _count_rows does."""
+    return p, m, rows, oracles._row_groups(m, rows)
 
 
 def naive_triple(p, m, x, y, z):
@@ -151,8 +156,8 @@ def test_many_group_batches_match_naive_over_chunks(p, m):
     )
     chunks = _chunk_bounds(p, 3)
     assert len(chunks) == 3
-    triple = sum(_triple_chunk(p, m, triples, lo, hi) for lo, hi in chunks)
-    prescribed = sum(_prescribed_chunk(p, m, queries, lo, hi) for lo, hi in chunks)
+    triple = sum(_triple_chunk(*chunk_args(p, m, triples), lo, hi) for lo, hi in chunks)
+    prescribed = sum(_prescribed_chunk(*chunk_args(p, m, queries), lo, hi) for lo, hi in chunks)
     assert triple.tolist() == [naive_triple(p, m, *t) for t in triples.tolist()]
     assert prescribed.tolist() == [naive_prescribed(p, m, *r) for r in queries.tolist()]
 
@@ -229,8 +234,9 @@ def test_grouped_rows_match_full_grid(monkeypatch, m):
     assert counts() == expected
     # Chunks of the a-range sum to the whole, as pool workers return them.
     chunks = _chunk_bounds(p, 3)
-    assert sum(_triple_chunk(p, m, triples, lo, hi) for lo, hi in chunks).tolist() == expected[0]
-    assert sum(_prescribed_chunk(p, m, queries, lo, hi) for lo, hi in chunks).tolist() == expected[1]
+    triple = sum(_triple_chunk(*chunk_args(p, m, triples), lo, hi) for lo, hi in chunks)
+    prescribed = sum(_prescribed_chunk(*chunk_args(p, m, queries), lo, hi) for lo, hi in chunks)
+    assert (triple.tolist(), prescribed.tolist()) == expected
     # One group and one row per block, then 7 rows' worth of cells, which
     # splits the largest groups (up to 15 rows) across second-stage blocks.
     for cells in (1, 7 * p):
@@ -657,7 +663,7 @@ def test_maxload_credits_match_per_a_scan(monkeypatch, mod, ks, block_rows):
         # Blocks of a few rows; p = 577, 13 leave a partial last block.
         monkeypatch.setattr(oracles, "_EVENT_BLOCK_CELLS", block_rows * (n + mod.m + 1))
     covered = 0
-    for lo, hi, credit in _maxload_credits(mod.p, mod.m, elements, 0, mod.p):
+    for lo, hi, credit in maxload_credits(mod.p, mod.m, elements, 0, mod.p):
         assert lo == covered and credit.shape == (hi - lo, n + 1)
         for a in range(lo, hi):
             expected = np.bincount(maxloads_for_a(mod, ks, a), minlength=n + 1)
@@ -686,7 +692,7 @@ def test_maxload_credits_either_side_of_int32_products(m):
     assert int_type(32768 * 65536) is np.int64
     elements = [0, 1, 2, 3, 4, 5, 6, 65536]
     for a in (1, 2, 3, 4096, 32767, 32768, 65535, 65536):
-        [(lo, hi, credit)] = _maxload_credits(p, m, elements, a, a + 1)
+        [(lo, hi, credit)] = maxload_credits(p, m, elements, a, a + 1)
         expected = np.bincount(maxloads_over_b(p, m, elements, a), minlength=len(elements) + 1)
         assert (lo, hi) == (a, a + 1)
         assert credit[0].tolist() == expected.tolist(), a
@@ -941,7 +947,7 @@ def test_pooled_maxloads_mix_int32_and_int64_chunks(monkeypatch):
     assert sum(serial[0].values()) == mod.p * mod.p
 
 
-def test_rows_grouped_for_the_pool_decision_only_when_a_pool_can_start(monkeypatch):
+def test_rows_grouped_once_per_batch(monkeypatch):
     calls = []
     real = oracles._row_groups
 
@@ -956,18 +962,21 @@ def test_rows_grouped_for_the_pool_decision_only_when_a_pool_can_start(monkeypat
     mod = Modulus(31, 5)
     # One group of 28 candidates (4 classes, runs of 7), enumerated by each
     # of 2 chunks: 29 rows bound the work at 29*28*2 + 29*31*3 // 5 = 2163
-    # cells; grouped, it is 56 + 539 = 595.  Every chunk groups its rows.
+    # cells; grouped, it is 56 + 539 = 595.  The batch is grouped once, and
+    # every chunk reads that grouping; the pool starts only where the
+    # grouped work reaches the threshold, and where the ungrouped bound
+    # stays under it the grouped work does too.
     triples = [(0, 1, d) for d in range(2, 31)]
     expected = count_triple_collisions(mod, triples)
-    for threshold, workers, groupings, pool in (
-        (2**26, 2, 1, []),  # the bound stays under the threshold
-        (1000, 1, 1, []),  # one worker never starts a pool
-        (1000, 2, 2, []),  # the bound reaches it, the grouped work does not
-        (500, 2, 3, [2]),  # both reach it: the decision and two chunks
+    for threshold, workers, pool in (
+        (2**26, 2, []),  # the bound stays under the threshold
+        (1000, 1, []),  # one worker never starts a pool
+        (1000, 2, []),  # the bound reaches it, the grouped work does not
+        (500, 2, [2]),  # both reach it
     ):
         calls.clear()
         sizes.clear()
         monkeypatch.setattr(oracles, "_MIN_PARALLEL_WORK", threshold)
         assert np.array_equal(count_triple_collisions(mod, triples, workers=workers), expected)
         assert sizes == pool
-        assert calls == [29] * groupings
+        assert calls == [29]
