@@ -15,9 +15,8 @@ import sys
 from .experiments import (
     FIGURE1_DEFAULT_M,
     FIGURE1_DEFAULT_P,
-    _base_meta,
+    base_meta,
     format_report,
-    interval_lower_bound_active,
     run_figure1,
     run_lemma_checks,
     run_scaling,
@@ -33,6 +32,7 @@ from .oracles import (
     count_triple_collisions,
     exact_maxload_histogram,
     interval_lower_bound,
+    interval_lower_bound_active,
     triple_bound_formula,
 )
 
@@ -58,7 +58,7 @@ def cmd_maxload_exact(args) -> int:
     )
     total = sum(hist.values())
     rows = [(load, count, count / total) for load, count in sorted(hist.items())]
-    meta = _base_meta(
+    meta = base_meta(
         "maxload-exact",
         p=args.p,
         m=args.m,
@@ -95,7 +95,7 @@ def cmd_collide3(args) -> int:
             ("statement_bound", statement),
             ("proof_bound", proof),
         ]
-        meta = _base_meta(
+        meta = base_meta(
             "collide3", p=args.p, m=args.m, x=args.x, y=args.y, z=args.z, workers=args.workers
         )
         write_csv(args.out, ("metric", "value"), rows, meta)
@@ -117,7 +117,7 @@ def cmd_interval_collide(args) -> int:
         print(f"guaranteed lower bound 1/(6dm) = {float(bound):.6g}")
         rows.append(("lower_bound", bound))
     if args.out:
-        meta = _base_meta(
+        meta = base_meta(
             "interval-collide", p=args.p, m=args.m, d=args.d, workers=args.workers
         )
         write_csv(args.out, ("metric", "value"), rows, meta)

@@ -27,7 +27,7 @@ import numpy as np
 from . import loads
 from .field import Modulus, int_type, next_prime_at_least, rem
 from .loads import Interval, KeySet, materialize, max_loads
-from .oracles import _map_chunks
+from .oracles import map_chunks
 
 # Algorithm name and stream layout recorded in output metadata alongside
 # every estimate.
@@ -42,7 +42,8 @@ SAMPLES_PER_BLOCK = 64
 SEED_SPACE = 2**64
 
 
-def _check_seed(seed: int) -> None:
+def validate_seed(seed: int) -> None:
+    """Refuse a seed outside [0, 2^64), the range of one Philox key word."""
     if not 0 <= seed < SEED_SPACE:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
@@ -59,7 +60,7 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-        _check_seed(self.seed)
+        validate_seed(self.seed)
         # A key set that does not fit [p] is refused here, before any sampling.
         materialize(self.key_set, self.mod)
 
@@ -94,13 +95,13 @@ def _block_maxima(seed, samples, high, width, m, keys, lo_block, hi_block):
 
     Block j draws one (rows, width) array from [0, high) out of the Philox
     stream keyed by (seed, j), a row per sample, in passes of whole blocks up
-    to loads._BLOCK_CELLS cells.  With keys None a row holds the bins of
+    to loads.BLOCK_CELLS cells.  With keys None a row holds the bins of
     uniform throws; otherwise it is (a, b), and the bins are
     ((a*x + b) mod high) mod m over the keys x, in the dtype of keys.
     """
     dtype = int_type(high - 1)
     n = width if keys is None else len(keys)
-    per_pass = max(1, loads._BLOCK_CELLS // (SAMPLES_PER_BLOCK * max(n, m)))
+    per_pass = max(1, loads.BLOCK_CELLS // (SAMPLES_PER_BLOCK * max(n, m)))
     # One generator, set before each block to the state a fresh one keyed
     # (seed, j) starts in.  The key is explicit uint64: a list would go through
     # float64 for seeds >= 2^63 and merge neighbouring seeds into one stream.
@@ -139,7 +140,7 @@ def _sample_maxima(seed, samples, high, width, m, keys, workers) -> np.ndarray:
     """Max loads of samples 0..samples-1, with the blocks split over workers."""
     blocks = -(-samples // SAMPLES_PER_BLOCK)
     n = width if keys is None else len(keys)
-    parts = _map_chunks(
+    parts = map_chunks(
         _block_maxima, blocks, workers, samples * max(n, m), (seed, samples, high, width, m, keys)
     )
     return np.concatenate(parts)
@@ -168,7 +169,7 @@ def mc_fully_random_maxload(
         raise ValueError(f"balls must be >= 1, got {balls}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    _check_seed(seed)
+    validate_seed(seed)
     return _summarize(_sample_maxima(seed, samples, m, balls, m, None, workers), seed)
 
 
@@ -191,7 +192,7 @@ def scaling_study(
     estimators get disjoint seeds derived from the base seed, seed + 2k and
     seed + 2k + 1 for the k-th m, wrapped modulo 2^64.
     """
-    _check_seed(seed)
+    validate_seed(seed)
     if not m_values:
         raise ValueError("scaling study needs at least one m value, got an empty list")
     # Every m is validated, and its modulus built, before any m samples.

@@ -11,7 +11,6 @@ such.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import random
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimators import GENERATOR_NAME, _check_seed, scaling_study, tail_log_slope
+from .estimators import GENERATOR_NAME, scaling_study, tail_log_slope, validate_seed
 from .field import Modulus, int_type, rem
 from .loads import AffineImage, Explicit, Interval, bin_counts, materialize
 from .oracles import (
@@ -34,6 +33,7 @@ from .oracles import (
     count_triple_collisions,
     exact_maxload_histogram,
     interval_lower_bound,
+    interval_lower_bound_active,
     maxload_credits,
     maxloads_b_zero,
     triple_bound_terms,
@@ -103,7 +103,8 @@ def write_csv(path, columns, rows, meta) -> None:
     Path(path).write_text(buf.getvalue())
 
 
-def _base_meta(experiment: str, **params) -> dict:
+def base_meta(experiment: str, **params) -> dict:
+    """The '#' metadata of an experiment CSV: tool, version, parameters, time."""
     meta = {"tool": TOOL_NAME, "version": __version__, "experiment": experiment}
     meta.update(params)
     meta["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -179,7 +180,7 @@ def run_figure1(
     for d in ds:
         statement, proof, den = triple_bound_terms(mod, d)
         rows.append((d, count[d] / (p * p), statement / den, proof / den))
-    meta = _base_meta(
+    meta = base_meta(
         "figure1", p=p, m=m, points=len(ds), full_sweep=full_sweep, workers=workers
     )
     write_csv(out, ("d", "exact_probability", "statement_bound", "proof_bound"), rows, meta)
@@ -253,22 +254,20 @@ def check_sign_symmetry(mod: Modulus, workers: int = 1) -> tuple[int, int]:
     return p - 1, violations
 
 
-def check_zero_slack(mod: Modulus, workers: int = 1) -> tuple[int, int]:
-    """max_load(h_{a,0}) and max_load(h_{p-a,0}) differ by at most 1 on [m]."""
-    p = mod.p
-    loads = maxloads_b_zero(mod, Interval(mod.m), workers=workers)
-    violations = int(np.count_nonzero(np.abs(loads[1:] - loads[:0:-1]) > 1))
-    return p - 1, violations
+def check_zero_slack(at_zero: np.ndarray) -> tuple[int, int]:
+    """max_load(h_{a,0}) and max_load(h_{p-a,0}) differ by at most 1 on [m] (at_zero)."""
+    violations = int(np.count_nonzero(np.abs(at_zero[1:] - at_zero[:0:-1]) > 1))
+    return len(at_zero) - 1, violations
 
 
-def check_b_shift_containment(mod: Modulus) -> tuple[int, int]:
+def check_b_shift_containment(mod: Modulus, at_zero: np.ndarray) -> tuple[int, int]:
     """floor(L_{a,b}/2) <= L_{a,0} <= 2 L_{a,b} for every (a, b) on [m].
 
-    The wrap-event kernel gives, per a, how many b have each max load L, so
-    the violating pairs are counted per (a, L), not per b.
+    at_zero is maxloads_b_zero on [m].  The wrap-event kernel gives, per a,
+    how many b have each max load L, so the violating pairs are counted per
+    (a, L), not per b.
     """
     p, m = mod.p, mod.m
-    at_zero = maxloads_b_zero(mod, Interval(m))
     load = np.arange(m + 1)
     violations = 0
     for lo, hi, credit in maxload_credits(p, m, range(m), 0, p):
@@ -310,7 +309,7 @@ def check_canonical_equality(
     Triples and targets come from the stdlib's random.Random(seed).
     """
     # random.Random(-s) is the stream of random.Random(s), so the range is checked here.
-    _check_seed(seed)
+    validate_seed(seed)
     p, m = mod.p, mod.m
     rng = random.Random(seed)
     if p <= 31:
@@ -330,36 +329,24 @@ def check_canonical_equality(
     return len(direct), int(np.count_nonzero(direct != reduced))
 
 
-def check_triple_bounds(
-    mod: Modulus, workers: int = 1, budget: int | None = None
-) -> tuple[int, int, int]:
-    """Exhaustive P[{0,1,d} collide] against both bound forms, every d."""
+def check_triple_bounds(mod: Modulus, counts: np.ndarray) -> tuple[int, int, int]:
+    """Exhaustive P[{0,1,d} collide] against both bound forms; counts[d - 2] counts {0,1,d}."""
     p = mod.p
-    ds = range(2, p)
-    counts = count_triple_collisions(
-        mod, [(0, 1, d) for d in ds], workers=workers, budget=budget
-    )
     statement_violations = proof_violations = 0
     # count / p^2 > num / den, compared in integers.
-    for d, count in zip(ds, counts.tolist()):
+    for d, count in enumerate(counts.tolist(), start=2):
         statement, proof, den = triple_bound_terms(mod, d)
         statement_violations += count * den > statement * p * p
         proof_violations += count * den > proof * p * p
-    return len(ds), statement_violations, proof_violations
+    return len(counts), statement_violations, proof_violations
 
 
-def interval_lower_bound_active(mod: Modulus) -> bool:
-    """The 1/(6dm) guarantee is only claimed for p > 3m^2."""
-    return mod.p > 3 * mod.m * mod.m
+def check_interval_lower_bound(mod: Modulus, sweep: np.ndarray) -> tuple[int, int]:
+    """Exhaustive P[[d] collides] >= 1/(6dm) for every d in [2, m].
 
-
-def check_interval_lower_bound(
-    mod: Modulus, workers: int = 1, budget: int | None = None
-) -> tuple[int, int]:
-    """Exhaustive P[[d] collides] >= 1/(6dm) for every d in [2, m]."""
-    if mod.m < 2:
-        return 0, 0
-    sweep = count_interval_collisions(mod, mod.m, workers=workers, budget=budget)
+    sweep is count_interval_collisions up to a length of at least m.
+    """
+    sweep = sweep[: mod.m - 1]
     violations = sum(
         Fraction(count, mod.p * mod.p) < interval_lower_bound(mod, d)
         for d, count in enumerate(sweep.tolist(), start=2)
@@ -367,25 +354,18 @@ def check_interval_lower_bound(
     return len(sweep), violations
 
 
-def check_interval_containment(
-    mod: Modulus, workers: int = 1, budget: int | None = None
-) -> tuple[int, int, int]:
+def check_interval_containment(sweep: np.ndarray, counts: np.ndarray) -> tuple[int, int, int]:
     """Interval collision counts are within triple counts and non-increasing.
 
     All elements of [d] landing in one bin forces {0, 1, d-1} into one bin,
-    and is at least as hard for longer intervals.  Every length up to p is
-    checked for p <= 300, up to 128 above.
+    and is at least as hard for longer intervals.  sweep[i] counts the
+    interval of length i + 2 and counts[i] the triple {0, 1, i + 2}, so from
+    length 3 on sweep[i] is held to counts[i - 1].  Every length in the sweep
+    is checked.
     """
-    p = mod.p
-    d_max = p if p <= 300 else 128
-    counts = count_interval_collisions(mod, d_max, workers=workers, budget=budget)
-    monotone_violations = int(np.count_nonzero(counts[1:] > counts[:-1]))
-    # Entry i of counts is the interval of length i + 2; from length 3 on,
-    # the interval [d] holds {0, 1, d - 1}.
-    triples = count_triple_collisions(
-        mod, [(0, 1, d - 1) for d in range(3, d_max + 1)], workers=workers, budget=budget
-    )
-    containment_violations = int(np.count_nonzero(counts[1:] > triples))
+    monotone_violations = int(np.count_nonzero(sweep[1:] > sweep[:-1]))
+    triples = counts[: len(sweep) - 1]
+    containment_violations = int(np.count_nonzero(sweep[1:] > triples))
     return len(triples), containment_violations, monotone_violations
 
 
@@ -421,16 +401,24 @@ def run_lemma_checks(
     mod = Modulus(p, m)
     if p < 3:
         raise ValueError(f"lemmas needs p >= 3 to form distinct triples, got p={p}")
-    _check_seed(seed)
+    validate_seed(seed)
     rng = random.Random(seed + 1)
     alpha = 1 + rng.randrange(p - 1)
     beta = rng.randrange(p)
     lower_bound = interval_lower_bound_active(mod)
-    # These two checks feed two rows each and run once.
-    triples = functools.cache(lambda: check_triple_bounds(mod, workers, budget))
-    intervals = functools.cache(
-        lambda: check_interval_containment(mod, workers=workers, budget=budget)
-    )
+    # Every charged count comes before the first check, so an over-budget run
+    # is refused at once: the sweep charges at least 3p^2, the most of any
+    # count here (at m = 1 it is free and the triple batch's 3p^2 is the most).
+    # Containment reads every interval length up to p for p <= 300, up to 128
+    # above; the lower bound reads lengths up to m.
+    d_max = p if p <= 300 else 128
+    sweep_max = max(d_max, m) if lower_bound else d_max
+    sweep = count_interval_collisions(mod, sweep_max, workers, budget)
+    counts = count_triple_collisions(mod, [(0, 1, d) for d in range(2, p)], workers, budget)
+    at_zero = maxloads_b_zero(mod, Interval(m), workers)
+    # These two checks feed two rows each.
+    triples = check_triple_bounds(mod, counts)
+    intervals = check_interval_containment(sweep[: d_max - 1], counts)
     triple_claim = "exhaustive collision probability of {0,1,d} never exceeds "
     table = [
         ("load-sum", "per-bin loads sum to the key-set size for every hash function",
@@ -438,10 +426,10 @@ def run_lemma_checks(
         ("sign-symmetry", "negating the multiplier preserves the b=0 max load on 0-free key sets",
          "multipliers", lambda: check_sign_symmetry(mod, workers)),
         ("zero-slack", "negating the multiplier moves the b=0 max load on [m] by at most 1",
-         "multipliers", lambda: check_zero_slack(mod, workers)),
+         "multipliers", lambda: check_zero_slack(at_zero)),
         ("b-shift-containment",
          "the b=0 max load lies in [floor(L/2), 2L] for the max load L at any b",
-         "parameter pairs", lambda: check_b_shift_containment(mod)),
+         "parameter pairs", lambda: check_b_shift_containment(mod, at_zero)),
         ("affine-image-histogram", f"[{m}] and its affine image (alpha={alpha}, beta={beta}) "
          "have identical all-(a,b) max-load histograms",
          "histograms", lambda: check_affine_histogram(mod, alpha, beta, workers, budget)),
@@ -449,17 +437,17 @@ def run_lemma_checks(
          "prescribed-bin counts are invariant under affine reduction to (0,1,d)",
          "target triples", lambda: check_canonical_equality(mod, seed, budget)),
         ("triple-bound-proof-form", triple_claim + "(1 + (1 + p/d)/m)(1 + d/m)/p",
-         "d values", lambda: (triples()[0], triples()[2])),
+         "d values", lambda: (triples[0], triples[2])),
         ("triple-bound-statement-form", triple_claim + "(1 + max(1, p/(dm))(1 + d/m))/p",
-         "d values", lambda: triples()[:2]),
+         "d values", lambda: triples[:2]),
         ("interval-lower-bound", "exhaustive probability that [d] collides is at least "
          "1/(6dm) for d <= m (claimed only when p > 3m^2)",
-         "d values", lambda: check_interval_lower_bound(mod, workers, budget)),
+         "d values", lambda: check_interval_lower_bound(mod, sweep)),
         ("interval-containment",
          "a collision of the whole interval [d] forces {0,1,d-1} to collide",
-         "d values", lambda: intervals()[:2]),
+         "d values", lambda: intervals[:2]),
         ("interval-monotone", "the interval collision count is non-increasing in the length d",
-         "increases", lambda: intervals()[2]),
+         "increases", lambda: intervals[2]),
         ("prescribed-decomposition",
          "summing prescribed equal-bin counts over all bins reproduces the collision count",
          "triples", lambda: check_decomposition(mod, budget)),
@@ -469,9 +457,6 @@ def run_lemma_checks(
     ]
     if not lower_bound:
         table = [row for row in table if row[0] != "interval-lower-bound"]
-    # Refuse an over-budget run before the uncharged checks: the interval
-    # sweep charges d_max*p^2, more than any row but the lower bound's at m > 128.
-    intervals()
     checks = []
     for name, claim, unit, run in table:
         value = run()
@@ -485,7 +470,7 @@ def run_lemma_checks(
         checks.append(CheckRow(name, claim, *row))
 
     report = AcceptanceReport(tuple(checks))
-    meta = _base_meta(
+    meta = base_meta(
         "lemmas",
         p=p,
         m=m,
@@ -515,7 +500,7 @@ def run_scaling(
         record = [r.m, r.p, r.linear.mean, r.linear.std_error, r.random.mean, r.random.std_error]
         record += [r.linear.tail.get(l, 0.0) for l in tail_ls]
         data.append(record)
-    meta = _base_meta(
+    meta = base_meta(
         "scaling",
         m_values=" ".join(str(m) for m in m_values),
         samples=samples,
@@ -590,7 +575,7 @@ def run_transform_demo(
         materialize(ks, mod)  # both key sets are valid before either histogram runs
     plain, moved = _affine_histograms(mod, alpha, beta, workers, budget)
     rows = [(load, plain.get(load, 0), moved.get(load, 0)) for load in sorted({*plain, *moved})]
-    meta = _base_meta("transform", p=p, m=m, alpha=alpha, beta=beta, workers=workers)
+    meta = base_meta("transform", p=p, m=m, alpha=alpha, beta=beta, workers=workers)
     write_csv(out, ("max_load", "interval_count", "affine_image_count"), rows, meta)
 
     same = plain == moved

@@ -88,7 +88,7 @@ def load_profile(a: int, b: int, mod: Modulus, ks: KeySet) -> list[int]:
 
 # Cells per block of bin_counts: rows times max(n, m), which bounds both the
 # placed keys and the per-row bin counts.
-_BLOCK_CELLS = 1 << 14
+BLOCK_CELLS = 1 << 14
 
 
 def bin_counts(
@@ -102,13 +102,13 @@ def bin_counts(
     bincount per block.  Row r's bin i gets the code r*m + i in the bins' own
     dtype, in a new array: the array bins_of returns is never written.
     """
-    step = max(1, _BLOCK_CELLS // max(n, m))
+    step = max(1, BLOCK_CELLS // max(n, m))
     offsets = None
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
         bins = bins_of(lo, hi)
         if offsets is None:
-            # Codes stay below _BLOCK_CELLS when a block has more than one row
+            # Codes stay below BLOCK_CELLS when a block has more than one row
             # and equal the bins when it has one, so int32 bins hold them.
             offsets = (np.arange(min(step, rows)) * m).astype(bins.dtype)[:, None]
         codes = (bins + offsets[: hi - lo]).ravel()

@@ -95,11 +95,11 @@ def __getattr__(name: str):
 
 
 def _pool_chunks(p: int, workers: int) -> int:
-    """How many parts _map_chunks makes of [0, p) once its work reaches the pool threshold."""
+    """How many parts map_chunks makes of [0, p) once its work reaches the pool threshold."""
     return max(1, min(workers, _available_cores(), p))
 
 
-def _map_chunks(func, p: int, workers: int, work: int, args: tuple) -> list:
+def map_chunks(func, p: int, workers: int, work: int, args: tuple) -> list:
     """Apply func(*args, lo, hi) over a partition of [0, p).
 
     The range holds multipliers a for the exhaustive counters and sample
@@ -356,7 +356,7 @@ def _count_rows(chunk, width, mod, queries, workers, budget, what):
     live = len(rows) * p * len({0, p % m, -p % m}) // m
     candidates = _pool_chunks(p, workers) * len(_candidate_classes(p, m)) * -(-p // m)
     work = candidates * len(groups[1]) + live
-    return sum(_map_chunks(chunk, p, workers, work, (p, m, rows, groups)))
+    return sum(map_chunks(chunk, p, workers, work, (p, m, rows, groups)))
 
 
 def count_triple_collisions(
@@ -428,7 +428,7 @@ def count_interval_collisions(
         # One bin: prefix and suffix cases coincide and every (a, b) collides.
         return np.full(d_max - 1, p * p, dtype=np.int64)
     _check_budget(d_max * p * p, budget, "interval collision count")
-    return sum(_map_chunks(_interval_chunk, p, workers, d_max * p, (p, m, d_max)))
+    return sum(map_chunks(_interval_chunk, p, workers, d_max * p, (p, m, d_max)))
 
 
 def count_interval_collision(
@@ -461,6 +461,11 @@ def triple_bound_formula(mod: Modulus, d: int) -> tuple[Fraction, Fraction]:
     return Fraction(statement, den), Fraction(proof, den)
 
 
+def interval_lower_bound_active(mod: Modulus) -> bool:
+    """The 1/(6dm) guarantee is only claimed for p > 3m^2."""
+    return mod.p > 3 * mod.m * mod.m
+
+
 def interval_lower_bound(mod: Modulus, d: int) -> Fraction:
     """Guaranteed lower bound 1/(6*d*m) on the interval collision probability.
 
@@ -469,7 +474,7 @@ def interval_lower_bound(mod: Modulus, d: int) -> Fraction:
     p, m = mod.p, mod.m
     if not 2 <= d <= m:
         raise ValueError(f"the bound requires 2 <= d <= m, got d={d}, m={m}")
-    if p <= 3 * m * m:
+    if not interval_lower_bound_active(mod):
         raise ValueError(f"the bound requires p > 3*m^2, got p={p}, m={m}")
     return Fraction(1, 6 * d * m)
 
@@ -513,7 +518,7 @@ def maxloads_b_zero(mod: Modulus, ks: KeySet, workers: int = 1) -> np.ndarray:
     """Max load of h_{a,0} on the key set, for every a in [p]."""
     p, m = mod.p, mod.m
     elements = materialize(ks, mod)
-    parts = _map_chunks(
+    parts = map_chunks(
         _maxloads_b_zero_chunk, p, workers, p * len(elements), (p, m, elements)
     )
     return np.concatenate(parts)
@@ -645,14 +650,14 @@ def exact_maxload_histogram(
     args = (p, m, elements)
     if b_mode == "b_zero":
         _check_budget(p * n, budget, "b=0 max-load histogram")
-        hist = sum(_map_chunks(_maxload_hist_b_zero_chunk, half, workers, half * n, args))
+        hist = sum(map_chunks(_maxload_hist_b_zero_chunk, half, workers, half * n, args))
     elif b_mode == "all_b":
         _check_budget(p * n, budget, "all-(a,b) max-load histogram")
         if half < p and _mirror_centre(p, elements) is not None:
-            hist = 2 * sum(_map_chunks(_maxload_hist_all_b_chunk, half, workers, half * n, args))
+            hist = 2 * sum(map_chunks(_maxload_hist_all_b_chunk, half, workers, half * n, args))
             hist[n] -= p  # a = 0 is its own mirror: every b puts all n keys in one bin
         else:
-            hist = sum(_map_chunks(_maxload_hist_all_b_chunk, p, workers, p * n, args))
+            hist = sum(map_chunks(_maxload_hist_all_b_chunk, p, workers, p * n, args))
     else:
         raise ValueError(f"b_mode must be 'all_b' or 'b_zero', got {b_mode!r}")
     return {int(load): int(cnt) for load, cnt in enumerate(hist) if cnt > 0}

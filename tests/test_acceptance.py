@@ -25,7 +25,12 @@ from linbins.experiments import (
 )
 from linbins.field import Modulus
 from linbins.loads import Interval
-from linbins.oracles import exact_maxload_histogram
+from linbins.oracles import (
+    count_interval_collisions,
+    count_triple_collisions,
+    exact_maxload_histogram,
+    maxloads_b_zero,
+)
 from reference import fully_random_exact_mean, report_row
 
 SEED = 20260814
@@ -76,7 +81,9 @@ def test_criterion_2_triple_upper_bound(capsys):
     details = []
     total_violations = 0
     for p, m in ((257, 16), (1031, 32), (2053, 32)):
-        checked, _, proof_violations = check_triple_bounds(Modulus(p, m))
+        mod = Modulus(p, m)
+        counts = count_triple_collisions(mod, [(0, 1, d) for d in range(2, p)])
+        checked, _, proof_violations = check_triple_bounds(mod, counts)
         total_violations += proof_violations
         details.append(f"(p={p}, m={m}): {proof_violations}/{checked}")
     ok = total_violations == 0
@@ -90,7 +97,8 @@ def test_criterion_3_interval_lower_bound(capsys):
     details = []
     total_violations = 0
     for p, m in ((197, 8), (797, 16)):
-        checked, violations = check_interval_lower_bound(Modulus(p, m))
+        mod = Modulus(p, m)
+        checked, violations = check_interval_lower_bound(mod, count_interval_collisions(mod, m))
         total_violations += violations
         details.append(f"(p={p}, m={m}): {violations}/{checked}")
     ok = total_violations == 0
@@ -115,7 +123,8 @@ def test_criterion_4_canonical_count_equality(capsys):
 def test_criterion_5_b_shift_containment(capsys):
     # For every (a, b) at (257, 16) on S = [16]:
     # floor(max_load(h_ab)/2) <= max_load(h_a0) <= 2 max_load(h_ab).
-    checked, violations = check_b_shift_containment(Modulus(257, 16))
+    mod = Modulus(257, 16)
+    checked, violations = check_b_shift_containment(mod, maxloads_b_zero(mod, Interval(16)))
     ok = violations == 0 and checked == 257 * 257
     announce(capsys, 5, "b-shift containment", ok, f"{violations}/{checked} pairs")
     assert ok, (checked, violations)
@@ -126,7 +135,7 @@ def test_criterion_6_sign_symmetry_and_zero_slack(capsys):
     # exactly on the 0-free set {1..16} and moves it by at most 1 on [16].
     mod = Modulus(257, 16)
     eq_checked, eq_violations = check_sign_symmetry(mod)
-    slack_checked, slack_violations = check_zero_slack(mod)
+    slack_checked, slack_violations = check_zero_slack(maxloads_b_zero(mod, Interval(16)))
     ok = eq_violations == 0 and slack_violations == 0
     announce(
         capsys, 6, "sign symmetry and zero slack", ok,

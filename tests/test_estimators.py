@@ -240,7 +240,7 @@ def test_mc_linear_stream_locked(monkeypatch, maxima_seen, block_rows, mod, ks, 
     cfg = McConfig(samples=samples, seed=2**63 + 5, mod=mod, key_set=ks)
     if block_rows is not None:
         width = max(len(materialize(ks, mod)), mod.m)
-        monkeypatch.setattr(loads, "_BLOCK_CELLS", block_rows * width)
+        monkeypatch.setattr(loads, "BLOCK_CELLS", block_rows * width)
     expected = literal_linear_maxima(cfg)
     assert mc_linear_maxload(cfg) == _summarize(expected, cfg.seed)
     assert maxima_seen == [expected.tolist()]
@@ -268,7 +268,7 @@ def test_mc_linear_stream_locked(monkeypatch, maxima_seen, block_rows, mod, ks, 
 )
 def test_mc_fully_random_stream_locked(monkeypatch, maxima_seen, block_rows, m, balls, samples):
     if block_rows is not None:
-        monkeypatch.setattr(loads, "_BLOCK_CELLS", block_rows * max(balls, m))
+        monkeypatch.setattr(loads, "BLOCK_CELLS", block_rows * max(balls, m))
     expected = literal_random_maxima(m, balls, samples, 3)
     assert mc_fully_random_maxload(m, balls, samples, 3) == _summarize(expected, 3)
     assert maxima_seen == [expected.tolist()]

@@ -29,7 +29,6 @@ from linbins.experiments import (
     check_zero_slack,
     default_figure1_sweep,
     format_report,
-    interval_lower_bound_active,
     report_csv_path,
     run_figure1,
     run_lemma_checks,
@@ -40,7 +39,14 @@ from linbins.experiments import (
 from linbins.cli import main
 from linbins.field import Modulus
 from linbins.loads import Interval
-from linbins.oracles import count_triple_collisions, maxloads_for_a, triple_bound_formula
+from linbins.oracles import (
+    count_interval_collisions,
+    count_triple_collisions,
+    interval_lower_bound_active,
+    maxloads_b_zero,
+    maxloads_for_a,
+    triple_bound_formula,
+)
 from reference import csv_body, report_row
 
 
@@ -176,17 +182,24 @@ def test_run_figure1_rejects_bad_d(tmp_path):
         run_figure1(tmp_path / "x.csv", p=2, m=1)
 
 
+def zero_one_d(mod):
+    """Collision counts of every (0, 1, d), d in [2, p), as run_lemma_checks takes them."""
+    return count_triple_collisions(mod, [(0, 1, d) for d in range(2, mod.p)])
+
+
 def test_check_functions_small_config():
     mod = Modulus(13, 3)
+    at_zero = maxloads_b_zero(mod, Interval(3))
+    counts = zero_one_d(mod)
     assert check_load_sums(mod, alpha=5, beta=2) == (507, 0)
     assert check_sign_symmetry(mod) == (12, 0)
-    assert check_zero_slack(mod) == (12, 0)
-    assert check_b_shift_containment(mod) == (169, 0)
+    assert check_zero_slack(at_zero) == (12, 0)
+    assert check_b_shift_containment(mod, at_zero) == (169, 0)
     assert check_affine_histogram(mod, alpha=5, beta=2)
     checked, violations = check_canonical_equality(mod, seed=0)
     assert checked == 1716 * 5 and violations == 0
-    assert check_triple_bounds(mod) == (11, 0, 0)
-    assert check_interval_containment(mod) == (11, 0, 0)
+    assert check_triple_bounds(mod, counts) == (11, 0, 0)
+    assert check_interval_containment(count_interval_collisions(mod, 13), counts) == (11, 0, 0)
     assert check_decomposition(mod) == (1716, 0)
     assert check_partition_determinism(mod) == (4, 0)
 
@@ -196,10 +209,10 @@ def test_check_triple_bounds_statement_form_fails_once(p, m):
     # The first primes at which the statement form fails: at exactly one d.
     # The integer comparison must agree with Fraction comparisons of the counts.
     mod = Modulus(p, m)
-    assert check_triple_bounds(mod) == (p - 2, 1, 0)
-    counts = count_triple_collisions(mod, [(0, 1, d) for d in range(2, p)]).tolist()
+    counts = zero_one_d(mod)
+    assert check_triple_bounds(mod, counts) == (p - 2, 1, 0)
     violations = [0, 0]
-    for d, count in zip(range(2, p), counts):
+    for d, count in zip(range(2, p), counts.tolist()):
         for k, bound in enumerate(triple_bound_formula(mod, d)):
             violations[k] += Fraction(count, p * p) > bound
     assert violations == [1, 0]
@@ -221,19 +234,18 @@ def test_partition_determinism_splits_the_event_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize("skew", (lambda l0: 3 * l0 - 2, lambda l0: l0 // 3))
-def test_b_shift_containment_counts_violating_pairs(monkeypatch, skew):
+def test_b_shift_containment_counts_violating_pairs(skew):
     # A skewed b = 0 max load breaks the containment for some (a, b); the count
     # from per-a histograms must equal a b-by-b scan of every pair.
     mod = Modulus(257, 16)
-    real = experiments.maxloads_b_zero
-    monkeypatch.setattr(experiments, "maxloads_b_zero", lambda *args: skew(real(*args)))
     expected = 0
     for a in range(mod.p):
         row = maxloads_for_a(mod, Interval(16), a)
         l0 = skew(row[0])
         expected += int(np.count_nonzero((row // 2 > l0) | (l0 > 2 * row)))
     assert expected > 0
-    assert check_b_shift_containment(mod) == (mod.p * mod.p, expected)
+    at_zero = skew(maxloads_b_zero(mod, Interval(16)))
+    assert check_b_shift_containment(mod, at_zero) == (mod.p * mod.p, expected)
 
 
 def test_triple_checks_without_distinct_triples():
@@ -241,8 +253,9 @@ def test_triple_checks_without_distinct_triples():
     mod = Modulus(2, 1)
     assert check_canonical_equality(mod) == (0, 0)
     assert check_decomposition(mod) == (0, 0)
-    assert check_triple_bounds(mod) == (0, 0, 0)
-    assert check_interval_containment(mod) == (0, 0, 0)
+    counts = zero_one_d(mod)
+    assert check_triple_bounds(mod, counts) == (0, 0, 0)
+    assert check_interval_containment(count_interval_collisions(mod, 2), counts) == (0, 0, 0)
 
 
 def test_check_canonical_equality_refuses_negative_seed():
@@ -253,7 +266,7 @@ def test_check_canonical_equality_refuses_negative_seed():
 
 def test_check_load_sums_counts_dropped_keys(monkeypatch):
     # Seven-row blocks; every row of each key set's first block loses a key.
-    monkeypatch.setattr(loads, "_BLOCK_CELLS", 7 * 3)
+    monkeypatch.setattr(loads, "BLOCK_CELLS", 7 * 3)
     real = experiments.bin_counts
 
     def dropping(rows, n, m, bins_of):
@@ -278,7 +291,8 @@ def test_check_load_sums_sampled_b_and_range_guard():
 def test_interval_lower_bound_activation():
     assert interval_lower_bound_active(Modulus(197, 8))
     assert not interval_lower_bound_active(Modulus(191, 8))
-    assert check_interval_lower_bound(Modulus(197, 8)) == (7, 0)
+    mod = Modulus(197, 8)
+    assert check_interval_lower_bound(mod, count_interval_collisions(mod, 8)) == (7, 0)
 
 
 def test_run_lemma_checks_smoke(tmp_path):
@@ -305,26 +319,81 @@ def test_run_lemma_checks_passes_budget_to_every_check(tmp_path, monkeypatch):
 
 def test_run_lemma_checks_refuses_over_budget_before_uncharged_checks(tmp_path, monkeypatch):
     # At p = 2^31 - 1 the load-sum check alone would work for hours; the
-    # interval sweep's charge must refuse the run before it starts.
+    # interval sweep's charge must refuse the run before it starts.  At
+    # (49927, 129) the sweep runs to the lower bound's length m = 129, past
+    # containment's 128, and 128*p^2 < budget < 129*p^2.
     def unreachable(*args):
         raise AssertionError("check_load_sums ran before the budget refusal")
 
     monkeypatch.setattr(experiments, "check_load_sums", unreachable)
-    with pytest.raises(oracles.WorkBudgetError, match="interval collision count"):
-        run_lemma_checks(2147483647, 2, tmp_path / "l.report.csv")
+    for p, m, budget in ((2147483647, 2, None), (49927, 129, 320_000_000_000)):
+        with pytest.raises(oracles.WorkBudgetError, match="interval collision count"):
+            run_lemma_checks(p, m, tmp_path / "l.report.csv", budget=budget)
+
+
+def test_run_lemma_checks_takes_each_shared_count_once(tmp_path, monkeypatch):
+    # At (197, 8) the lower bound is active: one sweep serves it and the
+    # containment rows, one (0, 1, d) batch both triple-bound rows and
+    # containment, and one b = 0 scan of [m] the zero-slack and b-shift rows.
+    p, m = 197, 8
+    calls = {"sweeps": [], "batches": 0, "b_zero": 0}
+    real_sweep = experiments.count_interval_collisions
+    real_triples = experiments.count_triple_collisions
+    real_b_zero = experiments.maxloads_b_zero
+
+    def sweep(mod, d_max, *args, **kwargs):
+        calls["sweeps"].append(d_max)
+        return real_sweep(mod, d_max, *args, **kwargs)
+
+    def triples(mod, rows, *args, **kwargs):
+        calls["batches"] += [tuple(r) for r in rows] == [(0, 1, d) for d in range(2, p)]
+        return real_triples(mod, rows, *args, **kwargs)
+
+    def b_zero(mod, ks, *args, **kwargs):
+        calls["b_zero"] += ks == Interval(m)
+        return real_b_zero(mod, ks, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "count_interval_collisions", sweep)
+    monkeypatch.setattr(experiments, "count_triple_collisions", triples)
+    monkeypatch.setattr(experiments, "maxloads_b_zero", b_zero)
+    assert run_lemma_checks(p, m, tmp_path / "l.report.csv").overall
+    assert calls == {"sweeps": [p], "batches": 1, "b_zero": 1}
+
+
+def private_sibling_names(source: str) -> list[str]:
+    """`_`-prefixed names a module imports from, or reads off, a sibling module."""
+    tree = ast.parse(source)
+    siblings = set()
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import x
+                siblings.update(alias.asname or alias.name for alias in node.names)
+            else:
+                names += [f"{node.module}.{alias.name}" for alias in node.names]
+    names += [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in siblings
+    ]
+    return [name for name in names if name.split(".")[1].startswith("_")]
 
 
 def test_experiments_imports_no_private_oracle_name():
-    # The a-range partition and the chunk kernels stay behind oracles.
-    tree = ast.parse(Path(experiments.__file__).read_text())
-    names = [
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "oracles" and node.level == 1
-        for alias in node.names
-    ]
-    assert "count_triple_collisions" in names
-    assert [name for name in names if name.startswith("_")] == []
+    # Each module of the package uses only public names of its siblings; the
+    # a-range partition and the chunk kernels stay behind oracles.
+    package = Path(experiments.__file__).parent
+    private = {
+        path.name: found
+        for path in sorted(package.glob("*.py"))
+        if (found := private_sibling_names(path.read_text()))
+    }
+    assert private == {}
+    # The check sees both forms of a private read.
+    probe = "from . import loads\nfrom .oracles import _x, y\nloads._Z + loads.w\n"
+    assert sorted(private_sibling_names(probe)) == ["loads._Z", "oracles._x"]
 
 
 def test_run_lemma_checks_includes_lower_bound(tmp_path):

@@ -75,7 +75,7 @@ def test_load_sums_exhaustive_small_p():
 
 
 def test_max_loads_asks_for_blocks_in_row_order(monkeypatch):
-    monkeypatch.setattr(loads, "_BLOCK_CELLS", 3 * 5)
+    monkeypatch.setattr(loads, "BLOCK_CELLS", 3 * 5)
     rng = np.random.default_rng(0)
     bins = rng.integers(0, 5, size=(11, 4))
     asked = []
@@ -91,7 +91,7 @@ def test_max_loads_asks_for_blocks_in_row_order(monkeypatch):
 
 def test_max_loads_caps_blocks_by_bin_count(monkeypatch):
     # One key into many bins: the per-row counts, not the keys, set the block.
-    monkeypatch.setattr(loads, "_BLOCK_CELLS", 40)
+    monkeypatch.setattr(loads, "BLOCK_CELLS", 40)
     asked = []
 
     def bins_of(lo, hi):
@@ -103,7 +103,7 @@ def test_max_loads_caps_blocks_by_bin_count(monkeypatch):
 
 
 def test_bin_counts_yields_per_bin_loads_block_by_block(monkeypatch):
-    monkeypatch.setattr(loads, "_BLOCK_CELLS", 3 * 5)
+    monkeypatch.setattr(loads, "BLOCK_CELLS", 3 * 5)
     rng = np.random.default_rng(1)
     bins = rng.integers(0, 5, size=(11, 4))
     blocks = list(bin_counts(11, 4, 5, lambda lo, hi: bins[lo:hi]))
@@ -117,7 +117,7 @@ def test_bin_counts_yields_per_bin_loads_block_by_block(monkeypatch):
     [
         (400, 50, 100, [163, 163, 74]),  # the last block partial
         (5, 1, 1 << 14, [1] * 5),  # one row per block
-        (4, 3, (1 << 14) + 3, [1] * 4),  # more bins than _BLOCK_CELLS
+        (4, 3, (1 << 14) + 3, [1] * 4),  # more bins than BLOCK_CELLS
     ],
 )
 def test_bin_counts_same_for_int32_and_int64_bins_and_never_writes_them(rows, n, m, sizes):

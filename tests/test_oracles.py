@@ -529,7 +529,7 @@ BLOCK_EDGE_IDS = [f"p{mod.p}-m{mod.m}-{type(ks).__name__}" for mod, ks in BLOCK_
 def _split_blocks(monkeypatch, mod, ks, rows):
     """Shrink max-load blocks to `rows` rows; p = 257 and 577 leave a partial last block."""
     width = max(len(materialize(ks, mod)), mod.m)
-    monkeypatch.setattr("linbins.loads._BLOCK_CELLS", rows * width)
+    monkeypatch.setattr("linbins.loads.BLOCK_CELLS", rows * width)
 
 
 @pytest.mark.parametrize("rows", (7, 50))
@@ -854,12 +854,12 @@ def test_pool_capped_at_available_cores(monkeypatch):
 
     monkeypatch.setattr(oracles, "_MIN_PARALLEL_WORK", 0)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    parts = oracles._map_chunks(lambda lo, hi: (lo, hi), p, 100_000, 1, ())
+    parts = oracles.map_chunks(lambda lo, hi: (lo, hi), p, 100_000, 1, ())
     assert parts == _chunk_bounds(p, cores)
     assert sizes == ([cores] if cores > 1 else [])
 
     monkeypatch.setattr(oracles, "_available_cores", lambda: 4)
-    parts = oracles._map_chunks(lambda lo, hi: (lo, hi), p, 100_000, 1, ())
+    parts = oracles.map_chunks(lambda lo, hi: (lo, hi), p, 100_000, 1, ())
     assert parts == _chunk_bounds(p, 4)
     assert sizes[-1] == 4
 
