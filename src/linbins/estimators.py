@@ -49,23 +49,6 @@ def validate_seed(seed: int) -> None:
 
 
 @dataclass(frozen=True)
-class McConfig:
-    """Inputs of one Monte Carlo max-load run over the linear hash family."""
-
-    samples: int
-    seed: int
-    mod: Modulus
-    key_set: KeySet
-
-    def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        validate_seed(self.seed)
-        # A key set that does not fit [p] is refused here, before any sampling.
-        materialize(self.key_set, self.mod)
-
-
-@dataclass(frozen=True)
 class McEstimate:
     """Mean, normal-approximation standard error, and tail of sampled max loads.
 
@@ -137,7 +120,10 @@ def _block_maxima(seed, samples, high, width, m, keys, lo_block, hi_block):
 
 
 def _sample_maxima(seed, samples, high, width, m, keys, workers) -> np.ndarray:
-    """Max loads of samples 0..samples-1, with the blocks split over workers."""
+    """Check samples and seed, then take the max loads of samples 0..samples-1 over workers."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    validate_seed(seed)
     blocks = -(-samples // SAMPLES_PER_BLOCK)
     n = width if keys is None else len(keys)
     parts = map_chunks(
@@ -146,17 +132,20 @@ def _sample_maxima(seed, samples, high, width, m, keys, workers) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def mc_linear_maxload(cfg: McConfig, workers: int = 1) -> McEstimate:
+def mc_linear_maxload(
+    mod: Modulus, key_set: KeySet, samples: int, seed: int, workers: int = 1
+) -> McEstimate:
     """Estimate the expected max load under (a, b) drawn uniformly from [p]^2."""
-    p, m = cfg.mod.p, cfg.mod.m
+    p, m = mod.p, mod.m
     if p < m * m:
         warnings.warn(
             f"p={p} is below m^2={m * m}; the constant-max-load claim assumes p >= m^2",
             stacklevel=2,
         )
-    keys = materialize(cfg.key_set, cfg.mod)
+    # A key set that does not fit [p] is refused here, before any sampling.
+    keys = materialize(key_set, mod)
     s = np.asarray(keys, dtype=int_type((p - 1) * (max(keys) + 1)))
-    return _summarize(_sample_maxima(cfg.seed, cfg.samples, p, 2, m, s, workers), cfg.seed)
+    return _summarize(_sample_maxima(seed, samples, p, 2, m, s, workers), seed)
 
 
 def mc_fully_random_maxload(
@@ -167,9 +156,6 @@ def mc_fully_random_maxload(
         raise ValueError(f"m must be >= 1, got {m}")
     if balls < 1:
         raise ValueError(f"balls must be >= 1, got {balls}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    validate_seed(seed)
     return _summarize(_sample_maxima(seed, samples, m, balls, m, None, workers), seed)
 
 
@@ -196,19 +182,17 @@ def scaling_study(
     if not m_values:
         raise ValueError("scaling study needs at least one m value, got an empty list")
     # Every m is validated, and its modulus built, before any m samples.
-    configs = []
-    for k, m in enumerate(m_values):
+    mods = []
+    for m in m_values:
         if m < 2:
             raise ValueError(f"scaling study needs m >= 2, got {m}")
-        mod = Modulus(next_prime_at_least(m * m), m)
-        linear_seed = (seed + 2 * k) % SEED_SPACE
-        configs.append(McConfig(samples=samples, seed=linear_seed, mod=mod, key_set=Interval(m)))
+        mods.append(Modulus(next_prime_at_least(m * m), m))
     rows = []
-    for cfg in configs:
-        m = cfg.mod.m
-        linear = mc_linear_maxload(cfg, workers)
-        random = mc_fully_random_maxload(m, m, samples, (cfg.seed + 1) % SEED_SPACE, workers)
-        rows.append(ScalingRow(m=m, p=cfg.mod.p, linear=linear, random=random))
+    for k, mod in enumerate(mods):
+        m, linear_seed = mod.m, (seed + 2 * k) % SEED_SPACE
+        linear = mc_linear_maxload(mod, Interval(m), samples, linear_seed, workers)
+        random = mc_fully_random_maxload(m, m, samples, (linear_seed + 1) % SEED_SPACE, workers)
+        rows.append(ScalingRow(m=m, p=mod.p, linear=linear, random=random))
     return rows
 
 

@@ -306,7 +306,8 @@ def check_canonical_equality(
     """Prescribed-bin counts must be invariant under reduction to (0, 1, d).
 
     Every ordered triple is checked for p <= 31, a random sample above.
-    Triples and targets come from the stdlib's random.Random(seed).
+    Triples come from the stdlib's random.Random(seed), then each bin target
+    is (w * m) >> 32 for one 32-bit word w of a single randbytes (w * m < 2^63).
     """
     # random.Random(-s) is the stream of random.Random(s), so the range is checked here.
     validate_seed(seed)
@@ -317,8 +318,8 @@ def check_canonical_equality(
     else:
         triples = [tuple(rng.sample(range(p), 3)) for _ in range(_CANONICAL_SAMPLES)]
     canonical = [(0, 1, canonicalize_triple(p, *t)) for t in triples]
-    draws = rng.choices(range(m), k=len(triples) * _TARGETS_PER_TRIPLE * 3)
-    targets = np.array(draws, dtype=np.int64).reshape(-1, 3)
+    words = np.frombuffer(rng.randbytes(4 * 3 * _TARGETS_PER_TRIPLE * len(triples)), "<u4")
+    targets = ((words.astype(np.int64) * m) >> 32).reshape(-1, 3)
 
     def queries(rows):
         rows = np.array(rows, dtype=np.int64).reshape(-1, 3)

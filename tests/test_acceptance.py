@@ -8,11 +8,7 @@ import subprocess
 import sys
 import time
 
-from linbins.estimators import (
-    McConfig,
-    mc_fully_random_maxload,
-    mc_linear_maxload,
-)
+from linbins.estimators import mc_fully_random_maxload, mc_linear_maxload
 from linbins.experiments import (
     check_b_shift_containment,
     check_canonical_equality,
@@ -166,9 +162,7 @@ def test_criterion_8_estimator_calibration(capsys):
     hist = exact_maxload_histogram(mod, Interval(16), b_mode="all_b")
     total = sum(hist.values())
     exact_linear = sum(load * count for load, count in hist.items()) / total
-    est = mc_linear_maxload(
-        McConfig(samples=20_000, seed=SEED, mod=mod, key_set=Interval(16))
-    )
+    est = mc_linear_maxload(mod, Interval(16), 20_000, SEED)
     gaps = [abs(est.mean - exact_linear) / est.std_error]
     for m in (16, 32):
         exact = float(fully_random_exact_mean(m, m))

@@ -9,7 +9,6 @@ import pytest
 
 from linbins import estimators, loads, oracles
 from linbins.estimators import (
-    McConfig,
     _summarize,
     mc_fully_random_maxload,
     mc_linear_maxload,
@@ -31,13 +30,13 @@ def sample_draw(seed, i, high, width):
     return _sample_rng(seed, i // BLOCK).integers(0, high, size=(BLOCK, width))[i % BLOCK]
 
 
-def literal_linear_maxima(cfg):
+def literal_linear_maxima(mod, key_set, samples, seed):
     """Per sample: take its (a, b) row from its block's draw, bin the keys, take the max."""
-    p, m = cfg.mod.p, cfg.mod.m
-    s = np.asarray(materialize(cfg.key_set, cfg.mod), dtype=np.int64)
-    maxima = np.empty(cfg.samples, dtype=np.int64)
-    for i in range(cfg.samples):
-        a, b = sample_draw(cfg.seed, i, p, 2)
+    p, m = mod.p, mod.m
+    s = np.asarray(materialize(key_set, mod), dtype=np.int64)
+    maxima = np.empty(samples, dtype=np.int64)
+    for i in range(samples):
+        a, b = sample_draw(seed, i, p, 2)
         maxima[i] = np.bincount((int(a) * s + int(b)) % p % m, minlength=m).max()
     return maxima
 
@@ -50,38 +49,51 @@ def literal_random_maxima(m, balls, samples, seed):
     return maxima
 
 
-def test_mc_config_validation():
+def test_estimators_check_inputs_before_any_block(monkeypatch):
+    # Both estimators refuse a bad sample count or seed with one message, and
+    # mc_linear_maxload a key set that does not fit [p], before any draw.
+    blocks = []
+    monkeypatch.setattr(estimators, "_block_maxima", lambda *a: blocks.append(a))
     mod = Modulus(257, 16)
-    with pytest.raises(ValueError):
-        McConfig(samples=0, seed=1, mod=mod, key_set=Interval(16))
-    with pytest.raises(ValueError):
-        McConfig(samples=10, seed=-1, mod=mod, key_set=Interval(16))
+    for estimate in (
+        lambda samples, seed: mc_linear_maxload(mod, Interval(16), samples, seed),
+        lambda samples, seed: mc_fully_random_maxload(16, 16, samples, seed),
+    ):
+        with pytest.raises(ValueError, match=r"^samples must be >= 1, got 0$"):
+            estimate(0, 1)
+        for seed in (-1, 2**64):
+            message = f"^seed must be a 64-bit unsigned integer, got {seed}$"
+            with pytest.raises(ValueError, match=message):
+                estimate(10, seed)
+    with pytest.raises(ValueError, match=r"^interval length 258 exceeds p=257$"):
+        mc_linear_maxload(mod, Interval(258), 10, 1)
+    with pytest.raises(ValueError, match=r"^samples must be >= 1, got 0$"):
+        scaling_study([16, 64], samples=0, seed=0)
+    assert blocks == []
 
 
 def test_single_bin_is_deterministic():
-    cfg = McConfig(samples=50, seed=3, mod=Modulus(13, 1), key_set=Interval(5))
-    est = mc_linear_maxload(cfg)
+    est = mc_linear_maxload(Modulus(13, 1), Interval(5), 50, 3)
     assert est.mean == 5.0
     assert est.std_error == 0.0
     assert est.tail == {1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0, 5: 1.0}
 
 
 def test_mc_linear_reproducible():
-    cfg = McConfig(samples=2000, seed=42, mod=Modulus(257, 16), key_set=Interval(16))
-    assert mc_linear_maxload(cfg) == mc_linear_maxload(cfg)
+    args = (Modulus(257, 16), Interval(16), 2000, 42)
+    assert mc_linear_maxload(*args) == mc_linear_maxload(*args)
 
 
 def test_mc_linear_seed_independence():
     mod = Modulus(257, 16)
-    first = mc_linear_maxload(McConfig(samples=4000, seed=10, mod=mod, key_set=Interval(16)))
-    second = mc_linear_maxload(McConfig(samples=4000, seed=11, mod=mod, key_set=Interval(16)))
+    first = mc_linear_maxload(mod, Interval(16), 4000, 10)
+    second = mc_linear_maxload(mod, Interval(16), 4000, 11)
     combined = math.hypot(first.std_error, second.std_error)
     assert abs(first.mean - second.mean) <= 6 * combined
 
 
 def test_mc_tail_properties():
-    cfg = McConfig(samples=3000, seed=5, mod=Modulus(257, 16), key_set=Interval(16))
-    est = mc_linear_maxload(cfg)
+    est = mc_linear_maxload(Modulus(257, 16), Interval(16), 3000, 5)
     values = [est.tail[l] for l in sorted(est.tail)]
     assert sorted(est.tail) == list(range(1, max(est.tail) + 1))
     assert all(0.0 <= v <= 1.0 for v in values)
@@ -92,16 +104,14 @@ def test_mc_tail_properties():
 
 
 def test_mc_linear_warns_below_m_squared():
-    cfg = McConfig(samples=5, seed=1, mod=Modulus(13, 5), key_set=Interval(5))
     with pytest.warns(UserWarning):
-        mc_linear_maxload(cfg)
+        mc_linear_maxload(Modulus(13, 5), Interval(5), 5, 1)
 
 
 def test_mc_linear_no_warning_at_m_squared():
-    cfg = McConfig(samples=5, seed=1, mod=Modulus(257, 16), key_set=Interval(16))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mc_linear_maxload(cfg)
+        mc_linear_maxload(Modulus(257, 16), Interval(16), 5, 1)
 
 
 def test_fully_random_two_balls():
@@ -148,32 +158,27 @@ def test_sample_stream_unchanged_below_2_63():
         )
 
 
-def test_mc_config_rejects_moduli_that_overflow_int64():
+def test_mc_linear_rejects_moduli_that_overflow_int64():
     # a*x wraps in int64 once p*max(key) >= 2^63; this run used to report
     # a mean of 2.793 where the exact arithmetic on the same draws gives 2.543.
     p = 4294967311
     with pytest.raises(ValueError, match="exceeds"):
-        McConfig(
-            samples=300, seed=1, mod=Modulus(p, 32), key_set=AffineImage(32, 3000000001, 5)
-        )
+        mc_linear_maxload(Modulus(p, 32), AffineImage(32, 3000000001, 5), 300, 1)
     # Modulus itself refuses the first prime past MAX_MODULUS.
     with pytest.raises(ValueError, match="exceeds"):
-        McConfig(
-            samples=1, seed=0, mod=Modulus(next_prime_at_least(MAX_MODULUS), 2),
-            key_set=Interval(2),
-        )
+        mc_linear_maxload(Modulus(next_prime_at_least(MAX_MODULUS), 2), Interval(2), 1, 0)
 
 
 def test_mc_linear_exact_at_largest_modulus(maxima_seen):
     p = 2147483647  # the largest prime below MAX_MODULUS
-    cfg = McConfig(samples=200, seed=1, mod=Modulus(p, 32), key_set=AffineImage(32, p - 2, p - 1))
-    elements = materialize(cfg.key_set, cfg.mod)
+    mod, ks, samples, seed = Modulus(p, 32), AffineImage(32, p - 2, p - 1), 200, 1
+    elements = materialize(ks, mod)
     maxima = []
-    for i in range(cfg.samples):
-        a, b = (int(v) for v in sample_draw(cfg.seed, i, p, 2))
+    for i in range(samples):
+        a, b = (int(v) for v in sample_draw(seed, i, p, 2))
         bins = [(a * x + b) % p % 32 for x in elements]
         maxima.append(max(bins.count(j) for j in range(32)))
-    assert mc_linear_maxload(cfg) == _summarize(np.array(maxima), cfg.seed)
+    assert mc_linear_maxload(mod, ks, samples, seed) == _summarize(np.array(maxima), seed)
     assert maxima_seen == [maxima]
 
 
@@ -182,7 +187,7 @@ def test_mc_linear_hash_type_at_largest_modulus(monkeypatch, ks, dtype):
     # a*x + b reaches (p - 1)*(max key + 1): 2^31 - 2 on [1], which int32
     # holds, and 2^32 - 4 on [2], which it does not.
     p, m, samples, seed = 2147483647, 32, 100, 4
-    cfg = McConfig(samples=samples, seed=seed, mod=Modulus(p, m), key_set=ks)
+    mod = Modulus(p, m)
     placed = []
     real = estimators.max_loads
 
@@ -191,11 +196,11 @@ def test_mc_linear_hash_type_at_largest_modulus(monkeypatch, ks, dtype):
         return real(rows, n, m, bins_of)
 
     monkeypatch.setattr(estimators, "max_loads", recording)
-    mc_linear_maxload(cfg)
+    mc_linear_maxload(mod, ks, samples, seed)
     bins = np.concatenate(placed)
     assert bins.dtype == dtype
     draws = (map(int, sample_draw(seed, i, p, 2)) for i in range(samples))
-    elements = materialize(ks, cfg.mod)
+    elements = materialize(ks, mod)
     assert bins.tolist() == [[(a * x + b) % p % m for x in elements] for a, b in draws]
 
 
@@ -237,12 +242,12 @@ def maxima_seen(monkeypatch):
     ],
 )
 def test_mc_linear_stream_locked(monkeypatch, maxima_seen, block_rows, mod, ks, samples):
-    cfg = McConfig(samples=samples, seed=2**63 + 5, mod=mod, key_set=ks)
+    seed = 2**63 + 5
     if block_rows is not None:
         width = max(len(materialize(ks, mod)), mod.m)
         monkeypatch.setattr(loads, "BLOCK_CELLS", block_rows * width)
-    expected = literal_linear_maxima(cfg)
-    assert mc_linear_maxload(cfg) == _summarize(expected, cfg.seed)
+    expected = literal_linear_maxima(mod, ks, samples, seed)
+    assert mc_linear_maxload(mod, ks, samples, seed) == _summarize(expected, seed)
     assert maxima_seen == [expected.tolist()]
 
 
@@ -275,9 +280,9 @@ def test_mc_fully_random_stream_locked(monkeypatch, maxima_seen, block_rows, m, 
 
 
 def test_mc_samples_are_prefix_stable(maxima_seen):
-    cfg = McConfig(samples=100, seed=8, mod=Modulus(577, 24), key_set=AffineImage(24, 77, 5))
-    mc_linear_maxload(cfg)
-    mc_linear_maxload(McConfig(samples=130, seed=8, mod=cfg.mod, key_set=cfg.key_set))
+    mod, ks = Modulus(577, 24), AffineImage(24, 77, 5)
+    mc_linear_maxload(mod, ks, 100, 8)
+    mc_linear_maxload(mod, ks, 130, 8)
     mc_fully_random_maxload(40, 9, 100, 8)
     mc_fully_random_maxload(40, 9, 130, 8)
     linear_short, linear_long, random_short, random_long = maxima_seen
@@ -299,15 +304,15 @@ def test_mc_independent_of_workers(monkeypatch, maxima_seen):
             super().__init__(max_workers)
 
     monkeypatch.setattr(oracles, "ProcessPoolExecutor", CountingPool)
-    cfg = McConfig(samples=200, seed=2**64 - 1, mod=Modulus(577, 24), key_set=Interval(24))
-    linear = [mc_linear_maxload(cfg, workers=w) for w in (1, 2, 3)]
+    args = (Modulus(577, 24), Interval(24), 200, 2**64 - 1)
+    linear = [mc_linear_maxload(*args, workers=w) for w in (1, 2, 3)]
     random = [mc_fully_random_maxload(24, 30, 200, 5, workers=w) for w in (1, 2, 3)]
     assert linear[0] == linear[1] == linear[2]
     assert random[0] == random[1] == random[2]
     assert pools == [2, 3, 2, 3]
     assert maxima_seen[0] == maxima_seen[1] == maxima_seen[2]
     assert maxima_seen[3] == maxima_seen[4] == maxima_seen[5]
-    assert maxima_seen[0] == literal_linear_maxima(cfg).tolist()
+    assert maxima_seen[0] == literal_linear_maxima(*args).tolist()
 
 
 def test_max_load_distribution_small_cases():
@@ -350,7 +355,7 @@ def test_linear_calibrated_against_exact_histogram():
     hist = exact_maxload_histogram(mod, Interval(16), b_mode="all_b")
     total = sum(hist.values())
     exact = sum(load * count for load, count in hist.items()) / total
-    est = mc_linear_maxload(McConfig(samples=20000, seed=7, mod=mod, key_set=Interval(16)))
+    est = mc_linear_maxload(mod, Interval(16), 20000, 7)
     assert abs(est.mean - exact) <= 4 * est.std_error
 
 

@@ -381,19 +381,39 @@ def private_sibling_names(source: str) -> list[str]:
     return [name for name in names if name.split(".")[1].startswith("_")]
 
 
+def unread_imports(source: str) -> list[str]:
+    """Names a module imports but never reads; `from __future__` imports are exempt."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in imported if name not in read]
+
+
 def test_experiments_imports_no_private_oracle_name():
     # Each module of the package uses only public names of its siblings; the
-    # a-range partition and the chunk kernels stay behind oracles.
+    # a-range partition and the chunk kernels stay behind oracles.  No module
+    # keeps an import it never reads.
     package = Path(experiments.__file__).parent
-    private = {
-        path.name: found
-        for path in sorted(package.glob("*.py"))
-        if (found := private_sibling_names(path.read_text()))
-    }
-    assert private == {}
-    # The check sees both forms of a private read.
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    for check in (private_sibling_names, unread_imports):
+        assert {name: found for name, src in sources.items() if (found := check(src))} == {}
+    # The checks see both forms of a private read, and every form of import.
     probe = "from . import loads\nfrom .oracles import _x, y\nloads._Z + loads.w\n"
     assert sorted(private_sibling_names(probe)) == ["loads._Z", "oracles._x"]
+    probe = (
+        "from __future__ import annotations\nimport os, numpy.linalg\nimport re as regex\n"
+        "from .field import Modulus, rem as r\nnumpy.linalg.norm\nr = Modulus\n"
+    )
+    assert unread_imports(probe) == ["os", "regex", "r"]
 
 
 def test_run_lemma_checks_includes_lower_bound(tmp_path):
