@@ -20,7 +20,6 @@ from .experiments import (
     run_figure1,
     run_lemma_checks,
     run_scaling,
-    run_transform_demo,
     write_csv,
 )
 from .field import Modulus
@@ -167,12 +166,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sp.add_argument("--out", default="scaling.csv", help="output CSV path")
         sp.add_argument("--workers", type=int, default=1, help="parallel workers")
         sp.set_defaults(func=cmd_report, run=run_scaling)
-
-    if sp := add("transform", "exact interval vs affine-image max-load histograms"):
-        common(sp, 1031, 32, "transform.csv")
-        sp.add_argument("--alpha", type=int, default=77, help="affine multiplier (nonzero)")
-        sp.add_argument("--beta", type=int, default=5, help="affine offset")
-        sp.set_defaults(func=cmd_report, run=run_transform_demo)
 
     if sp := add("maxload-exact", "exact max-load histogram on [m]"):
         common(sp, 257, 16, "maxload_exact.csv")

@@ -166,6 +166,8 @@ def run_figure1(
     checks that the curve is non-increasing while d <= p/m and near-symmetric
     about the midpoint.
     """
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     mod = Modulus(p, m)
     ds = list(range(2, p)) if full_sweep else default_figure1_sweep(p, points)
     if not ds:
@@ -276,21 +278,14 @@ def check_b_shift_containment(mod: Modulus, at_zero: np.ndarray) -> tuple[int, i
     return p * p, violations
 
 
-def _affine_histograms(
-    mod: Modulus, alpha: int, beta: int, workers: int = 1, budget: int | None = None
-) -> tuple[dict[int, int], dict[int, int]]:
-    """All-(a,b) max-load histograms of [m] and of its image under x -> alpha*x + beta."""
-    return tuple(
-        exact_maxload_histogram(mod, ks, "all_b", workers, budget)
-        for ks in (Interval(mod.m), AffineImage(mod.m, alpha, beta))
-    )
-
-
 def check_affine_histogram(
     mod: Modulus, alpha: int, beta: int, workers: int = 1, budget: int | None = None
 ) -> bool:
-    """All-(a,b) max-load histograms of [m] and its affine image must match."""
-    plain, moved = _affine_histograms(mod, alpha, beta, workers, budget)
+    """All-(a,b) max-load histograms of [m] and its image under x -> alpha*x + beta must match."""
+    plain, moved = (
+        exact_maxload_histogram(mod, ks, "all_b", workers, budget)
+        for ks in (Interval(mod.m), AffineImage(mod.m, alpha, beta))
+    )
     return plain == moved
 
 
@@ -553,40 +548,5 @@ def run_scaling(
         ),
     )
     report = AcceptanceReport(checks)
-    write_report_csv(report_csv_path(out), report, meta)
-    return report
-
-
-def run_transform_demo(
-    p: int,
-    m: int,
-    alpha: int,
-    beta: int,
-    out,
-    workers: int = 1,
-    budget: int | None = None,
-) -> AcceptanceReport:
-    """Compare the exact all-(a,b) max-load histograms of [m] and its affine image.
-
-    Writes columns max_load, interval_count, affine_image_count, each count
-    an integer over p^2, and checks that the two histograms are equal.
-    """
-    mod = Modulus(p, m)
-    for ks in (Interval(m), AffineImage(m, alpha, beta)):
-        materialize(ks, mod)  # both key sets are valid before either histogram runs
-    plain, moved = _affine_histograms(mod, alpha, beta, workers, budget)
-    rows = [(load, plain.get(load, 0), moved.get(load, 0)) for load in sorted({*plain, *moved})]
-    meta = base_meta("transform", p=p, m=m, alpha=alpha, beta=beta, workers=workers)
-    write_csv(out, ("max_load", "interval_count", "affine_image_count"), rows, meta)
-
-    same = plain == moved
-    check = CheckRow(
-        name="transform-exhaustive-histogram",
-        claim="all-(a,b) max-load histograms of the two key sets are exactly equal",
-        observed="histograms equal" if same else "histograms differ",
-        bound="equal",
-        passed=same,
-    )
-    report = AcceptanceReport((check,))
     write_report_csv(report_csv_path(out), report, meta)
     return report

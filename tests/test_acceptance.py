@@ -181,7 +181,6 @@ def test_criterion_9_deterministic_outputs(tmp_path, capsys):
         "figure1": ("figure1", "--points", "24"),
         "lemmas": ("lemmas", "--p", "13", "--m", "3"),
         "scaling": ("scaling", "--m-values", "8,16", "--samples", "400", "--seed", "3"),
-        "transform": ("transform", "--p", "257", "--m", "16"),
         "maxload-exact": ("maxload-exact", "--p", "257", "--m", "16"),
     }
     mismatches = []

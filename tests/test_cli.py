@@ -9,8 +9,7 @@ import linbins
 from linbins.cli import build_parser, main
 
 SUBCOMMANDS = (
-    "figure1", "lemmas", "scaling", "transform",
-    "maxload-exact", "collide3", "interval-collide",
+    "figure1", "lemmas", "scaling", "maxload-exact", "collide3", "interval-collide",
 )
 
 
@@ -108,7 +107,7 @@ def test_only_scaling_loads_numpy_random(tmp_path):
         "commands = [\n"
         "    ['lemmas', '--p', '13', '--m', '3'],\n"
         "    ['figure1', '--p', '1031', '--m', '32', '--points', '16'],\n"
-        "    ['maxload-exact'], ['transform'], ['collide3'], ['interval-collide'],\n"
+        "    ['maxload-exact'], ['collide3'], ['interval-collide'],\n"
         "]\n"
         "for argv in commands:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -128,7 +127,7 @@ def test_only_scaling_loads_numpy_random(tmp_path):
 
 def test_budget_only_on_exhaustive_subcommands():
     parser = build_parser()
-    exhaustive = ("figure1", "lemmas", "transform", "maxload-exact", "collide3", "interval-collide")
+    exhaustive = ("figure1", "lemmas", "maxload-exact", "collide3", "interval-collide")
     for command in exhaustive:
         assert parser.parse_args([command, "--budget", "7"]).budget == 7, command
     # Sampling alone does no exhaustive work, so there is nothing to cap.
@@ -162,10 +161,13 @@ def test_one_subcommand_parser_keeps_every_text(command, capsys):
 
 def test_main_error_texts_match_the_full_parser(capsys):
     assert "{" + ",".join(SUBCOMMANDS) + "}" in build_parser().format_usage()
-    for argv in (["figure1", "--bogus"], [], ["bogus"], ["-h"]):
+    for argv in (["figure1", "--bogus"], [], ["bogus"], ["transform"], ["-h"]):
         assert exit_output(main, argv, capsys) == exit_output(
             build_parser().parse_args, argv, capsys
         ), argv
+    # The affine-image claim is the `lemmas` row affine-image-histogram.
+    code, _, err = exit_output(main, ["transform"], capsys)
+    assert code == 2 and "invalid choice: 'transform'" in err
     # A name that is no subcommand gets every subcommand's arguments.
     assert build_parser("bogus").parse_args(["figure1", "--points", "3"]).points == 3
 
@@ -243,18 +245,3 @@ def test_scaling_cli_rerun_identical(tmp_path):
     second = run_cli(*args, "--out", "b.csv", cwd=tmp_path)
     assert first.returncode == second.returncode
     assert body(tmp_path / "a.csv") == body(tmp_path / "b.csv")
-
-
-def test_transform_cli(tmp_path):
-    proc = run_cli(
-        "transform", "--p", "257", "--m", "16", "--alpha", "77", "--beta", "5",
-        "--out", "t.csv", cwd=tmp_path,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "transform-exhaustive-histogram" in proc.stdout
-    # The comparison is exact, so there is nothing to sample or seed.
-    sub = next(action for action in build_parser()._actions if action.dest == "command")
-    flags = {flag for action in sub.choices["transform"]._actions for flag in action.option_strings}
-    assert flags == {
-        "-h", "--help", "--p", "--m", "--out", "--workers", "--budget", "--alpha", "--beta",
-    }

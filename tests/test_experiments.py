@@ -33,7 +33,6 @@ from linbins.experiments import (
     run_figure1,
     run_lemma_checks,
     run_scaling,
-    run_transform_demo,
     write_csv,
 )
 from linbins.cli import main
@@ -182,6 +181,20 @@ def test_run_figure1_rejects_bad_d(tmp_path):
         run_figure1(tmp_path / "x.csv", p=2, m=1)
 
 
+@pytest.mark.parametrize("points", (0, -5))
+def test_run_figure1_refuses_points_below_one(tmp_path, monkeypatch, capsys, points):
+    # A sweep size below 1 is refused before any count, from Python and the CLI alike.
+    calls = []
+    monkeypatch.setattr(experiments, "count_triple_collisions", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=rf"^points must be >= 1, got {points}$"):
+        run_figure1(tmp_path / "x.csv", p=1031, m=32, points=points)
+    argv = ["figure1", "--p", "1031", "--m", "32", "--points", str(points)]
+    assert main([*argv, "--out", str(tmp_path / "cli.csv")]) == 2
+    assert capsys.readouterr().err == f"error: points must be >= 1, got {points}\n"
+    assert calls == []
+    assert not (tmp_path / "cli.csv").exists()
+
+
 def zero_one_d(mod):
     """Collision counts of every (0, 1, d), d in [2, p), as run_lemma_checks takes them."""
     return count_triple_collisions(mod, [(0, 1, d) for d in range(2, mod.p)])
@@ -304,6 +317,26 @@ def test_run_lemma_checks_smoke(tmp_path):
     assert len(names) == 12
     text = out.read_text()
     assert "load-sum" in text and "pass" in text
+
+
+def test_run_lemma_checks_reports_unequal_affine_histograms(tmp_path, monkeypatch):
+    # Move one affine-image tuple from the lowest max load to the next one up.
+    exact = oracles.exact_maxload_histogram
+
+    def skewed(mod, ks, *args):
+        hist = exact(mod, ks, *args)
+        if isinstance(ks, loads.AffineImage):
+            low = min(hist)
+            hist[low] -= 1
+            hist[low + 1] = hist.get(low + 1, 0) + 1
+        return hist
+
+    monkeypatch.setattr(experiments, "exact_maxload_histogram", skewed)
+    report = run_lemma_checks(13, 3, tmp_path / "l.report.csv")
+    row = report_row(report, "affine-image-histogram")
+    assert not row.passed and row.observed == "histograms differ"
+    assert not report.overall
+    assert main(["lemmas", "--p", "13", "--m", "3", "--out", str(tmp_path / "cli.csv")]) == 1
 
 
 def test_run_lemma_checks_passes_budget_to_every_check(tmp_path, monkeypatch):
@@ -455,60 +488,3 @@ def test_run_scaling_small(tmp_path):
     assert csv_body(out.read_text()) == body
 
 
-def transform_rows(out, p):
-    """The transform CSV's rows as integer triples, after checking its header and totals."""
-    header, *lines = csv_body(out.read_text()).splitlines()
-    assert header == "max_load,interval_count,affine_image_count"
-    rows = [tuple(map(int, line.split(","))) for line in lines]
-    assert sum(r[1] for r in rows) == sum(r[2] for r in rows) == p * p
-    return rows
-
-
-def test_run_transform_identity(tmp_path):
-    out = tmp_path / "transform.csv"
-    report = run_transform_demo(p=257, m=16, alpha=1, beta=0, out=out)
-    assert [c.name for c in report.checks] == ["transform-exhaustive-histogram"]
-    assert report.overall
-    assert all(plain == moved for _, plain, moved in transform_rows(out, 257))
-
-
-def test_run_transform_exhaustive(tmp_path):
-    out = tmp_path / "transform.csv"
-    report = run_transform_demo(p=257, m=16, alpha=77, beta=5, out=out)
-    assert report_row(report, "transform-exhaustive-histogram").passed
-    assert report.overall
-    plain = oracles.exact_maxload_histogram(Modulus(257, 16), Interval(16))
-    assert transform_rows(out, 257) == [(load, c, c) for load, c in sorted(plain.items())]
-
-
-def test_run_transform_validates_both_key_sets_before_sampling(tmp_path, monkeypatch):
-    # alpha = p passes AffineImage but not materialize; no histogram may run.
-    def no_histogram(*args):
-        raise AssertionError("a histogram started before the key sets were validated")
-
-    monkeypatch.setattr(experiments, "exact_maxload_histogram", no_histogram)
-    with pytest.raises(ValueError, match="alpha must be nonzero modulo p"):
-        run_transform_demo(p=1031, m=32, alpha=1031, beta=5, out=tmp_path / "t.csv")
-
-
-def test_run_transform_reports_unequal_histograms(tmp_path, monkeypatch):
-    # Move one affine-image tuple from the lowest max load to the next one up.
-    exact = oracles.exact_maxload_histogram
-
-    def skewed(mod, ks, *args):
-        hist = exact(mod, ks, *args)
-        if isinstance(ks, loads.AffineImage):
-            low = min(hist)
-            hist[low] -= 1
-            hist[low + 1] = hist.get(low + 1, 0) + 1
-        return hist
-
-    monkeypatch.setattr(experiments, "exact_maxload_histogram", skewed)
-    out = tmp_path / "transform.csv"
-    report = run_transform_demo(p=257, m=16, alpha=77, beta=5, out=out)
-    row = report_row(report, "transform-exhaustive-histogram")
-    assert not row.passed and row.observed == "histograms differ"
-    assert not report.overall
-    assert sum(plain != moved for _, plain, moved in transform_rows(out, 257)) == 2
-    argv = ["transform", "--p", "257", "--m", "16", "--out", str(tmp_path / "cli.csv")]
-    assert main(argv) == 1

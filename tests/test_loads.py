@@ -40,6 +40,9 @@ def test_explicit_rejects_duplicates():
 def test_affine_image_rejects_zero_alpha():
     with pytest.raises(ValueError):
         AffineImage(3, 0, 2)
+    # alpha = p passes AffineImage, whose p is not known yet, but not materialize.
+    with pytest.raises(ValueError, match="alpha must be nonzero modulo p"):
+        materialize(AffineImage(32, 1031, 5), Modulus(1031, 32))
 
 
 def test_load_profile_identity():
