@@ -3,8 +3,8 @@
 Every experiment prints its acceptance report and exits nonzero when a
 required check fails; refused exhaustive runs (over the work budget) exit
 with status 2 and a hint to lower p or raise --budget, and invalid values
-(p not prime, m out of range, --workers below 1) exit with status 2 and a
-one-line error.
+(p not prime, m out of range, --workers below 1) and an --out that cannot be
+written exit with status 2 and a one-line error.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .oracles import (
     exact_maxload_histogram,
     interval_lower_bound,
     interval_lower_bound_active,
-    triple_bound_formula,
+    triple_bound_terms,
 )
 
 
@@ -79,20 +79,20 @@ def cmd_collide3(args) -> int:
     ).tolist()
     total = args.p * args.p
     d = canonicalize_triple(args.p, args.x, args.y, args.z)
-    statement, proof = triple_bound_formula(mod, d)
+    statement, proof, den = triple_bound_terms(mod, d)
     print(
         f"triple ({args.x}, {args.y}, {args.z}) canonical d={d}: "
         f"{count}/{total} pairs collide (probability {count / total:.6g})"
     )
-    print(f"statement bound {float(statement):.6g}, proof bound {float(proof):.6g}")
+    print(f"statement bound {statement / den:.6g}, proof bound {proof / den:.6g}")
     if args.out:
         rows = [
             ("count", count),
             ("total", total),
             ("probability", count / total),
             ("canonical_d", d),
-            ("statement_bound", statement),
-            ("proof_bound", proof),
+            ("statement_bound", statement / den),
+            ("proof_bound", proof / den),
         ]
         meta = base_meta(
             "collide3", p=args.p, m=args.m, x=args.x, y=args.y, z=args.z, workers=args.workers
@@ -198,7 +198,7 @@ def main(argv=None) -> int:
     except WorkBudgetError as err:
         print(f"refused: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

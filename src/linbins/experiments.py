@@ -214,22 +214,23 @@ def run_figure1(
     return report
 
 
-def _lemma_key_sets(mod: Modulus, alpha: int, beta: int):
-    zero_free = Explicit(tuple(range(1, min(mod.m, mod.p - 1) + 1)))
-    return [Interval(mod.m), AffineImage(mod.m, alpha, beta), zero_free]
+def _zero_free(mod: Modulus) -> Explicit:
+    """The keys 1, ..., min(m, p - 1): [m] without 0, within the field."""
+    return Explicit(tuple(range(1, min(mod.m, mod.p - 1) + 1)))
 
 
 def check_load_sums(mod: Modulus, alpha: int, beta: int) -> tuple[int, int]:
     """Per-bin loads must sum to |S|; exhaustive over (a, b) at small p.
 
-    The loads come from loads.bin_counts, the kernel behind every max load
-    in the package.  Above p^2 = 90000 only b in {0, 1, p//2, p-1} is checked.
+    The loads come from loads.bin_counts, the kernel behind the b = 0 scans,
+    the fixed-a rows and the Monte Carlo maxima; the all-(a, b) histograms
+    replay maxload_credits.  Above p^2 = 90000 only b in {0, 1, p//2, p-1} is checked.
     """
     p, m = mod.p, mod.m
     bs = range(p) if p * p <= 90_000 else (0, 1, p // 2, p - 1)
     rows = p * len(bs)  # row r is the pair (r div |bs|, bs[r mod |bs|])
     checked = violations = 0
-    for ks in _lemma_key_sets(mod, alpha, beta):
+    for ks in (Interval(m), AffineImage(m, alpha, beta), _zero_free(mod)):
         elements = materialize(ks, mod)
         # int32 where the row indices and a*x + b fit, as in the placements checked.
         dtype = int_type(max(rows - 1, (p - 1) * (max(elements) + 1)))
@@ -249,11 +250,9 @@ def check_load_sums(mod: Modulus, alpha: int, beta: int) -> tuple[int, int]:
 
 def check_sign_symmetry(mod: Modulus, workers: int = 1) -> tuple[int, int]:
     """max_load(h_{a,0}) = max_load(h_{p-a,0}) on a 0-free key set, all a."""
-    p = mod.p
-    ks = Explicit(tuple(range(1, min(mod.m, p - 1) + 1)))
-    loads = maxloads_b_zero(mod, ks, workers=workers)
+    loads = maxloads_b_zero(mod, _zero_free(mod), workers=workers)
     violations = int(np.count_nonzero(loads[1:] != loads[:0:-1]))
-    return p - 1, violations
+    return mod.p - 1, violations
 
 
 def check_zero_slack(at_zero: np.ndarray) -> tuple[int, int]:
@@ -279,14 +278,12 @@ def check_b_shift_containment(mod: Modulus, at_zero: np.ndarray) -> tuple[int, i
 
 
 def check_affine_histogram(
-    mod: Modulus, alpha: int, beta: int, workers: int = 1, budget: int | None = None
+    mod: Modulus, whole: dict, alpha: int, beta: int, workers: int = 1, budget: int | None = None
 ) -> bool:
-    """All-(a,b) max-load histograms of [m] and its image under x -> alpha*x + beta must match."""
-    plain, moved = (
-        exact_maxload_histogram(mod, ks, "all_b", workers, budget)
-        for ks in (Interval(mod.m), AffineImage(mod.m, alpha, beta))
+    """whole, the all-(a,b) max-load histogram of [m], must equal its image's under alpha*x+beta."""
+    return whole == exact_maxload_histogram(
+        mod, AffineImage(mod.m, alpha, beta), "all_b", workers, budget
     )
-    return plain == moved
 
 
 # Above p = 31 the canonical check samples this many triples; every triple
@@ -412,6 +409,7 @@ def run_lemma_checks(
     sweep = count_interval_collisions(mod, sweep_max, workers, budget)
     counts = count_triple_collisions(mod, [(0, 1, d) for d in range(2, p)], workers, budget)
     at_zero = maxloads_b_zero(mod, Interval(m), workers)
+    whole = exact_maxload_histogram(mod, Interval(m), "all_b", workers, budget)
     # These two checks feed two rows each.
     triples = check_triple_bounds(mod, counts)
     intervals = check_interval_containment(sweep[: d_max - 1], counts)
@@ -428,7 +426,7 @@ def run_lemma_checks(
          "parameter pairs", lambda: check_b_shift_containment(mod, at_zero)),
         ("affine-image-histogram", f"[{m}] and its affine image (alpha={alpha}, beta={beta}) "
          "have identical all-(a,b) max-load histograms",
-         "histograms", lambda: check_affine_histogram(mod, alpha, beta, workers, budget)),
+         "histograms", lambda: check_affine_histogram(mod, whole, alpha, beta, workers, budget)),
         ("canonical-equality",
          "prescribed-bin counts are invariant under affine reduction to (0,1,d)",
          "target triples", lambda: check_canonical_equality(mod, seed, budget)),
@@ -449,7 +447,7 @@ def run_lemma_checks(
          "triples", lambda: check_decomposition(mod, budget)),
         ("partition-determinism",
          "exhaustive counts are identical under any chunking of the a-range",
-         "partitions", lambda: check_partition_determinism(mod, budget)),
+         "partitions", lambda: check_partition_determinism(mod, counts, whole)),
     ]
     if not lower_bound:
         table = [row for row in table if row[0] != "interval-lower-bound"]

@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .field import Modulus, int_type, mod_inverse, rem
-from .loads import Interval, KeySet, bin_counts, materialize, max_loads
+from .loads import KeySet, bin_counts, materialize, max_loads
 
 # Refuse exhaustive calls whose cost exceeds this, unless the caller raises
 # the budget.  Collision counts are charged the hash evaluations of the
@@ -115,11 +115,16 @@ def map_chunks(func, p: int, workers: int, work: int, args: tuple) -> list:
         return [f.result() for f in futures]
 
 
-def check_partition_determinism(mod: Modulus, budget: int | None = None) -> tuple[int, int]:
-    """Counts must not depend on how the a-range is chunked across workers."""
+def check_partition_determinism(mod: Modulus, counts: np.ndarray, whole: dict) -> tuple[int, int]:
+    """Counts must not depend on how the a-range is chunked across workers.
+
+    counts[d - 2] is the count of (0, 1, d) and whole the all-(a, b) max-load
+    histogram of [m], both as a run took them; the triple and event kernels
+    are summed here over several splits of the a-range and compared with them.
+    """
     p, m = mod.p, mod.m
     d = (p - 1) // 2 if p > 5 else 2
-    [base] = count_triple_collisions(mod, [(0, 1, d)], budget=budget)
+    base = counts[d - 2]
     rows = np.array([(0, 1, d)], dtype=np.int64)
     args = p, m, rows, _row_groups(m, rows)
     checked = violations = 0
@@ -128,7 +133,6 @@ def check_partition_determinism(mod: Modulus, budget: int | None = None) -> tupl
         violations += int(split[0] != base)
         checked += 1
     # The event kernel, summed over two sub-ranges of a, as a pool would split it.
-    whole = exact_maxload_histogram(mod, Interval(m), "all_b", budget=budget)
     split = sum(
         credit.sum(axis=0)
         for lo, hi in _chunk_bounds(p, 2)
@@ -453,12 +457,6 @@ def triple_bound_terms(mod: Modulus, d: int) -> tuple[int, int, int]:
     statement = d * m * m + max(d * m, p) * (m + d)
     proof = (d * m + d + p) * (m + d)
     return statement, proof, p * d * m * m
-
-
-def triple_bound_formula(mod: Modulus, d: int) -> tuple[Fraction, Fraction]:
-    """Candidate upper bounds (statement, proof) on P[{0, 1, d} collide], as exact Fractions."""
-    statement, proof, den = triple_bound_terms(mod, d)
-    return Fraction(statement, den), Fraction(proof, den)
 
 
 def interval_lower_bound_active(mod: Modulus) -> bool:

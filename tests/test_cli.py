@@ -77,6 +77,15 @@ def test_invalid_value_exits_two(tmp_path, args):
     assert len(proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["maxload-exact", "lemmas"])
+def test_unwritable_out_exits_two(tmp_path, command, capsys):
+    # Exit 1 means a failed check; an --out that cannot be written is an error.
+    out = tmp_path / "missing" / "x.csv"
+    assert main([command, "--p", "13", "--m", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_lemmas_seed_outside_64_bits_exits_two(tmp_path, seed):
     proc = run_cli("lemmas", "--p", "13", "--m", "3", "--seed", seed, cwd=tmp_path)

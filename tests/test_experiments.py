@@ -41,10 +41,11 @@ from linbins.loads import Interval
 from linbins.oracles import (
     count_interval_collisions,
     count_triple_collisions,
+    exact_maxload_histogram,
     interval_lower_bound_active,
     maxloads_b_zero,
     maxloads_for_a,
-    triple_bound_formula,
+    triple_bound_terms,
 )
 from reference import csv_body, report_row
 
@@ -203,18 +204,19 @@ def zero_one_d(mod):
 def test_check_functions_small_config():
     mod = Modulus(13, 3)
     at_zero = maxloads_b_zero(mod, Interval(3))
+    whole = exact_maxload_histogram(mod, Interval(3), "all_b")
     counts = zero_one_d(mod)
     assert check_load_sums(mod, alpha=5, beta=2) == (507, 0)
     assert check_sign_symmetry(mod) == (12, 0)
     assert check_zero_slack(at_zero) == (12, 0)
     assert check_b_shift_containment(mod, at_zero) == (169, 0)
-    assert check_affine_histogram(mod, alpha=5, beta=2)
+    assert check_affine_histogram(mod, whole, alpha=5, beta=2)
     checked, violations = check_canonical_equality(mod, seed=0)
     assert checked == 1716 * 5 and violations == 0
     assert check_triple_bounds(mod, counts) == (11, 0, 0)
     assert check_interval_containment(count_interval_collisions(mod, 13), counts) == (11, 0, 0)
     assert check_decomposition(mod) == (1716, 0)
-    assert check_partition_determinism(mod) == (4, 0)
+    assert check_partition_determinism(mod, counts, whole) == (4, 0)
 
 
 @pytest.mark.parametrize("p,m", ((541, 4), (1579, 8), (5417, 16)))
@@ -226,14 +228,22 @@ def test_check_triple_bounds_statement_form_fails_once(p, m):
     assert check_triple_bounds(mod, counts) == (p - 2, 1, 0)
     violations = [0, 0]
     for d, count in zip(range(2, p), counts.tolist()):
-        for k, bound in enumerate(triple_bound_formula(mod, d)):
-            violations[k] += Fraction(count, p * p) > bound
+        statement, proof, den = triple_bound_terms(mod, d)
+        for k, numerator in enumerate((statement, proof)):
+            violations[k] += Fraction(count, p * p) > Fraction(numerator, den)
     assert violations == [1, 0]
 
 
 def test_partition_determinism_splits_the_event_kernel(monkeypatch):
     # A kernel that miscounts only on a sub-range starting past a = 0 must
     # show as one violated partition, so the histogram really is split.
+    mod = Modulus(257, 16)
+    counts = zero_one_d(mod)
+    whole = exact_maxload_histogram(mod, Interval(16), "all_b")
+    # The base count is the run's counts[d - 2] at d = (p - 1)/2: every triple split disagrees.
+    wrong = counts.copy()
+    wrong[128 - 2] += 1
+    assert check_partition_determinism(mod, wrong, whole) == (4, 3)
     real = oracles.maxload_credits
 
     def skewed(p, m, elements, lo_a, hi_a):
@@ -243,7 +253,7 @@ def test_partition_determinism_splits_the_event_kernel(monkeypatch):
             yield lo, hi, credit
 
     monkeypatch.setattr(oracles, "maxload_credits", skewed)
-    assert check_partition_determinism(Modulus(257, 16)) == (4, 1)
+    assert check_partition_determinism(mod, counts, whole) == (4, 1)
 
 
 @pytest.mark.parametrize("skew", (lambda l0: 3 * l0 - 2, lambda l0: l0 // 3))
@@ -345,7 +355,7 @@ def test_run_lemma_checks_passes_budget_to_every_check(tmp_path, monkeypatch):
     report = run_lemma_checks(13, 3, tmp_path / "l.report.csv", budget=10**9)
     assert report.overall
     mod = Modulus(13, 3)
-    for check in (check_canonical_equality, check_decomposition, check_partition_determinism):
+    for check in (check_canonical_equality, check_decomposition):
         with pytest.raises(oracles.WorkBudgetError):
             check(mod, budget=1)
 
@@ -366,31 +376,43 @@ def test_run_lemma_checks_refuses_over_budget_before_uncharged_checks(tmp_path, 
 
 def test_run_lemma_checks_takes_each_shared_count_once(tmp_path, monkeypatch):
     # At (197, 8) the lower bound is active: one sweep serves it and the
-    # containment rows, one (0, 1, d) batch both triple-bound rows and
-    # containment, and one b = 0 scan of [m] the zero-slack and b-shift rows.
+    # containment rows, one (0, 1, d) batch both triple-bound rows,
+    # containment and partition determinism, one b = 0 scan of [m] the
+    # zero-slack and b-shift rows, and one all-(a, b) histogram of [m] the
+    # affine-image and partition rows.  Counters are recorded at both the
+    # experiments and the oracles bindings.
     p, m = 197, 8
-    calls = {"sweeps": [], "batches": 0, "b_zero": 0}
-    real_sweep = experiments.count_interval_collisions
-    real_triples = experiments.count_triple_collisions
-    real_b_zero = experiments.maxloads_b_zero
+    calls = {"sweeps": [], "batches": 0, "one_row": 0, "b_zero": 0, "whole": 0}
+    real_sweep = oracles.count_interval_collisions
+    real_triples = oracles.count_triple_collisions
+    real_b_zero = oracles.maxloads_b_zero
+    real_hist = oracles.exact_maxload_histogram
 
     def sweep(mod, d_max, *args, **kwargs):
         calls["sweeps"].append(d_max)
         return real_sweep(mod, d_max, *args, **kwargs)
 
     def triples(mod, rows, *args, **kwargs):
-        calls["batches"] += [tuple(r) for r in rows] == [(0, 1, d) for d in range(2, p)]
+        rows = [tuple(r) for r in rows]
+        calls["batches"] += rows == [(0, 1, d) for d in range(2, p)]
+        calls["one_row"] += rows == [(0, 1, (p - 1) // 2)]
         return real_triples(mod, rows, *args, **kwargs)
 
     def b_zero(mod, ks, *args, **kwargs):
         calls["b_zero"] += ks == Interval(m)
         return real_b_zero(mod, ks, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "count_interval_collisions", sweep)
-    monkeypatch.setattr(experiments, "count_triple_collisions", triples)
-    monkeypatch.setattr(experiments, "maxloads_b_zero", b_zero)
+    def hist(mod, ks, b_mode="all_b", *args, **kwargs):
+        calls["whole"] += ks == Interval(m) and b_mode == "all_b"
+        return real_hist(mod, ks, b_mode, *args, **kwargs)
+
+    for module in (experiments, oracles):
+        monkeypatch.setattr(module, "count_interval_collisions", sweep)
+        monkeypatch.setattr(module, "count_triple_collisions", triples)
+        monkeypatch.setattr(module, "maxloads_b_zero", b_zero)
+        monkeypatch.setattr(module, "exact_maxload_histogram", hist)
     assert run_lemma_checks(p, m, tmp_path / "l.report.csv").overall
-    assert calls == {"sweeps": [p], "batches": 1, "b_zero": 1}
+    assert calls == {"sweeps": [p], "batches": 1, "one_row": 0, "b_zero": 1, "whole": 1}
 
 
 def private_sibling_names(source: str) -> list[str]:
@@ -434,11 +456,13 @@ def unread_imports(source: str) -> list[str]:
 def test_experiments_imports_no_private_oracle_name():
     # Each module of the package uses only public names of its siblings; the
     # a-range partition and the chunk kernels stay behind oracles.  No module
-    # keeps an import it never reads.
+    # of the package or of the tests keeps an import it never reads; the
+    # tests may read private kernels.
     package = Path(experiments.__file__).parent
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
-    for check in (private_sibling_names, unread_imports):
-        assert {name: found for name, src in sources.items() if (found := check(src))} == {}
+    tests = {path.name: path.read_text() for path in sorted(Path(__file__).parent.glob("*.py"))}
+    for check, modules in ((private_sibling_names, sources), (unread_imports, sources | tests)):
+        assert {name: found for name, src in modules.items() if (found := check(src))} == {}
     # The checks see both forms of a private read, and every form of import.
     probe = "from . import loads\nfrom .oracles import _x, y\nloads._Z + loads.w\n"
     assert sorted(private_sibling_names(probe)) == ["loads._Z", "oracles._x"]

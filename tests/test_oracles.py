@@ -34,7 +34,6 @@ from linbins.oracles import (
     maxload_credits,
     maxloads_b_zero,
     maxloads_for_a,
-    triple_bound_formula,
     triple_bound_terms,
 )
 
@@ -404,7 +403,8 @@ BOUND_CASES += [
 def test_triple_bound_formula_matches_paper_form(p, m, ds):
     mod = Modulus(p, m)
     for d in ds:
-        assert triple_bound_formula(mod, d) == paper_bounds(p, m, d), d
+        statement, proof, den = triple_bound_terms(mod, d)
+        assert (Fraction(statement, den), Fraction(proof, den)) == paper_bounds(p, m, d), d
 
 
 TERM_CASES = [(1031, 32, range(2, 1031))]
@@ -417,22 +417,21 @@ def test_triple_bound_terms_give_the_formula(p, m, ds):
     mod = Modulus(p, m)
     for d in ds:
         statement, proof, den = triple_bound_terms(mod, d)
-        formula = triple_bound_formula(mod, d)
-        assert formula == (Fraction(statement, den), Fraction(proof, den)), d
-        assert (statement / den, proof / den) == tuple(map(float, formula)), d
+        exact = Fraction(statement, den), Fraction(proof, den)
+        assert (statement / den, proof / den) == tuple(map(float, exact)), d
 
 
 def test_triple_bound_formula_values():
     mod = Modulus(257, 16)
-    statement, proof = triple_bound_formula(mod, 2)
+    statement, proof, den = triple_bound_terms(mod, 2)
     # statement form at d=2 with p >= 2m: (1 + (p/2m)(1 + 2/m))/p
-    assert statement == (1 + Fraction(257, 32) * (1 + Fraction(2, 16))) / 257
-    assert proof == (1 + (1 + Fraction(257, 2)) / 16) * (1 + Fraction(2, 16)) / 257
+    assert Fraction(statement, den) == (1 + Fraction(257, 32) * (1 + Fraction(2, 16))) / 257
+    assert Fraction(proof, den) == (1 + (1 + Fraction(257, 2)) / 16) * (1 + Fraction(2, 16)) / 257
     assert ceiling_bound(mod, 2) == Fraction((1 + 9) * (1 + 1), 257)
-    with pytest.raises(ValueError):
-        triple_bound_formula(mod, 1)
-    with pytest.raises(ValueError):
-        triple_bound_formula(mod, 257)
+    with pytest.raises(ValueError, match="^d must satisfy 2 <= d < p, got 1$"):
+        triple_bound_terms(mod, 1)
+    with pytest.raises(ValueError, match="^d must satisfy 2 <= d < p, got 257$"):
+        triple_bound_terms(mod, 257)
 
 
 def ceiling_bound(mod, d):
@@ -448,9 +447,9 @@ def test_triple_bounds_hold_exhaustively_small():
         counts = count_triple_collisions(mod, [(0, 1, d) for d in range(2, p)])
         for d, count in zip(range(2, p), counts.tolist()):
             prob = Fraction(count, p * p)
-            statement, proof = triple_bound_formula(mod, d)
-            assert prob <= proof, (p, m, d)
-            assert prob <= statement, (p, m, d)
+            statement, proof, den = triple_bound_terms(mod, d)
+            assert prob <= Fraction(proof, den), (p, m, d)
+            assert prob <= Fraction(statement, den), (p, m, d)
             assert prob <= ceiling_bound(mod, d), (p, m, d)
 
 
@@ -720,14 +719,23 @@ def test_all_b_histogram_independent_of_block_size(monkeypatch):
     assert exact_maxload_histogram(mod, ks, b_mode="all_b") == whole
 
 
-def test_all_b_histogram_regression_m64():
-    p = next_prime_at_least(64 * 64)
-    assert p == 4099
-    hist = exact_maxload_histogram(Modulus(p, 64), Interval(64), b_mode="all_b")
+# Rows of the exact scaling table: m, p = nextprime(m^2), sum of L * count, mean.
+SCALING_ROWS = [
+    (16, 257, 167982, 2.543294),
+    (32, 1031, 2797652, 2.631942),
+    (64, 4099, 45349020, 2.699057),
+    (128, 16411, 736658620, 2.735245),
+]
+
+
+@pytest.mark.parametrize("m,p,total,mean", SCALING_ROWS, ids=[f"m{r[0]}" for r in SCALING_ROWS])
+def test_all_b_histogram_regression(m, p, total, mean):
+    assert next_prime_at_least(m * m) == p
+    hist = exact_maxload_histogram(Modulus(p, m), Interval(m), b_mode="all_b")
     assert sum(hist.values()) == p * p
     total_load = sum(load * cnt for load, cnt in hist.items())
-    assert total_load == 45349020
-    assert round(total_load / (p * p), 6) == 2.699057
+    assert total_load == total
+    assert round(total_load / (p * p), 6) == mean
 
 
 def test_all_b_budget_charges_kernel_work():
