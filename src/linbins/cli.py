@@ -4,13 +4,17 @@ Every experiment prints its acceptance report and exits nonzero when a
 required check fails; refused exhaustive runs (over the work budget) exit
 with status 2 and a hint to lower p or raise --budget, and invalid values
 (p not prime, m out of range, --workers below 1) and an --out that cannot be
-written exit with status 2 and a one-line error.
+written exit with status 2 and a one-line error, a missing --out directory
+before any count.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
+from pathlib import Path
 
 from .experiments import (
     FIGURE1_DEFAULT_M,
@@ -30,7 +34,7 @@ from .oracles import (
     count_interval_collision,
     count_triple_collisions,
     exact_maxload_histogram,
-    interval_lower_bound,
+    interval_bound_denominator,
     interval_lower_bound_active,
     triple_bound_terms,
 )
@@ -42,7 +46,7 @@ def cmd_report(args) -> int:
     report = args.run(**flags)
     print(f"wrote {args.out}")
     print(format_report(report))
-    return 0 if report.overall else 1
+    return 0 if all(c.passed for c in report) else 1
 
 
 def m_values(text: str) -> list[int]:
@@ -112,8 +116,9 @@ def cmd_interval_collide(args) -> int:
     )
     rows = [("count", count), ("total", total), ("probability", count / total)]
     if args.d <= args.m and interval_lower_bound_active(mod):
-        bound = interval_lower_bound(mod, args.d)
-        print(f"guaranteed lower bound 1/(6dm) = {float(bound):.6g}")
+        # 1 / den is correctly rounded, as the float of the exact ratio.
+        bound = 1 / interval_bound_denominator(mod, args.d)
+        print(f"guaranteed lower bound 1/(6dm) = {bound:.6g}")
         rows.append(("lower_bound", bound))
     if args.out:
         meta = base_meta(
@@ -194,6 +199,9 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise ValueError(f"--workers must be at least 1, got {args.workers}")
+        # Every CSV of a run goes to the directory of --out.
+        if args.out and not Path(args.out).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
         return args.func(args)
     except WorkBudgetError as err:
         print(f"refused: {err}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Named experiments: exhaustive property checks and CSV-producing studies.
 
 Every experiment writes '#'-commented metadata plus a plain CSV body, and
-returns an AcceptanceReport whose rows carry the property checked, the
+returns its report, a tuple of CheckRow that carry the property checked, the
 observed value, and the required bound.  Tolerances that arithmetic does not
 force (the 25% symmetry band, the -1.5 tail slope, the 1.0 mean spread and
 separation margins) are artifact choices and the claim text marks them as
@@ -16,7 +16,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from .oracles import (
     count_prescribed_triple,
     count_triple_collisions,
     exact_maxload_histogram,
-    interval_lower_bound,
+    interval_bound_denominator,
     interval_lower_bound_active,
     maxload_credits,
     maxloads_b_zero,
@@ -57,17 +56,6 @@ class CheckRow:
     observed: str
     bound: str
     passed: bool
-
-
-@dataclass(frozen=True)
-class AcceptanceReport:
-    """Bundle of check rows; overall passes only if every row does."""
-
-    checks: tuple[CheckRow, ...]
-
-    @property
-    def overall(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def _fmt(value) -> str:
@@ -116,22 +104,21 @@ def report_csv_path(out) -> Path:
     return Path(out).with_suffix(".report.csv")
 
 
-def write_report_csv(path, report: AcceptanceReport, meta) -> None:
+def write_report_csv(path, report: tuple[CheckRow, ...], meta) -> None:
     rows = [
-        (c.name, c.claim, c.observed, c.bound, "pass" if c.passed else "fail")
-        for c in report.checks
+        (c.name, c.claim, c.observed, c.bound, "pass" if c.passed else "fail") for c in report
     ]
     write_csv(path, ("check", "claim", "observed", "bound", "result"), rows, meta)
 
 
-def format_report(report: AcceptanceReport) -> str:
-    """Human-readable table: one verdict line plus the claim per check."""
+def format_report(report: tuple[CheckRow, ...]) -> str:
+    """Human-readable table: one verdict line plus the claim per check; overall passes if all do."""
     lines = []
-    for c in report.checks:
+    for c in report:
         flag = "PASS" if c.passed else "FAIL"
         lines.append(f"[{flag}] {c.name}: {c.observed} (required: {c.bound})")
         lines.append(f"       {c.claim}")
-    lines.append(f"overall: {'PASS' if report.overall else 'FAIL'}")
+    lines.append(f"overall: {'PASS' if all(c.passed for c in report) else 'FAIL'}")
     return "\n".join(lines)
 
 
@@ -159,7 +146,7 @@ def run_figure1(
     full_sweep: bool = False,
     workers: int = 1,
     budget: int | None = None,
-) -> AcceptanceReport:
+) -> tuple[CheckRow, ...]:
     """Sweep the exact collision probability of {0, 1, d} and both bound forms.
 
     Writes columns d, exact_probability, statement_bound, proof_bound, and
@@ -176,7 +163,7 @@ def run_figure1(
     counts = count_triple_collisions(
         mod, [(0, 1, d) for d in ds], workers=workers, budget=budget
     )
-    # Python ints: int/int true division is correctly rounded at any size, as float(Fraction).
+    # Python ints: int/int true division is correctly rounded at any size.
     count = dict(zip(ds, counts.tolist()))
     rows = []
     for d in ds:
@@ -191,7 +178,7 @@ def run_figure1(
     drops = [(a, b) for a, b in zip(low, low[1:]) if count[a] < count[b]]
     # Both sweeps hold the mirror p+1-d of each of their points.
     worst = max(abs(count[d] - count[p + 1 - d]) / count[p + 1 - d] for d in ds)
-    checks = (
+    report = (
         CheckRow(
             name="probability-nonincreasing-low-d",
             claim="exact collision probability of {0,1,d} is non-increasing "
@@ -209,7 +196,6 @@ def run_figure1(
             passed=worst <= 0.25,
         ),
     )
-    report = AcceptanceReport(checks)
     write_report_csv(report_csv_path(out), report, meta)
     return report
 
@@ -340,8 +326,9 @@ def check_interval_lower_bound(mod: Modulus, sweep: np.ndarray) -> tuple[int, in
     sweep is count_interval_collisions up to a length of at least m.
     """
     sweep = sweep[: mod.m - 1]
+    # count / p^2 < 1 / den, compared in integers.
     violations = sum(
-        Fraction(count, mod.p * mod.p) < interval_lower_bound(mod, d)
+        count * interval_bound_denominator(mod, d) < mod.p * mod.p
         for d, count in enumerate(sweep.tolist(), start=2)
     )
     return len(sweep), violations
@@ -384,7 +371,7 @@ def run_lemma_checks(
     seed: int = 0,
     workers: int = 1,
     budget: int | None = None,
-) -> AcceptanceReport:
+) -> tuple[CheckRow, ...]:
     """Run every exhaustive invariant at one (p, m) and write the report CSV.
 
     Each row of the table is a check name, its claim, the unit of what was
@@ -463,7 +450,7 @@ def run_lemma_checks(
             row = (f"{bad} violations / {checked} {unit}", "0 violations", bad == 0)
         checks.append(CheckRow(name, claim, *row))
 
-    report = AcceptanceReport(tuple(checks))
+    report = tuple(checks)
     meta = base_meta(
         "lemmas",
         p=p,
@@ -483,7 +470,7 @@ def run_scaling(
     seed: int,
     out,
     workers: int = 1,
-) -> AcceptanceReport:
+) -> tuple[CheckRow, ...]:
     """Scaling study CSV plus spread/monotonicity/separation/tail checks."""
     rows = scaling_study(m_values, samples, seed, workers)
     tail_ls = list(range(2, 11))
@@ -511,7 +498,7 @@ def run_scaling(
     increases_missing = sum(1 for a, b in zip(random, random[1:]) if not a < b)
     separation = random[-1] - linear[-1]
     slope = tail_log_slope(rows[-1].linear.tail, samples)
-    checks = (
+    report = (
         CheckRow(
             name="linear-mean-spread",
             claim="linear-hash mean max load stays in a constant band across m "
@@ -545,6 +532,5 @@ def run_scaling(
             passed=slope is not None and slope <= -1.5,
         ),
     )
-    report = AcceptanceReport(checks)
     write_report_csv(report_csv_path(out), report, meta)
     return report

@@ -41,7 +41,6 @@ maxloads_for_a stay in int64.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 
 import numpy as np
 
@@ -132,12 +131,8 @@ def check_partition_determinism(mod: Modulus, counts: np.ndarray, whole: dict) -
         split = sum(_triple_chunk(*args, lo, hi) for lo, hi in _chunk_bounds(p, chunks))
         violations += int(split[0] != base)
         checked += 1
-    # The event kernel, summed over two sub-ranges of a, as a pool would split it.
-    split = sum(
-        credit.sum(axis=0)
-        for lo, hi in _chunk_bounds(p, 2)
-        for _, _, credit in maxload_credits(p, m, range(m), lo, hi)
-    )
+    # The event kernel's chunk, summed over two sub-ranges of a, as a pool would split it.
+    split = sum(_maxload_hist_all_b_chunk(p, m, range(m), lo, hi) for lo, hi in _chunk_bounds(p, 2))
     violations += whole != {load: c for load, c in enumerate(split.tolist()) if c}
     checked += 1
     return checked, violations
@@ -464,8 +459,8 @@ def interval_lower_bound_active(mod: Modulus) -> bool:
     return mod.p > 3 * mod.m * mod.m
 
 
-def interval_lower_bound(mod: Modulus, d: int) -> Fraction:
-    """Guaranteed lower bound 1/(6*d*m) on the interval collision probability.
+def interval_bound_denominator(mod: Modulus, d: int) -> int:
+    """Denominator 6*d*m of the interval collision probability's lower bound 1/(6*d*m).
 
     Only claimed for d <= m under p > 3*m^2.
     """
@@ -474,7 +469,7 @@ def interval_lower_bound(mod: Modulus, d: int) -> Fraction:
         raise ValueError(f"the bound requires 2 <= d <= m, got d={d}, m={m}")
     if not interval_lower_bound_active(mod):
         raise ValueError(f"the bound requires p > 3*m^2, got p={p}, m={m}")
-    return Fraction(1, 6 * d * m)
+    return 6 * d * m
 
 
 def _b_zero_placement(p, m, elements, lo_a, hi_a):

@@ -68,8 +68,8 @@ def csv_body(text: str) -> str:
 
 
 def report_row(report, name: str):
-    """The check row of an AcceptanceReport with the given name."""
-    for c in report.checks:
+    """The check row of a report, a tuple of CheckRow, with the given name."""
+    for c in report:
         if c.name == name:
             return c
     raise KeyError(name)

@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, CSV structure, determinism."""
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import linbins
+from linbins import oracles
 from linbins.cli import build_parser, main
 
 SUBCOMMANDS = (
@@ -77,13 +80,18 @@ def test_invalid_value_exits_two(tmp_path, args):
     assert len(proc.stderr.splitlines()) == 1
 
 
-@pytest.mark.parametrize("command", ["maxload-exact", "lemmas"])
-def test_unwritable_out_exits_two(tmp_path, command, capsys):
-    # Exit 1 means a failed check; an --out that cannot be written is an error.
+@pytest.mark.parametrize("command", ["maxload-exact", "lemmas", "figure1"])
+def test_unwritable_out_exits_two(tmp_path, command, capsys, monkeypatch):
+    # Exit 1 means a failed check; an --out that cannot be written is an error,
+    # found before any count: every exhaustive counter partitions its range
+    # through oracles.map_chunks, and none is called.
+    calls = []
+    monkeypatch.setattr(oracles, "map_chunks", lambda *args: calls.append(args))
     out = tmp_path / "missing" / "x.csv"
     assert main([command, "--p", "13", "--m", "3", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -106,32 +114,71 @@ def test_only_scaling_loads_numpy_random(tmp_path):
     # numpy >= 2 imports numpy.random, and about 20 modules with it, on
     # first use; only the Monte Carlo sampler needs it.
     # numpy 1.x imports it with numpy itself, so there is nothing to see.
+    # No subcommand loads fractions (and decimal and numbers with it): every
+    # exact bound is compared in integers.
     code = (
         "import contextlib, io, sys\n"
         "import numpy\n"
-        "if 'numpy.random' in sys.modules:\n"
-        "    print('eager')\n"
-        "    sys.exit(0)\n"
+        "eager = 'numpy.random' in sys.modules\n"
         "from linbins.cli import main\n"
         "commands = [\n"
         "    ['lemmas', '--p', '13', '--m', '3'],\n"
         "    ['figure1', '--p', '1031', '--m', '32', '--points', '16'],\n"
-        "    ['maxload-exact'], ['collide3'], ['interval-collide'],\n"
+        "    ['maxload-exact'], ['collide3'], ['interval-collide', '--p', '197', '--m', '8'],\n"
+        "    ['scaling', '--m-values', '8,16', '--samples', '400', '--seed', '3'],\n"
         "]\n"
         "for argv in commands:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main(argv) == 0, argv\n"
-        "    assert 'numpy.random' not in sys.modules, argv[0]\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    main(['scaling', '--m-values', '8,16', '--samples', '400', '--seed', '3'])\n"
-        "assert 'numpy.random' in sys.modules, 'scaling'\n"
+        "        assert main(argv) == 0 or argv[0] == 'scaling', argv\n"
+        "    assert 'fractions' not in sys.modules, argv[0]\n"
+        "    assert eager or ('numpy.random' in sys.modules) == (argv[0] == 'scaling'), argv[0]\n"
+        "print('eager' if eager else 'lazy')\n"
     )
     run = subprocess.run(
         [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True
     )
     assert run.returncode == 0, run.stderr
     if run.stdout == "eager\n":
-        pytest.skip("this numpy imports numpy.random with numpy itself")
+        pytest.skip("this numpy imports numpy.random with numpy itself (fractions was checked)")
+
+
+def unused_module_names(sources: dict[str, str]) -> set[str]:
+    """module.name for each module-level function, class or constant no module reads.
+
+    A read is a loaded Name, an attribute of that name, or a from-import of it.
+    """
+    defined, read = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update((module, t.id) for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return {f"{module}.{name}" for module, name in defined if name not in read}
+
+
+def test_every_module_level_name_is_read():
+    # The program carries no dead code.  load_profile and maxloads_for_a are
+    # read only by the tests and by the benchmark's tracer, which wraps them
+    # by name.
+    package = Path(linbins.__file__).parent
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert unused_module_names(sources) == {"loads.load_profile", "oracles.maxloads_for_a"}
+    # The check sees every form of read, and only reads.
+    probe = {
+        "a": "X = 1\nY: int = 2\nclass C: pass\ndef f(): return C\ndef g(): f()\n",
+        "b": "from .a import X\nfrom . import a\na.Y\n",
+    }
+    assert unused_module_names(probe) == {"a.g"}
 
 
 def test_budget_only_on_exhaustive_subcommands():

@@ -13,7 +13,6 @@ import numpy as np
 
 from linbins import experiments, loads, oracles
 from linbins.experiments import (
-    AcceptanceReport,
     CheckRow,
     _fmt,
     check_affine_histogram,
@@ -107,17 +106,15 @@ def test_report_csv_path():
 
 
 def test_format_report():
-    report = AcceptanceReport(
-        (
-            CheckRow("one", "claim text", "0 violations", "0 violations", True),
-            CheckRow("two", "other claim", "3 violations", "0 violations", False),
-        )
+    report = (
+        CheckRow("one", "claim text", "0 violations", "0 violations", True),
+        CheckRow("two", "other claim", "3 violations", "0 violations", False),
     )
     text = format_report(report)
     assert "[PASS] one" in text
     assert "[FAIL] two" in text
     assert text.endswith("overall: FAIL")
-    assert not report.overall
+    assert not all(c.passed for c in report)
     assert report_row(report, "one").passed
 
 
@@ -138,7 +135,7 @@ def test_default_figure1_sweep_shape():
 def test_run_figure1_small(tmp_path):
     out = tmp_path / "fig.csv"
     report = run_figure1(out, p=257, m=16, points=24)
-    assert report.overall
+    assert all(c.passed for c in report)
     text = out.read_text()
     body = csv_body(text)
     header, *rows = body.splitlines()
@@ -153,7 +150,7 @@ def test_run_figure1_small(tmp_path):
 def test_run_figure1_full_sweep(tmp_path):
     out = tmp_path / "fig_full.csv"
     report = run_figure1(out, p=257, m=16, full_sweep=True)
-    assert report.overall
+    assert all(c.passed for c in report)
     body = csv_body(out.read_text())
     assert len(body.splitlines()) == 1 + 255
     digest = hashlib.sha256(body.encode()).hexdigest()
@@ -321,8 +318,8 @@ def test_interval_lower_bound_activation():
 def test_run_lemma_checks_smoke(tmp_path):
     out = tmp_path / "lemmas.report.csv"
     report = run_lemma_checks(13, 3, out, seed=0)
-    assert report.overall
-    names = [c.name for c in report.checks]
+    assert all(c.passed for c in report)
+    names = [c.name for c in report]
     assert "interval-lower-bound" not in names  # 13 <= 3 * 3^2
     assert len(names) == 12
     text = out.read_text()
@@ -345,7 +342,7 @@ def test_run_lemma_checks_reports_unequal_affine_histograms(tmp_path, monkeypatc
     report = run_lemma_checks(13, 3, tmp_path / "l.report.csv")
     row = report_row(report, "affine-image-histogram")
     assert not row.passed and row.observed == "histograms differ"
-    assert not report.overall
+    assert not all(c.passed for c in report)
     assert main(["lemmas", "--p", "13", "--m", "3", "--out", str(tmp_path / "cli.csv")]) == 1
 
 
@@ -353,7 +350,7 @@ def test_run_lemma_checks_passes_budget_to_every_check(tmp_path, monkeypatch):
     # With the default budget at 1, any counter left on the default refuses.
     monkeypatch.setattr(oracles, "DEFAULT_WORK_BUDGET", 1)
     report = run_lemma_checks(13, 3, tmp_path / "l.report.csv", budget=10**9)
-    assert report.overall
+    assert all(c.passed for c in report)
     mod = Modulus(13, 3)
     for check in (check_canonical_equality, check_decomposition):
         with pytest.raises(oracles.WorkBudgetError):
@@ -411,7 +408,7 @@ def test_run_lemma_checks_takes_each_shared_count_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "count_triple_collisions", triples)
         monkeypatch.setattr(module, "maxloads_b_zero", b_zero)
         monkeypatch.setattr(module, "exact_maxload_histogram", hist)
-    assert run_lemma_checks(p, m, tmp_path / "l.report.csv").overall
+    assert all(c.passed for c in run_lemma_checks(p, m, tmp_path / "l.report.csv"))
     assert calls == {"sweeps": [p], "batches": 1, "one_row": 0, "b_zero": 1, "whole": 1}
 
 
@@ -475,7 +472,7 @@ def test_experiments_imports_no_private_oracle_name():
 
 def test_run_lemma_checks_includes_lower_bound(tmp_path):
     report = run_lemma_checks(197, 8, tmp_path / "l.report.csv", seed=0)
-    assert report.overall
+    assert all(c.passed for c in report)
     assert report_row(report, "interval-lower-bound").passed
 
 
@@ -499,7 +496,7 @@ def test_lemma_report_body_frozen(tmp_path, p, m, digest):
 def test_run_scaling_small(tmp_path):
     out = tmp_path / "scaling.csv"
     report = run_scaling([16, 64], samples=2000, seed=123, out=out)
-    assert report.overall
+    assert all(c.passed for c in report)
     body = csv_body(out.read_text())
     header, first, second = body.splitlines()
     columns = header.split(",")

@@ -30,7 +30,7 @@ from linbins.oracles import (
     count_prescribed_triple,
     count_triple_collisions,
     exact_maxload_histogram,
-    interval_lower_bound,
+    interval_bound_denominator,
     maxload_credits,
     maxloads_b_zero,
     maxloads_for_a,
@@ -308,6 +308,22 @@ def test_interval_sweep_budget_charged_once():
     assert len(sweep) == 5
 
 
+@pytest.mark.parametrize(
+    "p,m,d_max",
+    # Every d <= p at the last three: m = 1 is the sweep's one-bin branch,
+    # and Interval(p) the whole field that _mirror_centre takes as its own mirror.
+    [(257, 16, 40), (331, 12, 40), (1031, 32, 40), (197, 8, 40), (13, 1, 13), (13, 3, 13),
+     (7, 7, 7)],
+)
+def test_interval_sweep_agrees_with_event_replay(p, m, d_max):
+    # Two independent kernels: [d] collides exactly on the (a, b) whose max
+    # load on [d] is d, which the wrap-event replay counts.
+    mod = Modulus(p, m)
+    sweep = count_interval_collisions(mod, d_max).tolist()
+    replay = [exact_maxload_histogram(mod, Interval(d)).get(d, 0) for d in range(2, d_max + 1)]
+    assert sweep == replay
+
+
 def test_triple_count_regressions():
     assert count_triple_collisions(Modulus(13, 3), [(0, 1, 2)])[0] == 29
     assert count_triple_collisions(Modulus(13, 13), [(0, 1, 2)])[0] == 13
@@ -455,19 +471,19 @@ def test_triple_bounds_hold_exhaustively_small():
 
 def test_interval_lower_bound_values():
     mod = Modulus(197, 8)
-    assert interval_lower_bound(mod, 2) == Fraction(1, 96)
-    assert interval_lower_bound(mod, 8) == Fraction(1, 384)
+    assert Fraction(1, interval_bound_denominator(mod, 2)) == Fraction(1, 96)
+    assert Fraction(1, interval_bound_denominator(mod, 8)) == Fraction(1, 384)
     with pytest.raises(ValueError):
-        interval_lower_bound(mod, 9)
+        interval_bound_denominator(mod, 9)
     with pytest.raises(ValueError):
-        interval_lower_bound(Modulus(191, 8), 2)  # 191 <= 3 * 64
+        interval_bound_denominator(Modulus(191, 8), 2)  # 191 <= 3 * 64
 
 
 def test_interval_lower_bound_holds():
     mod = Modulus(197, 8)
     for d in (2, 8):
         prob = Fraction(count_interval_collision(mod, d), 197 * 197)
-        assert prob >= interval_lower_bound(mod, d)
+        assert prob >= Fraction(1, interval_bound_denominator(mod, d))
 
 
 def test_interval_containment_and_monotonicity():
