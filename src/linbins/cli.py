@@ -166,7 +166,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sp.add_argument(
             "--m-values", type=m_values, default="16,64,256,1024", help="comma-separated bin counts"
         )
-        sp.add_argument("--samples", type=int, default=100_000, help="Monte Carlo samples")
+        sp.add_argument(
+            "--samples", type=int, default=100_000, help="linear-hash Monte Carlo samples"
+        )
         sp.add_argument("--seed", type=int, default=0, help="random seed")
         sp.add_argument("--out", default="scaling.csv", help="output CSV path")
         sp.add_argument("--workers", type=int, default=1, help="parallel workers")

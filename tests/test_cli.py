@@ -167,12 +167,17 @@ def unused_module_names(sources: dict[str, str]) -> set[str]:
 
 
 def test_every_module_level_name_is_read():
-    # The program carries no dead code.  load_profile and maxloads_for_a are
-    # read only by the tests and by the benchmark's tracer, which wraps them
-    # by name.
+    # The program carries no dead code.  load_profile, maxloads_for_a and
+    # mc_fully_random_maxload are read only by the tests and by the
+    # benchmark's tracer, which wraps them by name; criterion 8 also
+    # calibrates the fully random sampler against the exact distribution.
     package = Path(linbins.__file__).parent
     sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
-    assert unused_module_names(sources) == {"loads.load_profile", "oracles.maxloads_for_a"}
+    assert unused_module_names(sources) == {
+        "loads.load_profile",
+        "oracles.maxloads_for_a",
+        "estimators.mc_fully_random_maxload",
+    }
     # The check sees every form of read, and only reads.
     probe = {
         "a": "X = 1\nY: int = 2\nclass C: pass\ndef f(): return C\ndef g(): f()\n",

@@ -1,8 +1,10 @@
 """Monte Carlo estimators and exact fully-random baselines."""
 
+import json
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from linbins import estimators, loads, oracles
 from linbins.estimators import (
     _summarize,
+    fully_random_mean,
     mc_fully_random_maxload,
     mc_linear_maxload,
     scaling_study,
@@ -19,6 +22,8 @@ from linbins.field import MAX_MODULUS, Modulus, next_prime_at_least
 from linbins.loads import AffineImage, Explicit, Interval, materialize
 from linbins.oracles import exact_maxload_histogram
 from reference import _sample_rng, fully_random_exact_mean, max_load_distribution
+
+EXACT_MEANS = Path(__file__).resolve().parent.parent / "perfbench" / "refs" / "exact_means.json"
 
 
 # The stream layout these tests pin: sample i is row i % 64 of a 64-row draw
@@ -343,6 +348,48 @@ def test_fully_random_exact_mean_values():
     assert abs(float(fully_random_exact_mean(32, 32)) - 3.532940993) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "m, balls",
+    [(m, m) for m in range(1, 33)] + [(2, 3), (3, 7), (5, 2), (7, 20), (32, 5), (4, 40)],
+)
+def test_fully_random_mean_within_its_bound(m, balls):
+    mean, bound = fully_random_mean(m, balls)
+    assert abs(Fraction(mean) - fully_random_exact_mean(m, balls)) <= Fraction(bound)
+    assert bound < 1e-9
+
+
+def test_fully_random_mean_at_64_within_its_bound():
+    # The Fraction of the dynamic program at m = 64, which takes seconds.
+    exact = Fraction(json.loads(EXACT_MEANS.read_text())["fully_random"]["64"])
+    mean, bound = fully_random_mean(64, 64)
+    assert abs(Fraction(mean) - exact) <= Fraction(bound) < 1e-9
+
+
+def test_fully_random_mean_stops_on_the_union_bound(monkeypatch):
+    # The sum stops once the union bound on the terms left out is below one
+    # threshold's rounding error: 15 thresholds and N(n).  A rule that never
+    # fires early would evaluate every t up to n - 1 = 2047.
+    thresholds = []
+    power = estimators._power_coefficient
+
+    def record(w, m, n):
+        thresholds.append(len(w) - 1)
+        return power(w, m, n)
+
+    monkeypatch.setattr(estimators, "_power_coefficient", record)
+    mean, bound = fully_random_mean(2048, 2048)
+    assert len(thresholds) <= 25, thresholds
+    assert abs(mean - 5.883531507) < 1e-9 and bound < 1e-9
+
+
+def test_fully_random_mean_validates():
+    assert fully_random_mean(1, 7) == (7.0, 0.0)
+    with pytest.raises(ValueError):
+        fully_random_mean(0, 3)
+    with pytest.raises(ValueError):
+        fully_random_mean(3, 0)
+
+
 def test_fully_random_calibrated_against_exact():
     for m in (4, 16):
         exact = float(fully_random_exact_mean(m, m))
@@ -365,7 +412,7 @@ def test_scaling_study_shape():
     assert [r.p for r in rows] == [5, 17]
     for r in rows:
         assert 1.0 <= r.linear.mean <= r.m
-        assert 1.0 <= r.random.mean <= r.m
+        assert r.random == fully_random_mean(r.m, r.m)
         assert r.linear.samples == 500
     with pytest.raises(ValueError):
         scaling_study([1], samples=10, seed=0)
@@ -376,7 +423,7 @@ def test_scaling_study_validates_every_m_before_sampling(monkeypatch, m_values):
     # nextprime(46341^2) is above MAX_MODULUS.
     calls = []
     monkeypatch.setattr(estimators, "mc_linear_maxload", lambda *a: calls.append(a))
-    monkeypatch.setattr(estimators, "mc_fully_random_maxload", lambda *a: calls.append(a))
+    monkeypatch.setattr(estimators, "fully_random_mean", lambda *a: calls.append(a))
     with pytest.raises(ValueError):
         scaling_study(m_values, samples=20000, seed=0)
     assert calls == []
@@ -385,7 +432,6 @@ def test_scaling_study_validates_every_m_before_sampling(monkeypatch, m_values):
 def test_scaling_study_wraps_derived_seeds():
     rows = scaling_study([2, 4], samples=20, seed=2**64 - 2)
     assert [r.linear.seed for r in rows] == [2**64 - 2, 0]
-    assert [r.random.seed for r in rows] == [2**64 - 1, 1]
     with pytest.raises(ValueError):
         scaling_study([2], samples=20, seed=-1)
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import ast
 import csv
 import hashlib
 import io
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,6 +48,9 @@ from linbins.oracles import (
     triple_bound_terms,
 )
 from reference import csv_body, report_row
+
+# Exact fully random means at m = 16 and 64, as Fractions of the dynamic program.
+EXACT_MEANS = Path(__file__).resolve().parent.parent / "perfbench" / "refs" / "exact_means.json"
 
 
 def test_fmt_values():
@@ -509,3 +513,12 @@ def test_run_scaling_small(tmp_path):
     assert csv_body(out.read_text()) == body
 
 
+def test_run_scaling_random_column_within_written_bound(tmp_path):
+    # random_se bounds the written random_mean, 12-digit rounding included.
+    out = tmp_path / "scaling.csv"
+    run_scaling([16, 64], samples=100, seed=0, out=out)
+    rows = list(csv.DictReader(io.StringIO(csv_body(out.read_text()))))
+    refs = json.loads(EXACT_MEANS.read_text())["fully_random"]
+    for row in rows:
+        exact = Fraction(refs[row["m"]])
+        assert abs(Fraction(row["random_mean"]) - exact) <= Fraction(row["random_se"]), row
