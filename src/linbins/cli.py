@@ -28,16 +28,7 @@ from .experiments import (
 )
 from .field import Modulus
 from .loads import Interval
-from .oracles import (
-    WorkBudgetError,
-    canonicalize_triple,
-    count_interval_collision,
-    count_triple_collisions,
-    exact_maxload_histogram,
-    interval_bound_denominator,
-    interval_lower_bound_active,
-    triple_bound_terms,
-)
+from .oracles import WorkBudgetError, exact_maxload_histogram
 
 
 def cmd_report(args) -> int:
@@ -73,59 +64,6 @@ def cmd_maxload_exact(args) -> int:
     mean = sum(load * count for load, count in hist.items()) / total
     print(f"wrote {args.out}")
     print(f"tuples={total} mean_max_load={mean:.6f}")
-    return 0
-
-
-def cmd_collide3(args) -> int:
-    mod = Modulus(args.p, args.m)
-    [count] = count_triple_collisions(
-        mod, [(args.x, args.y, args.z)], workers=args.workers, budget=args.budget
-    ).tolist()
-    total = args.p * args.p
-    d = canonicalize_triple(args.p, args.x, args.y, args.z)
-    statement, proof, den = triple_bound_terms(mod, d)
-    print(
-        f"triple ({args.x}, {args.y}, {args.z}) canonical d={d}: "
-        f"{count}/{total} pairs collide (probability {count / total:.6g})"
-    )
-    print(f"statement bound {statement / den:.6g}, proof bound {proof / den:.6g}")
-    if args.out:
-        rows = [
-            ("count", count),
-            ("total", total),
-            ("probability", count / total),
-            ("canonical_d", d),
-            ("statement_bound", statement / den),
-            ("proof_bound", proof / den),
-        ]
-        meta = base_meta(
-            "collide3", p=args.p, m=args.m, x=args.x, y=args.y, z=args.z, workers=args.workers
-        )
-        write_csv(args.out, ("metric", "value"), rows, meta)
-        print(f"wrote {args.out}")
-    return 0
-
-
-def cmd_interval_collide(args) -> int:
-    mod = Modulus(args.p, args.m)
-    count = count_interval_collision(mod, args.d, workers=args.workers, budget=args.budget)
-    total = args.p * args.p
-    print(
-        f"interval [0, {args.d}): {count}/{total} pairs collide "
-        f"(probability {count / total:.6g})"
-    )
-    rows = [("count", count), ("total", total), ("probability", count / total)]
-    if args.d <= args.m and interval_lower_bound_active(mod):
-        # 1 / den is correctly rounded, as the float of the exact ratio.
-        bound = 1 / interval_bound_denominator(mod, args.d)
-        print(f"guaranteed lower bound 1/(6dm) = {bound:.6g}")
-        rows.append(("lower_bound", bound))
-    if args.out:
-        meta = base_meta(
-            "interval-collide", p=args.p, m=args.m, d=args.d, workers=args.workers
-        )
-        write_csv(args.out, ("metric", "value"), rows, meta)
-        print(f"wrote {args.out}")
     return 0
 
 
@@ -179,18 +117,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sp.add_argument("--b-mode", choices=("all_b", "b_zero"), default="all_b")
         sp.set_defaults(func=cmd_maxload_exact)
 
-    if sp := add("collide3", "exact collision count of one triple"):
-        common(sp, 257, 16, None)
-        sp.add_argument("--x", type=int, default=0)
-        sp.add_argument("--y", type=int, default=1)
-        sp.add_argument("--z", type=int, default=2)
-        sp.set_defaults(func=cmd_collide3)
-
-    if sp := add("interval-collide", "exact collision count of [0, d)"):
-        common(sp, 257, 16, None)
-        sp.add_argument("--d", type=int, default=4, help="interval length")
-        sp.set_defaults(func=cmd_interval_collide)
-
     # A name that is no subcommand gets the full parser, as if none were given.
     return parser if command is None or command in sub.choices else build_parser()
 
@@ -202,7 +128,7 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ValueError(f"--workers must be at least 1, got {args.workers}")
         # Every CSV of a run goes to the directory of --out.
-        if args.out and not Path(args.out).parent.is_dir():
+        if not Path(args.out).parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
         return args.func(args)
     except WorkBudgetError as err:

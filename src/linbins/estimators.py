@@ -7,9 +7,6 @@ another from the stream, so the first k rows of a 64-row draw equal a k-row
 draw: sample i depends only on (seed, i), whatever the sample count.  They
 are also the same values in int32 as in int64, so the samplers draw in
 field.int_type's choice for the range and hash in int32 where a*x + b fits.
-numpy draws them by Lemire's method from 32-bit words, the low half of each
-64-bit output first; at a range of 2^k it never rejects and keeps the top k
-bits of each word, so power-of-two bin counts read the raw words instead.
 Each range of blocks re-keys one generator per block, to the stream a fresh
 one would draw, and hashes and bins consecutive blocks together.  Workers
 split the blocks, never a block, and any worker count reproduces the
@@ -91,10 +88,6 @@ def _block_maxima(seed, samples, high, width, m, keys, lo_block, hi_block):
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     fresh = bitgen.state
     gen = np.random.Generator(bitgen)
-    # At high = 2^k the bounded draw is each 32-bit word's top k bits (see
-    # the module docstring); k <= 31 keeps them in int32.
-    k = high.bit_length() - 1
-    shift = 32 - k if high == 1 << k and 1 <= k <= 31 else None
     out = []
     for first in range(lo_block, hi_block, per_pass):
         parts = []
@@ -102,12 +95,7 @@ def _block_maxima(seed, samples, high, width, m, keys, lo_block, hi_block):
             fresh["state"]["key"][1] = j
             bitgen.state = fresh
             rows = min(SAMPLES_PER_BLOCK, samples - j * SAMPLES_PER_BLOCK)
-            if shift is None:
-                parts.append(gen.integers(0, high, size=(rows, width), dtype=dtype))
-            else:
-                words = bitgen.random_raw(-(-rows * width // 2)).view(np.uint32)[: rows * width]
-                words >>= shift
-                parts.append(words.view(np.int32).reshape(rows, width))
+            parts.append(gen.integers(0, high, size=(rows, width), dtype=dtype))
         draws = parts[0] if len(parts) == 1 else np.concatenate(parts)
         if keys is None:
             bins = draws

@@ -299,8 +299,9 @@ def check_canonical_equality(
         triples = np.array([rng.sample(range(p), 3) for _ in range(_CANONICAL_SAMPLES)], np.int64)
     words = np.frombuffer(rng.randbytes(4 * 3 * _TARGETS_PER_TRIPLE * len(triples)), "<u4")
     targets = ((words.astype(np.int64) * m) >> 32).reshape(-1, 3)
-    # Each triple's d of its (0, 1, d) form (oracles.canonicalize_triple),
-    # (z - x) / (y - x) mod p, with the inverse taken as (y - x)^(p - 2).
+    # Each triple's d of its (0, 1, d) form: t -> (y - x)*t + x sends (0, 1, d)
+    # to (x, y, z), so d = (z - x) / (y - x) mod p, the inverse taken as
+    # (y - x)^(p - 2).
     x, y, z = triples.T
     step, d, e = (y - x) % p, (z - x) % p, p - 2
     while e:

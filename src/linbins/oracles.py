@@ -138,18 +138,6 @@ def check_partition_determinism(mod: Modulus, counts: np.ndarray, whole: dict) -
     return checked, violations
 
 
-def canonicalize_triple(p: int, x: int, y: int, z: int) -> int:
-    """The d of the canonical (0, 1, d) form of a distinct triple; never 0 or 1.
-
-    The affine map t -> ((y - x)*t + x) mod p sends (0, 1, d) to (x, y, z);
-    composing it with the hash family permutes the parameter pairs, so every
-    joint-mapping count for (x, y, z) equals the count for (0, 1, d).
-    """
-    if len({x % p, y % p, z % p}) != 3:
-        raise ValueError(f"triple ({x}, {y}, {z}) is not distinct mod {p}")
-    return mod_inverse(y - x, p) * (z - x) % p
-
-
 # Cap on the cells of each block of the agreement pass: groups times
 # candidate multipliers in its first stage, expanded (row, live multiplier)
 # cells in its second.  The lemma triple checks at (257, 16) (canonical,

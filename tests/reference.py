@@ -1,16 +1,21 @@
-"""Test-only references: the sample stream, the exact fully random baseline and report helpers.
+"""Test-only references: the sample stream, the exact fully random baseline,
+the canonical triple reduction and report helpers.
 
 Nothing in the package calls these.  _sample_rng builds each block's
 substream literally, a fresh generator per block, for the stream-lock tests
 of the re-keyed generator in estimators.  The dynamic program is the oracle
-the Monte Carlo estimators are calibrated against; csv_body and report_row
-read what the experiments wrote and returned.
+the Monte Carlo estimators are calibrated against.  canonicalize_triple
+reduces one triple to its (0, 1, d) form, the scalar reference for the
+vectorised reduction of experiments.check_canonical_equality.  csv_body and
+report_row read what the experiments wrote and returned.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from linbins.field import mod_inverse
 
 
 def _sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -58,6 +63,18 @@ def max_load_distribution(m: int, balls: int) -> dict[int, Fraction]:
 def fully_random_exact_mean(m: int, balls: int) -> Fraction:
     """Exact expected max load of uniform throws, from the distribution."""
     return sum((t * pr for t, pr in max_load_distribution(m, balls).items()), Fraction(0))
+
+
+def canonicalize_triple(p: int, x: int, y: int, z: int) -> int:
+    """The d of the canonical (0, 1, d) form of a distinct triple; never 0 or 1.
+
+    The affine map t -> ((y - x)*t + x) mod p sends (0, 1, d) to (x, y, z);
+    composing it with the hash family permutes the parameter pairs, so every
+    joint-mapping count for (x, y, z) equals the count for (0, 1, d).
+    """
+    if len({x % p, y % p, z % p}) != 3:
+        raise ValueError(f"triple ({x}, {y}, {z}) is not distinct mod {p}")
+    return mod_inverse(y - x, p) * (z - x) % p
 
 
 def csv_body(text: str) -> str:

@@ -10,10 +10,9 @@ import pytest
 import linbins
 from linbins import oracles
 from linbins.cli import build_parser, main
+from test_traced_names import load_rep
 
-SUBCOMMANDS = (
-    "figure1", "lemmas", "scaling", "maxload-exact", "collide3", "interval-collide",
-)
+SUBCOMMANDS = ("figure1", "lemmas", "scaling", "maxload-exact")
 
 
 def run_cli(*args, cwd):
@@ -67,7 +66,7 @@ def test_budget_refusal_exits_two(tmp_path):
         ("maxload-exact", "--p", "12", "--m", "3"),
         ("scaling", "--m-values", "46341", "--samples", "1"),
         ("scaling", "--m-values", "3037000500", "--samples", "1"),
-        ("collide3", "--workers", "0"),
+        ("maxload-exact", "--p", "13", "--m", "3", "--workers", "0"),
         ("lemmas", "--p", "2", "--m", "2"),
         ("scaling", "--m-values", ","),
     ],
@@ -124,7 +123,7 @@ def test_only_scaling_loads_numpy_random(tmp_path):
         "commands = [\n"
         "    ['lemmas', '--p', '13', '--m', '3'],\n"
         "    ['figure1', '--p', '1031', '--m', '32', '--points', '16'],\n"
-        "    ['maxload-exact'], ['collide3'], ['interval-collide', '--p', '197', '--m', '8'],\n"
+        "    ['maxload-exact'],\n"
         "    ['scaling', '--m-values', '8,16', '--samples', '400', '--seed', '3'],\n"
         "]\n"
         "for argv in commands:\n"
@@ -167,17 +166,21 @@ def unused_module_names(sources: dict[str, str]) -> set[str]:
 
 
 def test_every_module_level_name_is_read():
-    # The program carries no dead code.  load_profile, maxloads_for_a and
-    # mc_fully_random_maxload are read only by the tests and by the
-    # benchmark's tracer, which wraps them by name; criterion 8 also
-    # calibrates the fully random sampler against the exact distribution.
+    # The program carries no dead code.  load_profile, maxloads_for_a,
+    # count_interval_collision and mc_fully_random_maxload are read only by
+    # the tests and by the benchmark's tracer, which wraps them by name;
+    # criterion 8 also calibrates the fully random sampler against the exact
+    # distribution.  So each one must be a name the tracer wraps.
     package = Path(linbins.__file__).parent
     sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
-    assert unused_module_names(sources) == {
+    traced_only = {
         "loads.load_profile",
         "oracles.maxloads_for_a",
+        "oracles.count_interval_collision",
         "estimators.mc_fully_random_maxload",
     }
+    assert unused_module_names(sources) == traced_only
+    assert traced_only <= set(load_rep().SPANS)
     # The check sees every form of read, and only reads.
     probe = {
         "a": "X = 1\nY: int = 2\nclass C: pass\ndef f(): return C\ndef g(): f()\n",
@@ -188,7 +191,7 @@ def test_every_module_level_name_is_read():
 
 def test_budget_only_on_exhaustive_subcommands():
     parser = build_parser()
-    exhaustive = ("figure1", "lemmas", "maxload-exact", "collide3", "interval-collide")
+    exhaustive = ("figure1", "lemmas", "maxload-exact")
     for command in exhaustive:
         assert parser.parse_args([command, "--budget", "7"]).budget == 7, command
     # Sampling alone does no exhaustive work, so there is nothing to cap.
@@ -222,13 +225,18 @@ def test_one_subcommand_parser_keeps_every_text(command, capsys):
 
 def test_main_error_texts_match_the_full_parser(capsys):
     assert "{" + ",".join(SUBCOMMANDS) + "}" in build_parser().format_usage()
-    for argv in (["figure1", "--bogus"], [], ["bogus"], ["transform"], ["-h"]):
+    removed = ("transform", "collide3", "interval-collide")
+    for argv in (["figure1", "--bogus"], [], ["bogus"], *([name] for name in removed), ["-h"]):
         assert exit_output(main, argv, capsys) == exit_output(
             build_parser().parse_args, argv, capsys
         ), argv
-    # The affine-image claim is the `lemmas` row affine-image-histogram.
-    code, _, err = exit_output(main, ["transform"], capsys)
-    assert code == 2 and "invalid choice: 'transform'" in err
+    # The affine-image claim is the `lemmas` row affine-image-histogram; the
+    # count of a triple (x, y, z) is the figure1 --full-sweep row
+    # d = (z - x)/(y - x) mod p, and the interval bound the `lemmas` row
+    # interval-lower-bound.
+    for name in removed:
+        code, _, err = exit_output(main, [name], capsys)
+        assert code == 2 and f"invalid choice: '{name}'" in err, name
     # A name that is no subcommand gets every subcommand's arguments.
     assert build_parser("bogus").parse_args(["figure1", "--points", "3"]).points == 3
 
@@ -245,53 +253,11 @@ def test_maxload_exact_b_zero_partitions(tmp_path):
     assert sum(counts) == 257
 
 
-def test_collide3_prints_counts(tmp_path):
-    proc = run_cli(
-        "collide3", "--p", "13", "--m", "3", "--x", "2", "--y", "5", "--z", "11",
-        "--out", "c.csv", cwd=tmp_path,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == (
-        "triple (2, 5, 11) canonical d=3: 21/169 pairs collide (probability 0.12426)\n"
-        "statement bound 0.299145, proof bound 0.42735\n"
-        "wrote c.csv\n"
-    )
-    assert body(tmp_path / "c.csv") == (
-        "metric,value\n"
-        "count,21\n"
-        "total,169\n"
-        "probability,0.12426035503\n"
-        "canonical_d,3\n"
-        "statement_bound,0.299145299145\n"
-        "proof_bound,0.42735042735\n"
-    )
-
-
 def test_preamble_version_is_package_version(tmp_path):
-    proc = run_cli("collide3", "--p", "13", "--m", "3", "--out", "c.csv", cwd=tmp_path)
+    proc = run_cli("maxload-exact", "--p", "13", "--m", "3", "--out", "h.csv", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    preamble = [line for line in (tmp_path / "c.csv").read_text().splitlines() if line[0] == "#"]
+    preamble = [line for line in (tmp_path / "h.csv").read_text().splitlines() if line[0] == "#"]
     assert f"# version={linbins.__version__}" in preamble
-
-
-def test_interval_collide_reports_lower_bound(tmp_path):
-    proc = run_cli(
-        "interval-collide", "--p", "197", "--m", "8", "--d", "4", "--out", "i.csv",
-        cwd=tmp_path,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == (
-        "interval [0, 4): 1621/38809 pairs collide (probability 0.0417687)\n"
-        "guaranteed lower bound 1/(6dm) = 0.00520833\n"
-        "wrote i.csv\n"
-    )
-    assert body(tmp_path / "i.csv") == (
-        "metric,value\n"
-        "count,1621\n"
-        "total,38809\n"
-        "probability,0.0417686619083\n"
-        "lower_bound,0.00520833333333\n"
-    )
 
 
 def test_non_integer_m_values_exit_two(tmp_path):

@@ -1,5 +1,7 @@
 """Monte Carlo estimators and exact fully-random baselines."""
 
+import functools
+import itertools
 import json
 import math
 import warnings
@@ -269,8 +271,9 @@ def test_mc_linear_stream_locked(monkeypatch, maxima_seen, block_rows, mod, ks, 
         (40, 9, 64),
         (16, 16, 65),
         (1024, 1024, 130),
-        # Power-of-two m reads the raw words; an odd last block leaves half
-        # of its last 64-bit word unused.
+        # Power-of-two m, where Lemire's method never rejects; an odd last
+        # block leaves half of its last 64-bit word in the generator's
+        # buffer, which re-keying for the next block must drop.
         (16, 9, 65),
         (2, 3, 65),
         (2, 2, 130),
@@ -380,6 +383,90 @@ def test_fully_random_mean_stops_on_the_union_bound(monkeypatch):
     mean, bound = fully_random_mean(2048, 2048)
     assert len(thresholds) <= 25, thresholds
     assert abs(mean - 5.883531507) < 1e-9 and bound < 1e-9
+
+
+def recorded_mean(monkeypatch, m, balls):
+    """fully_random_mean(m, balls) with N(n) and each evaluated (t, N(t))."""
+    calls = []
+    power = estimators._power_coefficient
+
+    def record(w, m, n):
+        calls.append((len(w) - 1, power(w, m, n)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(estimators, "_power_coefficient", record)
+    mean, bound = fully_random_mean(m, balls)
+    (_, total), *thresholds = calls
+    return mean, bound, total, thresholds
+
+
+def threshold_error(m, n):
+    """rel = gamma_(2c + 1) of fully_random_mean's docstring, exactly."""
+    c = 4 * n + m + (m.bit_length() - 1 + bin(m).count("1") - 1) * (n + 1)
+    k = 2 * c + 1
+    return Fraction(k, 2**53 - k)
+
+
+def union_tail(m, n, t):
+    """m Pr[X = t + 1] / (1 - rho)^2, X ~ Bin(n, 1/m): the docstring's bound on
+    sum over s >= t of Pr[max > s], or None where rho >= 1."""
+    rho = Fraction(n - t - 1, (t + 2) * (m - 1))
+    if rho >= 1:
+        return None
+    return m * math.comb(n, t + 1) * Fraction(m - 1) ** (n - t - 1) / m**n / (1 - rho) ** 2
+
+
+def union_stop(m, n):
+    """The first t >= ceil(n/m) whose union tail is at most rel."""
+    t, rel = -(-n // m), threshold_error(m, n)
+    while (tail := union_tail(m, n, t)) is None or tail > rel:
+        t += 1
+    return t
+
+
+@functools.lru_cache(maxsize=None)
+def exact_cdf(m, balls):
+    """Pr[max <= t] for t = 0..balls, Fractions of the dynamic program."""
+    dist = max_load_distribution(m, balls)
+    return list(itertools.accumulate(dist.get(t, Fraction(0)) for t in range(balls + 1)))
+
+
+# (m, balls) where each term of the bound is checked on its own.
+TERM_CASES = [(m, m) for m in (2, 3, 5, 8, 12, 16, 24, 32)] + [(3, 7), (7, 20), (4, 40)]
+
+
+@pytest.mark.parametrize(
+    "m, balls", TERM_CASES + [(64, 64), (100, 100), (1024, 1024), (32, 5)]
+)
+def test_fully_random_mean_stops_at_the_union_bound_rule(monkeypatch, m, balls):
+    # Thresholds ceil(n/m), ..., stop - 1 are evaluated, stop by the rule in exact arithmetic.
+    *_, thresholds = recorded_mean(monkeypatch, m, balls)
+    assert [t for t, _ in thresholds] == list(range(-(-balls // m), union_stop(m, balls)))
+
+
+@pytest.mark.parametrize("m, balls", TERM_CASES)
+def test_fully_random_mean_tail_term_covers_the_omitted_tail(monkeypatch, m, balls):
+    # The sum stops at t; the terms Pr[max > s], s >= t, it leaves out are
+    # covered by the union tail, and the bound holds both that tail and
+    # rel * sum Pr[max <= s] over the evaluated thresholds s.
+    _, bound, _, thresholds = recorded_mean(monkeypatch, m, balls)
+    cdf = exact_cdf(m, balls)
+    stop = thresholds[-1][0] + 1 if thresholds else -(-balls // m)
+    omitted = sum(1 - cdf[s] for s in range(stop, balls))
+    tail = union_tail(m, balls, stop)
+    assert omitted <= tail
+    rel = threshold_error(m, balls)
+    assert rel * sum(cdf[s] for s, _ in thresholds) + tail <= Fraction(bound)
+
+
+@pytest.mark.parametrize("m, balls", [c for c in TERM_CASES if c[0] <= 16])
+def test_fully_random_mean_float_term_covers_each_threshold(monkeypatch, m, balls):
+    # Each N(t)/N(n) is within relative rel of the exact Pr[max <= t].
+    _, _, total, thresholds = recorded_mean(monkeypatch, m, balls)
+    cdf = exact_cdf(m, balls)
+    rel = threshold_error(m, balls)
+    for t, n_t in thresholds:
+        assert abs(Fraction(n_t / total) - cdf[t]) <= rel * cdf[t], t
 
 
 def test_fully_random_mean_validates():

@@ -47,7 +47,7 @@ from linbins.oracles import (
     maxloads_for_a,
     triple_bound_terms,
 )
-from reference import csv_body, report_row
+from reference import canonicalize_triple, csv_body, report_row
 
 # Exact fully random means at m = 16 and 64, as Fractions of the dynamic program.
 EXACT_MEANS = Path(__file__).resolve().parent.parent / "perfbench" / "refs" / "exact_means.json"
@@ -280,6 +280,25 @@ def test_triple_checks_without_distinct_triples():
     counts = zero_one_d(mod)
     assert check_triple_bounds(mod, counts) == (0, 0, 0)
     assert check_interval_containment(count_interval_collisions(mod, 2), counts) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("p,m", ((13, 3), (257, 16)))
+def test_check_canonical_equality_reduces_as_the_scalar_reference(monkeypatch, p, m):
+    # Each checked triple (every one at p <= 31, a sample above) reduces to
+    # the (0, 1, d) of canonicalize_triple and keeps its bin targets.
+    queries = []
+    real = experiments.count_prescribed_triple
+
+    def record(mod, rows, budget=None):
+        queries.append(rows.copy())
+        return real(mod, rows, budget=budget)
+
+    monkeypatch.setattr(experiments, "count_prescribed_triple", record)
+    check_canonical_equality(Modulus(p, m), seed=4)
+    direct, reduced = queries
+    expected = [[0, 1, canonicalize_triple(p, x, y, z)] for x, y, z in direct[:, :3].tolist()]
+    assert reduced[:, :3].tolist() == expected
+    assert (reduced[:, 3:] == direct[:, 3:]).all()
 
 
 def test_check_canonical_equality_refuses_negative_seed():

@@ -24,7 +24,6 @@ from linbins.oracles import (
     _mirror_centre,
     _prescribed_chunk,
     _triple_chunk,
-    canonicalize_triple,
     count_interval_collision,
     count_interval_collisions,
     count_prescribed_triple,
@@ -36,6 +35,7 @@ from linbins.oracles import (
     maxloads_for_a,
     triple_bound_terms,
 )
+from reference import canonicalize_triple
 
 
 def chunk_args(p, m, rows):
@@ -329,6 +329,7 @@ def test_triple_count_regressions():
     assert count_triple_collisions(Modulus(13, 13), [(0, 1, 2)])[0] == 13
     assert count_triple_collisions(Modulus(13, 3), [(2, 5, 11)])[0] == 21
     assert count_interval_collision(Modulus(13, 3), 4) == 21
+    assert count_interval_collision(Modulus(197, 8), 4) == 1621
 
 
 def test_single_bin_collides_everything():
@@ -472,6 +473,7 @@ def test_triple_bounds_hold_exhaustively_small():
 def test_interval_lower_bound_values():
     mod = Modulus(197, 8)
     assert Fraction(1, interval_bound_denominator(mod, 2)) == Fraction(1, 96)
+    assert Fraction(1, interval_bound_denominator(mod, 4)) == Fraction(1, 192)
     assert Fraction(1, interval_bound_denominator(mod, 8)) == Fraction(1, 384)
     with pytest.raises(ValueError):
         interval_bound_denominator(mod, 9)
@@ -481,7 +483,7 @@ def test_interval_lower_bound_values():
 
 def test_interval_lower_bound_holds():
     mod = Modulus(197, 8)
-    for d in (2, 8):
+    for d in (2, 4, 8):
         prob = Fraction(count_interval_collision(mod, d), 197 * 197)
         assert prob >= Fraction(1, interval_bound_denominator(mod, d))
 
