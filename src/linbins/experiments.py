@@ -57,36 +57,35 @@ class CheckRow:
     passed: bool
 
 
-def _fmt(value) -> str:
-    """Render one CSV cell: integers verbatim, reals to 12 significant digits."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return "%.12g" % float(value)
-
-
 def write_csv(path, columns, rows, meta) -> None:
-    """Write '#'-commented metadata followed by a header row and data rows."""
+    """Write '#'-commented metadata followed by a header row and data rows.
+
+    A row holds ints and floats, written as %d and %.12g, or only strs, which
+    go to the csv writer as they are; any other row raises TypeError before
+    the file is written.
+    """
     buf = io.StringIO()
     for key, value in meta.items():
         buf.write(f"# {key}={value}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    templates = {}  # row type signature -> one '%' template, or '' where _fmt must run
+    templates = {}  # row type signature -> one '%' template, or '' for a row of strs
     for row in rows:
         row = tuple(row)
         kinds = tuple(map(type, row))
         if kinds not in templates:
-            # _fmt's rendering of plain ints and floats, which never need CSV quoting.
+            # Ints and floats never need CSV quoting.
             formats = [{int: "%d", float: "%.12g"}.get(kind) for kind in kinds]
-            templates[kinds] = "" if None in formats else ",".join(formats) + "\n"
+            if None not in formats:
+                templates[kinds] = ",".join(formats) + "\n"
+            elif set(kinds) == {str}:
+                templates[kinds] = ""
+            else:
+                raise TypeError(f"a CSV row holds ints and floats or only strs, got {row!r}")
         if template := templates[kinds]:
             buf.write(template % row)
         else:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow(row)
     Path(path).write_text(buf.getvalue())
 
 

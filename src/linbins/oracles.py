@@ -20,8 +20,8 @@ The all-(a, b) max-load histogram uses the same wrap points: between wraps
 the bins are the classes v_x mod m rotated by b, so the max load is
 constant, and each wrap moves one key between classes.  Sorting the n wrap
 points and replaying them costs O(n log n) per a instead of the O(p*n) of
-scanning every b.  The resulting counts are identical to the literal double
-loop, which the test suite keeps as an independent reference.  The replay,
+scanning every b.  The resulting counts are identical to the literal
+enumeration that the test suite keeps as its one reference.  The replay,
 maxload_credits, yields each a's histogram over b, read by the b-shift check.
 Both max-load histograms place the keys only for a < (p+1)/2 and take each
 p - a from its mirror a.  With b = 0, (p-a)*x = p - a*x (mod p) for x != 0,
@@ -30,7 +30,7 @@ q = p mod m, and key 0 stays in class 0.  Over every b, on a key set with
 S = c - S (mod p) for some centre c, h_{a,b}(c - x) = h_{p-a,b+ac}(x), so a
 and p - a have equal histograms; on other key sets every a runs.
 Every array reduction in these kernels is field.rem, in place and cheaper
-than numpy's %; maxloads_for_a keeps % as a reference.
+than numpy's %; maxloads_for_a, kept for the tracer's name, still takes %.
 The max-load placements run in field.int_type's choice for the largest value
 each call forms: a*x below (hi_a - 1)*max(S), and the all-b wrap points
 p - v at most p.  That is int32 at every m up to 1024 on [m],

@@ -1,13 +1,17 @@
-"""Test-only references: the sample stream, the exact fully random baseline,
-the canonical triple reduction and report helpers.
+"""Test-only references: literal enumeration of the hash, the sample stream,
+the exact fully random baseline, the canonical triple reduction and report
+helpers.  Nothing in the package calls these.
 
-Nothing in the package calls these.  _sample_rng builds each block's
-substream literally, a fresh generator per block, for the stream-lock tests
-of the re-keyed generator in estimators.  The dynamic program is the oracle
-the Monte Carlo estimators are calibrated against.  canonicalize_triple
-reduces one triple to its (0, 1, d) form, the scalar reference for the
-vectorised reduction of experiments.check_canonical_equality.  csv_body and
-report_row read what the experiments wrote and returned.
+literal_bins is the one evaluation of h_{a,b}(x) = ((a*x + b) mod p) mod m
+over every b, by int64 %.  Its reductions are the literal counts each exact
+kernel is checked against: literal_row_counts for the triple and prescribed
+counters, literal_interval_counts for the interval counter, literal_maxloads
+for the max-load scans, histograms and maxload_credits.  _sample_rng builds
+each block's substream literally, for the stream-lock tests of estimators.
+The dynamic program is the oracle the Monte Carlo estimators are calibrated
+against.  canonicalize_triple is the scalar reference for the (0, 1, d)
+reduction of experiments.check_canonical_equality.  csv_body and report_row
+read what the experiments wrote and returned.
 """
 
 import math
@@ -16,6 +20,78 @@ from fractions import Fraction
 import numpy as np
 
 from linbins.field import mod_inverse
+
+
+# Cells of literal_bins per block of multipliers in the reductions below.
+BLOCK_CELLS = 1 << 17
+
+
+def literal_bins(p: int, m: int, keys, a) -> np.ndarray:
+    """h_{a,b}(x) = ((a*x + b) mod p) mod m by int64 %, for every b in [p] and every key.
+
+    a is one multiplier or an array of them; entry [..., b, i] is key i's bin,
+    of shape np.shape(a) + (p, len(keys)).
+    """
+    a = np.asarray(a, dtype=np.int64)[..., None, None]
+    h = a * np.asarray(keys, dtype=np.int64) + np.arange(p, dtype=np.int64)[:, None]
+    h %= p
+    h %= m
+    return h
+
+
+def _blocks(p: int, n: int, a) -> list[np.ndarray]:
+    """The multipliers a, flattened, in blocks whose literal_bins hold about BLOCK_CELLS cells."""
+    a = np.asarray(a, dtype=np.int64).ravel()
+    step = max(1, BLOCK_CELLS // (p * n))
+    return [a[lo : lo + step] for lo in range(0, len(a), step)]
+
+
+def literal_row_counts(p: int, m: int, rows) -> list[int]:
+    """Per (x, y, z) row, the (a, b) out of p^2 putting x, y and z in one bin;
+    per (x, y, z, ix, iy, iz) row, those putting them in bins ix, iy and iz.
+    A call may mix both forms; it evaluates each distinct key once."""
+    rows = [tuple(map(int, row)) for row in rows]
+    keys = sorted({t for row in rows for t in row[:3]})
+    x, y, z = np.searchsorted(keys, [row[:3] for row in rows]).T
+    # Rows without targets get -1, which no bin equals; they count one-bin (a, b) instead.
+    ix, iy, iz = np.array([row[3:] or (-1, -1, -1) for row in rows]).T
+    counts = np.zeros(len(rows), dtype=np.int64)
+    for a in _blocks(p, len(keys), range(p)):
+        h = literal_bins(p, m, keys, a).reshape(-1, len(keys))
+        hx, hy, hz = h[:, x], h[:, y], h[:, z]
+        hit = np.where(ix < 0, (hx == hy) & (hy == hz), (hx == ix) & (hy == iy) & (hz == iz))
+        counts += hit.sum(axis=0)
+    return counts.tolist()
+
+
+def literal_interval_counts(p: int, m: int, d_max: int) -> list[int]:
+    """Entry d - 2: the (a, b) out of p^2 putting all of [d] in one bin, for d = 2..d_max."""
+    counts = np.zeros(d_max - 1, dtype=np.int64)
+    for a in _blocks(p, d_max, range(p)):
+        h = literal_bins(p, m, range(d_max), a)
+        prefix = np.logical_and.accumulate(h == h[..., :1], axis=-1)
+        counts += prefix[..., 1:].sum(axis=(0, 1))
+    return counts.tolist()
+
+
+def literal_maxloads(p: int, m: int, keys, a) -> np.ndarray:
+    """Max load of h_{a,b} on the keys for every b in [p], of shape np.shape(a) + (p,).
+
+    Each (a, b)'s bins are sorted and the longest run of equal ones is its max
+    load, so no count per bin is held: p*m cells would not fit at m = 2^15.
+    """
+    n = len(keys)
+    parts = []
+    for block in _blocks(p, n, a):
+        h = literal_bins(p, m, keys, block).reshape(-1, n)
+        h.sort(axis=1)
+        new = np.ones(h.shape, dtype=bool)
+        np.not_equal(h[:, 1:], h[:, :-1], out=new[:, 1:])
+        # Runs in row order: each row's first run starts at its first cell.
+        runs = np.diff(np.flatnonzero(new), append=h.size)
+        per_row = new.sum(axis=1)
+        parts.append(np.maximum.reduceat(runs, np.cumsum(per_row) - per_row))
+    return np.concatenate(parts).reshape(np.shape(a) + (p,))
 
 
 def _sample_rng(seed: int, index: int) -> np.random.Generator:

@@ -166,11 +166,12 @@ def unused_module_names(sources: dict[str, str]) -> set[str]:
 
 
 def test_every_module_level_name_is_read():
-    # The program carries no dead code.  load_profile, maxloads_for_a,
-    # count_interval_collision and mc_fully_random_maxload are read only by
-    # the tests and by the benchmark's tracer, which wraps them by name;
-    # criterion 8 also calibrates the fully random sampler against the exact
-    # distribution.  So each one must be a name the tracer wraps.
+    # The program carries no dead code.  Four names stay only because the
+    # benchmark's tracer wraps them by name, so each must be one it wraps.
+    # Of the tests, only their own unit tests read load_profile and
+    # maxloads_for_a, against tests/reference.py; count_interval_collision
+    # is the one-length form of the interval sweep; criterion 8 calibrates
+    # mc_fully_random_maxload against the exact distribution.
     package = Path(linbins.__file__).parent
     sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
     traced_only = {

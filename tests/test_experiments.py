@@ -15,7 +15,6 @@ import numpy as np
 from linbins import experiments, loads, oracles
 from linbins.experiments import (
     CheckRow,
-    _fmt,
     check_affine_histogram,
     check_b_shift_containment,
     check_canonical_equality,
@@ -44,38 +43,29 @@ from linbins.oracles import (
     exact_maxload_histogram,
     interval_lower_bound_active,
     maxloads_b_zero,
-    maxloads_for_a,
     triple_bound_terms,
 )
-from reference import canonicalize_triple, csv_body, report_row
+from reference import canonicalize_triple, csv_body, literal_maxloads, report_row
 
 # Exact fully random means at m = 16 and 64, as Fractions of the dynamic program.
 EXACT_MEANS = Path(__file__).resolve().parent.parent / "perfbench" / "refs" / "exact_means.json"
 
 
-def test_fmt_values():
-    assert _fmt(7) == "7"
-    assert _fmt(True) == "true"
-    assert _fmt(0.5) == "0.5"
-    assert _fmt(Fraction(1, 3)) == "0.333333333333"
-    assert _fmt(1 / 7) == "0.142857142857"
-
-
 def test_write_csv_and_body(tmp_path):
     path = tmp_path / "out.csv"
-    write_csv(path, ("x", "y"), [(1, 0.25), (2, Fraction(1, 3))], {"seed": 5})
+    write_csv(path, ("x", "y"), [(1, 0.25), (2, 1 / 3)], {"seed": 5})
     text = path.read_text()
     assert text.startswith("# seed=5\n")
     assert csv_body(text) == "x,y\n1,0.25\n2,0.333333333333\n"
 
 
 def per_cell_body(columns, rows):
-    """The CSV body as every row through _fmt and the csv writer."""
+    """The CSV body with every cell rendered alone and every row through the csv writer."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+        writer.writerow([v if isinstance(v, (int, str)) else "%.12g" % v for v in row])
     return buf.getvalue()
 
 
@@ -83,8 +73,6 @@ CSV_ROWS = [
     (2**63, -(2**70), -5, 0),
     (float("nan"), float("inf"), -float("inf"), -0.0),
     (1e-300, 1 / 7, 0.25, 1e22),
-    (True, False, np.int64(-7), np.float64(1 / 3)),
-    (Fraction(1, 3), Fraction(-7, 2), 3, 0.5),
     ("a,b", 'say "hi"', "plain", ""),
     (1, 2, 3, 4),
     (1.5, 2, 3, 4),  # the first column switches from int to float partway down
@@ -102,6 +90,13 @@ def test_write_csv_matches_per_cell_path(tmp_path, as_generator):
     text = path.read_text()
     assert text.startswith("# seed=1\n")
     assert csv_body(text) == per_cell_body(columns, CSV_ROWS)
+
+
+def test_write_csv_refuses_other_rows_before_writing(tmp_path):
+    for row in ((1, np.int64(2)), (np.float64(0.5), 1.5), (True, 1), (Fraction(1, 3), 2), ("a", 1)):
+        with pytest.raises(TypeError, match="^a CSV row holds ints and floats or only strs"):
+            write_csv(tmp_path / "out.csv", ("x", "y"), [(1, 0.5), row], {"seed": 5})
+        assert not (tmp_path / "out.csv").exists(), row
 
 
 def test_report_csv_path():
@@ -262,11 +257,9 @@ def test_b_shift_containment_counts_violating_pairs(skew):
     # A skewed b = 0 max load breaks the containment for some (a, b); the count
     # from per-a histograms must equal a b-by-b scan of every pair.
     mod = Modulus(257, 16)
-    expected = 0
-    for a in range(mod.p):
-        row = maxloads_for_a(mod, Interval(16), a)
-        l0 = skew(row[0])
-        expected += int(np.count_nonzero((row // 2 > l0) | (l0 > 2 * row)))
+    grid = literal_maxloads(mod.p, mod.m, range(16), range(mod.p))
+    l0 = skew(grid[:, :1])
+    expected = int(np.count_nonzero((grid // 2 > l0) | (l0 > 2 * grid)))
     assert expected > 0
     at_zero = skew(maxloads_b_zero(mod, Interval(16)))
     assert check_b_shift_containment(mod, at_zero) == (mod.p * mod.p, expected)
@@ -473,6 +466,14 @@ def unread_imports(source: str) -> list[str]:
     return [name for name in imported if name not in read]
 
 
+def names_taken(source: str) -> set[str]:
+    """Names a module imports, under their own names, or reads as an attribute."""
+    nodes = list(ast.walk(ast.parse(source)))
+    imports = [node for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))]
+    attrs = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    return {alias.name for node in imports for alias in node.names} | attrs
+
+
 def test_experiments_imports_no_private_oracle_name():
     # Each module of the package uses only public names of its siblings; the
     # a-range partition and the chunk kernels stay behind oracles.  No module
@@ -491,6 +492,12 @@ def test_experiments_imports_no_private_oracle_name():
         "from .field import Modulus, rem as r\nnumpy.linalg.norm\nr = Modulus\n"
     )
     assert unread_imports(probe) == ["os", "regex", "r"]
+    # Only their own unit tests take load_profile and maxloads_for_a; the rest use reference.
+    takers = {
+        name: [file for file, src in tests.items() if name in names_taken(src)]
+        for name in ("load_profile", "maxloads_for_a")
+    }
+    assert takers == {"load_profile": ["test_loads.py"], "maxloads_for_a": ["test_oracles.py"]}
 
 
 def test_run_lemma_checks_includes_lower_bound(tmp_path):
@@ -505,9 +512,11 @@ def test_run_lemma_checks_includes_lower_bound(tmp_path):
         (257, 16, "e17af7a2a62ef5ddc6f024e3830b8a1a7940b22e80a139b06b4d789d9974cfdd"),
         # p > 3m^2: the interval-lower-bound row is present.
         (197, 8, "4c592ecbc2325e3972913b4cc7439da9207008b4b07a1cc126b3471d901b4a9f"),
+        # p > 300: containment reads lengths up to 128 only; the lower bound is active.
+        (307, 8, "d9ed23d7dd14131a167782b7ce39f6805130164cc05739416dc4fd418adf367e"),
     ],
     # Named by configuration only, so that a re-frozen digest keeps the test's name.
-    ids=["257-16", "197-8"],
+    ids=["257-16", "197-8", "307-8"],
 )
 def test_lemma_report_body_frozen(tmp_path, p, m, digest):
     # Every row, claims included, at seed 0.

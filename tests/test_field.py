@@ -12,12 +12,12 @@ from linbins.field import (
     next_prime_at_least,
     rem,
 )
-from linbins.loads import Explicit, load_profile
+from reference import literal_bins
 
 
 def h(a, b, mod, x):
-    """h_{a,b}(x): the one bin that the key set {x} loads."""
-    return load_profile(a, b, mod, Explicit((x,))).index(1)
+    """h_{a,b}(x), read off the literal enumeration of every b."""
+    return int(literal_bins(mod.p, mod.m, [x], a)[b, 0])
 
 
 def sieve_primes(limit):

@@ -1,7 +1,5 @@
 """Key sets and per-bin load profiles."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -16,6 +14,7 @@ from linbins.loads import (
     materialize,
     max_loads,
 )
+from reference import literal_bins
 
 
 def test_materialize_interval():
@@ -54,10 +53,9 @@ def test_load_profile_constant_function():
 
 
 def test_load_profile_recount_oracle():
-    # Independent per-element recount at (p, m, a, b) = (257, 16, 17, 0).
-    counter = Counter((17 * x) % 257 % 16 for x in range(16))
-    profile = load_profile(17, 0, Modulus(257, 16), Interval(16))
-    assert profile == [counter.get(i, 0) for i in range(16)]
+    # The literal bins of [16] at (p, m, a, b) = (257, 16, 17, 0), counted.
+    expected = np.bincount(literal_bins(257, 16, range(16), 17)[0], minlength=16)
+    assert load_profile(17, 0, Modulus(257, 16), Interval(16)) == expected.tolist()
 
 
 def test_load_profile_rejects_parameters_out_of_range():
@@ -69,12 +67,15 @@ def test_load_profile_rejects_parameters_out_of_range():
 
 
 def test_load_sums_exhaustive_small_p():
+    # Every profile counts the literal bins, so it sums to the key-set size.
     mod = Modulus(13, 3)
     for ks in (Interval(3), AffineImage(3, 5, 2), Explicit((1, 2, 7, 11))):
-        size = len(materialize(ks, mod))
+        keys = materialize(ks, mod)
         for a in range(13):
+            bins = literal_bins(13, 3, keys, a)
             for b in range(13):
-                assert sum(load_profile(a, b, mod, ks)) == size
+                profile = load_profile(a, b, mod, ks)
+                assert profile == np.bincount(bins[b], minlength=3).tolist(), (ks, a, b)
 
 
 def test_max_loads_asks_for_blocks_in_row_order(monkeypatch):

@@ -1,5 +1,6 @@
-"""Exhaustive counting oracles, checked against literal double loops."""
+"""Exhaustive counting oracles, checked against the literal enumeration of reference."""
 
+import functools
 import itertools
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 
 from linbins import oracles
 from linbins.field import Modulus, int_type, is_prime, next_prime_at_least
-from linbins.loads import AffineImage, Explicit, Interval, load_profile, materialize
+from linbins.loads import AffineImage, Explicit, Interval, materialize
 from linbins.oracles import (
     WorkBudgetError,
     _chunk_bounds,
@@ -35,7 +36,13 @@ from linbins.oracles import (
     maxloads_for_a,
     triple_bound_terms,
 )
-from reference import canonicalize_triple
+from reference import (
+    canonicalize_triple,
+    literal_bins,
+    literal_interval_counts,
+    literal_maxloads,
+    literal_row_counts,
+)
 
 
 def chunk_args(p, m, rows):
@@ -43,48 +50,17 @@ def chunk_args(p, m, rows):
     return p, m, rows, oracles._row_groups(m, rows)
 
 
-def naive_triple(p, m, x, y, z):
-    return sum(
-        (a * x + b) % p % m == (a * y + b) % p % m == (a * z + b) % p % m
-        for a in range(p)
-        for b in range(p)
-    )
-
-
-def naive_prescribed(p, m, x, y, z, ix, iy, iz):
-    return sum(
-        (a * x + b) % p % m == ix
-        and (a * y + b) % p % m == iy
-        and (a * z + b) % p % m == iz
-        for a in range(p)
-        for b in range(p)
-    )
-
-
-def literal_maxload_hist(p, m, elements):
-    """Max-load histogram by binning the keys under every (a, b), b by b."""
-    s = np.asarray(elements, dtype=np.int64)
-    hist = np.zeros(len(s) + 1, dtype=np.int64)
-    b = np.arange(p, dtype=np.int64)
-    rows = np.arange(p)[:, None] * m
-    for a in range(p):
-        bins = (a * s[None, :] + b[:, None]) % p % m
-        counts = np.bincount((rows + bins).ravel(), minlength=p * m).reshape(p, m)
-        hist += np.bincount(counts.max(axis=1), minlength=len(s) + 1)
-    return {load: int(cnt) for load, cnt in enumerate(hist) if cnt > 0}
-
-
 def hist_of(maxima):
-    """Histogram of a per-multiplier max-load array, as exact_maxload_histogram gives it."""
-    return {load: int(cnt) for load, cnt in enumerate(np.bincount(maxima)) if cnt > 0}
+    """Histogram of an array of max loads, as exact_maxload_histogram gives it."""
+    return {load: int(cnt) for load, cnt in enumerate(np.bincount(np.ravel(maxima))) if cnt > 0}
 
 
-def naive_interval(p, m, d):
-    return sum(
-        len({(a * t + b) % p % m for t in range(d)}) == 1
-        for a in range(p)
-        for b in range(p)
-    )
+@functools.cache
+def maxload_grid(mod, ks):
+    """The literal max load of h_{a,b} on the key set, row a and column b; shared, so read-only."""
+    grid = literal_maxloads(mod.p, mod.m, materialize(ks, mod), range(mod.p))
+    grid.flags.writeable = False
+    return grid
 
 
 def test_triple_counts_match_naive_enumeration():
@@ -94,9 +70,7 @@ def test_triple_counts_match_naive_enumeration():
             # Every ordered triple of the first six elements, in one batch.
             triples = list(itertools.permutations(range(min(p, 6)), 3))
             fast = count_triple_collisions(mod, triples)
-            assert len(fast) == len(triples)
-            for (x, y, z), count in zip(triples, fast.tolist()):
-                assert count == naive_triple(p, m, x, y, z), (p, m, x, y, z)
+            assert fast.tolist() == literal_row_counts(p, m, triples), (p, m)
             assert fast.dtype == np.int64
 
 
@@ -110,9 +84,7 @@ def test_prescribed_counts_match_naive_enumeration():
                 for targets in itertools.product(range(min(m, 3)), repeat=3)
             ]
             fast = count_prescribed_triple(mod, rows)
-            assert len(fast) == len(rows)
-            for row, count in zip(rows, fast.tolist()):
-                assert count == naive_prescribed(p, m, *row), (p, m, row)
+            assert fast.tolist() == literal_row_counts(p, m, rows), (p, m)
 
 
 def test_batched_counts_at_partial_row_blocks(monkeypatch):
@@ -129,8 +101,7 @@ def test_batched_counts_at_partial_row_blocks(monkeypatch):
         monkeypatch.setattr(oracles, "_ROW_BLOCK_CELLS", cells)
         blocked = (count_triple_collisions(mod, triples), count_prescribed_triple(mod, queries))
         assert all(map(np.array_equal, blocked, whole)), cells
-    assert whole[0].tolist() == [naive_triple(13, 3, *t) for t in triples]
-    assert whole[1].tolist() == [naive_prescribed(13, 3, *q) for q in queries]
+    assert [*whole[0].tolist(), *whole[1].tolist()] == literal_row_counts(13, 3, triples + queries)
 
 
 @pytest.mark.parametrize("p, m", ((11, 3), (11, 11), (11, 1), (13, 5)))
@@ -157,49 +128,27 @@ def test_many_group_batches_match_naive_over_chunks(p, m):
     assert len(chunks) == 3
     triple = sum(_triple_chunk(*chunk_args(p, m, triples), lo, hi) for lo, hi in chunks)
     prescribed = sum(_prescribed_chunk(*chunk_args(p, m, queries), lo, hi) for lo, hi in chunks)
-    assert triple.tolist() == [naive_triple(p, m, *t) for t in triples.tolist()]
-    assert prescribed.tolist() == [naive_prescribed(p, m, *r) for r in queries.tolist()]
+    assert [*triple, *prescribed] == literal_row_counts(p, m, [*triples, *queries])
 
 
 def test_counts_match_full_grid_on_general_rows():
-    # A literal h = (a*x + b) % p % m over every (a, b), on random rows with
-    # x != 0, so c_x = p - a*x mod p falls on both sides of c_y and c_z as a
-    # varies; at these moduli q = p mod m and m - q differ.
+    # Random rows with x != 0, so c_x = p - a*x mod p falls on both sides of
+    # c_y and c_z as a varies; at these moduli q = p mod m and m - q differ.
     rng = np.random.default_rng(7)
     for p, m in ((257, 5), (257, 16), (1031, 32)):
-        a = np.arange(p, dtype=np.int64)[:, None]
-        b = np.arange(p, dtype=np.int64)[None, :]
-        triples, queries, collide, prescribed = [], [], [], []
+        triples, queries = [], []
         for _ in range(32):
             x, y, z = (int(t) for t in rng.choice(np.arange(1, p), size=3, replace=False))
-            hx, hy, hz = ((a * t + b) % p % m for t in (x, y, z))
             # Targets taken from one (a, b), so no prescribed count is trivially 0.
             a0, b0 = rng.integers(0, p, size=2)
-            ix, iy, iz = int(hx[a0, b0]), int(hy[a0, b0]), int(hz[a0, b0])
             triples.append((x, y, z))
-            queries.append((x, y, z, ix, iy, iz))
-            collide.append(int(((hx == hy) & (hx == hz)).sum()))
-            prescribed.append(int(((hx == ix) & (hy == iy) & (hz == iz)).sum()))
+            queries.append((x, y, z, *literal_bins(p, m, (x, y, z), a0)[b0].tolist()))
         mod = Modulus(p, m)
-        assert count_triple_collisions(mod, triples).tolist() == collide
+        expected = literal_row_counts(p, m, triples + queries)
+        assert count_triple_collisions(mod, triples).tolist() == expected[:32]
         # An int64 array of rows is accepted as it is.
         fast = count_prescribed_triple(mod, np.array(queries, dtype=np.int64))
-        assert fast.tolist() == prescribed, (p, m)
-
-
-def full_grid_counts(p, m, rows):
-    """Per-row counts by a literal h = (a*x + b) % p % m over every (a, b)."""
-    a = np.arange(p, dtype=np.int64)[:, None]
-    b = np.arange(p, dtype=np.int64)[None, :]
-    counts = []
-    for row in rows:
-        hx, hy, hz = ((a * t + b) % p % m for t in row[:3])
-        if len(row) == 3:
-            counts.append(int(((hx == hy) & (hy == hz)).sum()))
-        else:
-            ix, iy, iz = row[3:]
-            counts.append(int(((hx == ix) & (hy == iy) & (hz == iz)).sum()))
-    return counts
+        assert fast.tolist() == expected[32:], (p, m)
 
 
 @pytest.mark.parametrize("m", (1, 2, 5, 31))
@@ -221,7 +170,7 @@ def test_grouped_rows_match_full_grid(monkeypatch, m):
     ] + [(y, x, 3, 0, 0, 0), (0, y, 3, m - 1, 0, m // 2)]
     triples = np.array(triples, dtype=np.int64)
     queries = np.array(queries, dtype=np.int64)
-    expected = full_grid_counts(p, m, triples), full_grid_counts(p, m, queries)
+    expected = literal_row_counts(p, m, triples), literal_row_counts(p, m, queries)
     mod = Modulus(p, m)
 
     def counts():
@@ -248,15 +197,11 @@ def test_full_sweep_sum_rule():
     # h(0) = h(1), the other elements of [p] in their bin.
     p, m = 257, 16
     counts = count_triple_collisions(Modulus(p, m), [(0, 1, d) for d in range(2, p)])
-    t = np.arange(p, dtype=np.int64)
-    b = np.arange(p, dtype=np.int64)[:, None]
-    offsets = np.arange(p, dtype=np.int64)[:, None] * m
     expected = 0
     for a in range(p):
-        h = (a * t + b) % p % m
-        loads = np.bincount((offsets + h).ravel(), minlength=p * m).reshape(p, m)
-        pair = np.flatnonzero(h[:, 0] == h[:, 1])
-        expected += int((loads[pair, h[pair, 0]] - 2).sum())
+        h = literal_bins(p, m, range(p), a)
+        pair = h[h[:, 0] == h[:, 1]]  # the b with h(0) = h(1)
+        expected += int((pair == pair[:, :1]).sum()) - 2 * len(pair)
     assert int(counts.sum()) == expected
 
 
@@ -272,19 +217,16 @@ def test_prescribed_counts_over_all_targets_sum_to_all_pairs():
 def test_interval_counts_match_naive_enumeration():
     for p in (5, 7, 13):
         for m in sorted({1, 2, 3, p // 2 + 1, p}):
-            mod = Modulus(p, m)
-            for d in range(2, p + 1):
-                fast = count_interval_collision(mod, d)
-                assert type(fast) is int
-                assert fast == naive_interval(p, m, d), (p, m, d)
+            fast = [count_interval_collision(Modulus(p, m), d) for d in range(2, p + 1)]
+            assert {type(count) for count in fast} == {int}
+            assert fast == literal_interval_counts(p, m, p), (p, m)
 
 
 def test_interval_sweep_matches_naive_enumeration():
     for p in (5, 7, 13):
         for m in sorted({1, 2, 3, p // 2 + 1, p}):
             sweep = count_interval_collisions(Modulus(p, m), p)
-            expected = [naive_interval(p, m, d) for d in range(2, p + 1)]
-            assert sweep.tolist() == expected, (p, m)
+            assert sweep.tolist() == literal_interval_counts(p, m, p), (p, m)
             assert sweep.dtype == np.int64
 
 
@@ -516,10 +458,7 @@ def test_interval_domain():
 def test_maxloads_for_a_matches_load_profile():
     mod = Modulus(13, 3)
     ks = Interval(3)
-    for a in range(13):
-        row = maxloads_for_a(mod, ks, a)
-        for b in range(13):
-            assert row[b] == max(load_profile(a, b, mod, ks))
+    assert np.array_equal([maxloads_for_a(mod, ks, a) for a in range(13)], maxload_grid(mod, ks))
     with pytest.raises(ValueError):
         maxloads_for_a(mod, ks, 13)
 
@@ -527,83 +466,7 @@ def test_maxloads_for_a_matches_load_profile():
 def test_maxloads_b_zero_matches_load_profile():
     mod = Modulus(13, 3)
     ks = Interval(3)
-    loads = maxloads_b_zero(mod, ks)
-    for a in range(13):
-        assert loads[a] == max(load_profile(a, 0, mod, ks))
-
-
-def _block_edge_cases():
-    for m in (16, 24):
-        mod = Modulus(next_prime_at_least(m * m), m)
-        yield mod, AffineImage(m, 77, 5)
-        yield mod, Explicit((0, 3, 4, 10, mod.p // 2, mod.p - 1))
-
-
-BLOCK_EDGE_CASES = list(_block_edge_cases())
-BLOCK_EDGE_IDS = [f"p{mod.p}-m{mod.m}-{type(ks).__name__}" for mod, ks in BLOCK_EDGE_CASES]
-
-
-def _split_blocks(monkeypatch, mod, ks, rows):
-    """Shrink max-load blocks to `rows` rows; p = 257 and 577 leave a partial last block."""
-    width = max(len(materialize(ks, mod)), mod.m)
-    monkeypatch.setattr("linbins.loads.BLOCK_CELLS", rows * width)
-
-
-@pytest.mark.parametrize("rows", (7, 50))
-@pytest.mark.parametrize("mod,ks", BLOCK_EDGE_CASES, ids=BLOCK_EDGE_IDS)
-def test_maxloads_b_zero_at_block_edges(monkeypatch, rows, mod, ks):
-    _split_blocks(monkeypatch, mod, ks, rows)
-    expected = [max(load_profile(a, 0, mod, ks)) for a in range(mod.p)]
-    assert maxloads_b_zero(mod, ks).tolist() == expected
-    # Worker chunks count their blocks from their own first a.
-    elements = materialize(ks, mod)
-    chunks = [
-        _maxloads_b_zero_chunk(mod.p, mod.m, elements, lo, hi)
-        for lo, hi in _chunk_bounds(mod.p, 3)
-    ]
-    assert np.concatenate(chunks).tolist() == expected
-    # The b = 0 histogram places keys for a < (p+1)/2 only, and its chunks
-    # must count each mirror p - a once, whichever chunk holds a.
-    assert exact_maxload_histogram(mod, ks, b_mode="b_zero") == hist_of(expected)
-    half = (mod.p + 1) // 2
-    mirrored = sum(
-        _maxload_hist_b_zero_chunk(mod.p, mod.m, elements, lo, hi)
-        for lo, hi in _chunk_bounds(half, 3)
-    )
-    assert np.array_equal(mirrored, np.bincount(expected, minlength=len(elements) + 1))
-
-
-@pytest.mark.parametrize("rows", (7, 50))
-@pytest.mark.parametrize("mod,ks", BLOCK_EDGE_CASES, ids=BLOCK_EDGE_IDS)
-def test_maxloads_for_a_at_block_edges(monkeypatch, rows, mod, ks):
-    _split_blocks(monkeypatch, mod, ks, rows)
-    for a in (0, 1, 77, mod.p - 1):
-        expected = [max(load_profile(a, b, mod, ks)) for b in range(mod.p)]
-        assert maxloads_for_a(mod, ks, a).tolist() == expected, a
-
-
-def test_exact_histogram_single_bin():
-    hist = exact_maxload_histogram(Modulus(13, 1), Interval(4), b_mode="all_b")
-    assert hist == {4: 169}
-
-
-def test_exact_histogram_partitions_parameter_space():
-    mod = Modulus(257, 16)
-    b_zero = exact_maxload_histogram(mod, Interval(16), b_mode="b_zero")
-    assert sum(b_zero.values()) == 257
-    all_b = exact_maxload_histogram(mod, Interval(16), b_mode="all_b")
-    assert sum(all_b.values()) == 257 * 257
-
-
-def test_exact_histogram_matches_naive():
-    mod = Modulus(13, 3)
-    ks = Interval(3)
-    naive = {}
-    for a in range(13):
-        for b in range(13):
-            top = max(load_profile(a, b, mod, ks))
-            naive[top] = naive.get(top, 0) + 1
-    assert exact_maxload_histogram(mod, ks, b_mode="all_b") == naive
+    assert maxloads_b_zero(mod, ks).tolist() == maxload_grid(mod, ks)[:, 0].tolist()
 
 
 def _maxload_cases():
@@ -630,19 +493,79 @@ def _maxload_cases():
         yield mod, Explicit((0, 3, 4, 10, mod.p // 2, mod.p - 1))
 
 
+def case_ids(cases):
+    return [f"p{mod.p}-m{mod.m}-{type(ks).__name__}" for mod, ks in cases]
+
+
 MAXLOAD_CASES = list(_maxload_cases())
-MAXLOAD_IDS = [f"p{mod.p}-m{mod.m}-{type(ks).__name__}" for mod, ks in MAXLOAD_CASES]
+BLOCK_EDGE_CASES = [c for c in MAXLOAD_CASES if c[0].m in (16, 24) and type(c[1]) is not Interval]
 
 
-@pytest.mark.parametrize("mod,ks", MAXLOAD_CASES, ids=MAXLOAD_IDS)
+def _split_blocks(monkeypatch, mod, ks, rows):
+    """Shrink max-load blocks to `rows` rows; p = 257 and 577 leave a partial last block."""
+    width = max(len(materialize(ks, mod)), mod.m)
+    monkeypatch.setattr("linbins.loads.BLOCK_CELLS", rows * width)
+
+
+@pytest.mark.parametrize("rows", (7, 50))
+@pytest.mark.parametrize("mod,ks", BLOCK_EDGE_CASES, ids=case_ids(BLOCK_EDGE_CASES))
+def test_maxloads_b_zero_at_block_edges(monkeypatch, rows, mod, ks):
+    _split_blocks(monkeypatch, mod, ks, rows)
+    expected = maxload_grid(mod, ks)[:, 0].tolist()
+    assert maxloads_b_zero(mod, ks).tolist() == expected
+    # Worker chunks count their blocks from their own first a.
+    elements = materialize(ks, mod)
+    chunks = [
+        _maxloads_b_zero_chunk(mod.p, mod.m, elements, lo, hi)
+        for lo, hi in _chunk_bounds(mod.p, 3)
+    ]
+    assert np.concatenate(chunks).tolist() == expected
+    # The b = 0 histogram places keys for a < (p+1)/2 only, and its chunks
+    # must count each mirror p - a once, whichever chunk holds a.
+    assert exact_maxload_histogram(mod, ks, b_mode="b_zero") == hist_of(expected)
+    half = (mod.p + 1) // 2
+    mirrored = sum(
+        _maxload_hist_b_zero_chunk(mod.p, mod.m, elements, lo, hi)
+        for lo, hi in _chunk_bounds(half, 3)
+    )
+    assert np.array_equal(mirrored, np.bincount(expected, minlength=len(elements) + 1))
+
+
+@pytest.mark.parametrize("rows", (7, 50))
+@pytest.mark.parametrize("mod,ks", BLOCK_EDGE_CASES, ids=case_ids(BLOCK_EDGE_CASES))
+def test_maxloads_for_a_at_block_edges(monkeypatch, rows, mod, ks):
+    _split_blocks(monkeypatch, mod, ks, rows)
+    for a in (0, 1, 77, mod.p - 1):
+        assert maxloads_for_a(mod, ks, a).tolist() == maxload_grid(mod, ks)[a].tolist(), a
+
+
+def test_exact_histogram_single_bin():
+    hist = exact_maxload_histogram(Modulus(13, 1), Interval(4), b_mode="all_b")
+    assert hist == {4: 169}
+
+
+def test_exact_histogram_partitions_parameter_space():
+    mod = Modulus(257, 16)
+    b_zero = exact_maxload_histogram(mod, Interval(16), b_mode="b_zero")
+    assert sum(b_zero.values()) == 257
+    all_b = exact_maxload_histogram(mod, Interval(16), b_mode="all_b")
+    assert sum(all_b.values()) == 257 * 257
+
+
+def test_exact_histogram_matches_naive():
+    mod = Modulus(13, 3)
+    ks = Interval(3)
+    assert exact_maxload_histogram(mod, ks, b_mode="all_b") == hist_of(maxload_grid(mod, ks))
+
+
+@pytest.mark.parametrize("mod,ks", MAXLOAD_CASES, ids=case_ids(MAXLOAD_CASES))
 def test_all_b_histogram_matches_literal_scan(mod, ks):
-    expected = literal_maxload_hist(mod.p, mod.m, materialize(ks, mod))
-    assert exact_maxload_histogram(mod, ks, b_mode="all_b") == expected
+    assert exact_maxload_histogram(mod, ks, b_mode="all_b") == hist_of(maxload_grid(mod, ks))
 
 
-@pytest.mark.parametrize("mod,ks", MAXLOAD_CASES, ids=MAXLOAD_IDS)
+@pytest.mark.parametrize("mod,ks", MAXLOAD_CASES, ids=case_ids(MAXLOAD_CASES))
 def test_b_zero_histogram_matches_per_a_scan(mod, ks):
-    expected = hist_of(maxloads_b_zero(mod, ks))
+    expected = hist_of(maxload_grid(mod, ks)[:, 0])
     assert exact_maxload_histogram(mod, ks, b_mode="b_zero") == expected
 
 
@@ -683,20 +606,10 @@ def test_maxload_credits_match_per_a_scan(monkeypatch, mod, ks, block_rows):
     for lo, hi, credit in maxload_credits(mod.p, mod.m, elements, 0, mod.p):
         assert lo == covered and credit.shape == (hi - lo, n + 1)
         for a in range(lo, hi):
-            expected = np.bincount(maxloads_for_a(mod, ks, a), minlength=n + 1)
+            expected = np.bincount(maxload_grid(mod, ks)[a], minlength=n + 1)
             assert credit[a - lo].tolist() == expected.tolist(), a
         covered = hi
     assert covered == mod.p
-
-
-def maxloads_over_b(p, m, elements, a):
-    """Max load at every b for fixed a, by comparing every pair of keys.
-
-    Costs p*n^2 for n keys at any m, where maxloads_for_a costs p*m.
-    """
-    b = np.arange(p, dtype=np.int64)[:, None]
-    bins = (a * np.asarray(elements, dtype=np.int64) + b) % p % m
-    return (bins[:, :, None] == bins[:, None, :]).sum(axis=2).max(axis=1)
 
 
 @pytest.mark.parametrize("m", [32767, 32768])
@@ -710,7 +623,7 @@ def test_maxload_credits_either_side_of_int32_products(m):
     elements = [0, 1, 2, 3, 4, 5, 6, 65536]
     for a in (1, 2, 3, 4096, 32767, 32768, 65535, 65536):
         [(lo, hi, credit)] = maxload_credits(p, m, elements, a, a + 1)
-        expected = np.bincount(maxloads_over_b(p, m, elements, a), minlength=len(elements) + 1)
+        expected = np.bincount(literal_maxloads(p, m, elements, a), minlength=len(elements) + 1)
         assert (lo, hi) == (a, a + 1)
         assert credit[0].tolist() == expected.tolist(), a
 
@@ -917,8 +830,7 @@ def test_pooled_counts_match_serial(monkeypatch):
     assert all(map(np.array_equal, results[0], results[1]))
     assert all(map(np.array_equal, results[0], results[2]))
     assert len(results[0][0]) == 32 and len(results[0][1]) == 64
-    assert results[0][0][0] == naive_triple(31, 5, 0, 1, 7)
-    assert results[0][1][1] == naive_prescribed(31, 5, 2, 9, 30, 1, 4, 1)
+    assert [*results[0][0], *results[0][1]] == literal_row_counts(31, 5, triples + queries)
     assert pools == [2, 2, 2, 3, 3, 3]
 
     # The max-load kernels, on a key set that is its own mirror (half the
@@ -937,7 +849,7 @@ def test_pooled_counts_match_serial(monkeypatch):
     ]
     assert maxload[0] == maxload[1] == maxload[2]
     for ks, (all_b, b_zero, at_zero) in zip(key_sets, maxload[0]):
-        assert all_b == literal_maxload_hist(31, 5, materialize(ks, mod))
+        assert all_b == hist_of(maxload_grid(mod, ks))
         assert b_zero == hist_of(at_zero) and len(at_zero) == 31
     assert pools[6:] == [2] * 6 + [3] * 6
 
