@@ -269,11 +269,14 @@ def scaling_study(
     validate_seed(seed)
     if not m_values:
         raise ValueError("scaling study needs at least one m value, got an empty list")
-    # Every m is validated, and its modulus built, before any m samples.
+    # Every m is validated, and its modulus built, before any m samples.  The
+    # report reads the last m as the largest, so each m must exceed the one before.
     mods = []
     for m in m_values:
         if m < 2:
             raise ValueError(f"scaling study needs m >= 2, got {m}")
+        if mods and m <= mods[-1].m:
+            raise ValueError(f"scaling study needs increasing m values, got {m} after {mods[-1].m}")
         mods.append(Modulus(next_prime_at_least(m * m), m))
     rows = []
     for k, mod in enumerate(mods):

@@ -30,8 +30,6 @@ from .oracles import (
     count_prescribed_triple,
     count_triple_collisions,
     exact_maxload_histogram,
-    interval_bound_denominator,
-    interval_lower_bound_active,
     maxload_credits,
     maxloads_b_zero,
     triple_bound_terms,
@@ -206,9 +204,9 @@ def _zero_free(mod: Modulus) -> Explicit:
 def check_load_sums(mod: Modulus, alpha: int, beta: int) -> tuple[int, int]:
     """Per-bin loads must sum to |S|; exhaustive over (a, b) at small p.
 
-    The loads come from loads.bin_counts, the kernel behind the b = 0 scans,
-    the fixed-a rows and the Monte Carlo maxima; the all-(a, b) histograms
-    replay maxload_credits.  Above p^2 = 90000 only b in {0, 1, p//2, p-1} is checked.
+    The loads come from loads.bin_counts, the kernel behind the b = 0 scans
+    and the Monte Carlo maxima; the all-(a, b) histograms replay
+    maxload_credits.  Above p^2 = 90000 only b in {0, 1, p//2, p-1} is checked.
     """
     p, m = mod.p, mod.m
     bs = range(p) if p * p <= 90_000 else (0, 1, p // 2, p - 1)
@@ -299,15 +297,11 @@ def check_canonical_equality(
     words = np.frombuffer(rng.randbytes(4 * 3 * _TARGETS_PER_TRIPLE * len(triples)), "<u4")
     targets = ((words.astype(np.int64) * m) >> 32).reshape(-1, 3)
     # Each triple's d of its (0, 1, d) form: t -> (y - x)*t + x sends (0, 1, d)
-    # to (x, y, z), so d = (z - x) / (y - x) mod p, the inverse taken as
-    # (y - x)^(p - 2).
+    # to (x, y, z), so d = (z - x) / (y - x) mod p, one inverse per distinct y - x.
     x, y, z = triples.T
-    step, d, e = (y - x) % p, (z - x) % p, p - 2
-    while e:
-        if e & 1:
-            d = d * step % p
-        step = step * step % p
-        e >>= 1
+    steps, which = np.unique((y - x) % p, return_inverse=True)
+    inverse = np.array([pow(s, -1, p) for s in steps.tolist()], dtype=np.int64)
+    d = inverse[which] * ((z - x) % p) % p
     direct = np.hstack([triples.repeat(_TARGETS_PER_TRIPLE, axis=0), targets])
     reduced = direct.copy()
     reduced[:, 0], reduced[:, 1], reduced[:, 2] = 0, 1, d.repeat(_TARGETS_PER_TRIPLE)
@@ -331,14 +325,13 @@ def check_triple_bounds(mod: Modulus, counts: np.ndarray) -> tuple[int, int, int
 def check_interval_lower_bound(mod: Modulus, sweep: np.ndarray) -> tuple[int, int]:
     """Exhaustive P[[d] collides] >= 1/(6dm) for every d in [2, m].
 
-    sweep is count_interval_collisions up to a length of at least m.
+    sweep is count_interval_collisions up to a length of at least m.  The
+    bound is claimed only for p > 3m^2, which run_lemma_checks tests.
     """
-    sweep = sweep[: mod.m - 1]
-    # count / p^2 < 1 / den, compared in integers.
-    violations = sum(
-        count * interval_bound_denominator(mod, d) < mod.p * mod.p
-        for d, count in enumerate(sweep.tolist(), start=2)
-    )
+    p, m = mod.p, mod.m
+    sweep = sweep[: m - 1]
+    # count / p^2 < 1 / (6dm), compared in integers.
+    violations = sum(count * 6 * d * m < p * p for d, count in enumerate(sweep.tolist(), start=2))
     return len(sweep), violations
 
 
@@ -393,10 +386,10 @@ def run_lemma_checks(
     rng = random.Random(seed + 1)
     alpha = 1 + rng.randrange(p - 1)
     beta = rng.randrange(p)
-    lower_bound = interval_lower_bound_active(mod)
+    # The 1/(6dm) guarantee is only claimed for p > 3m^2.
+    lower_bound = p > 3 * m * m
     # Every charged count comes before the first check, so an over-budget run
-    # is refused at once: the sweep charges at least 3p^2, the most of any
-    # count here (at m = 1 it is free and the triple batch's 3p^2 is the most).
+    # is refused at once: the sweep charges at least 3p^2, the most of any count here.
     # Containment reads every interval length up to p for p <= 300, up to 128
     # above; the lower bound reads lengths up to m.
     d_max = p if p <= 300 else 128

@@ -57,13 +57,6 @@ def next_prime_at_least(n: int) -> int:
     return candidate
 
 
-def mod_inverse(x: int, p: int) -> int:
-    """Multiplicative inverse of x modulo the prime p."""
-    if x % p == 0:
-        raise ValueError("0 has no multiplicative inverse")
-    return pow(x, -1, p)
-
-
 @dataclass(frozen=True)
 class Modulus:
     """A prime modulus p <= MAX_MODULUS together with a bin count m, 1 <= m <= p."""

@@ -44,7 +44,7 @@ import os
 
 import numpy as np
 
-from .field import Modulus, int_type, mod_inverse, rem
+from .field import Modulus, int_type, rem
 from .loads import KeySet, bin_counts, materialize, max_loads
 
 # Refuse exhaustive calls whose cost exceeds this, unless the caller raises
@@ -411,10 +411,10 @@ def count_interval_collisions(
     p, m = mod.p, mod.m
     if not 2 <= d_max <= p:
         raise ValueError(f"d must satisfy 2 <= d <= p, got {d_max}")
+    _check_budget(d_max * p * p, budget, "interval collision count")
     if m == 1:
         # One bin: prefix and suffix cases coincide and every (a, b) collides.
         return np.full(d_max - 1, p * p, dtype=np.int64)
-    _check_budget(d_max * p * p, budget, "interval collision count")
     return sum(map_chunks(_interval_chunk, p, workers, d_max * p, (p, m, d_max)))
 
 
@@ -440,24 +440,6 @@ def triple_bound_terms(mod: Modulus, d: int) -> tuple[int, int, int]:
     statement = d * m * m + max(d * m, p) * (m + d)
     proof = (d * m + d + p) * (m + d)
     return statement, proof, p * d * m * m
-
-
-def interval_lower_bound_active(mod: Modulus) -> bool:
-    """The 1/(6dm) guarantee is only claimed for p > 3m^2."""
-    return mod.p > 3 * mod.m * mod.m
-
-
-def interval_bound_denominator(mod: Modulus, d: int) -> int:
-    """Denominator 6*d*m of the interval collision probability's lower bound 1/(6*d*m).
-
-    Only claimed for d <= m under p > 3*m^2.
-    """
-    p, m = mod.p, mod.m
-    if not 2 <= d <= m:
-        raise ValueError(f"the bound requires 2 <= d <= m, got d={d}, m={m}")
-    if not interval_lower_bound_active(mod):
-        raise ValueError(f"the bound requires p > 3*m^2, got p={p}, m={m}")
-    return 6 * d * m
 
 
 def _b_zero_placement(p, m, elements, lo_a, hi_a):
@@ -597,7 +579,7 @@ def _mirror_centre(p: int, elements) -> int | None:
     if n == p:
         return 0  # the whole field is its own mirror about every c
     # Summing c - s over S gives n*c = 2*sum(S) (mod p), so c is the one candidate.
-    c = 2 * sum(elements) * mod_inverse(n, p) % p
+    c = 2 * sum(elements) * pow(n, -1, p) % p
     return c if {(c - x) % p for x in elements} == set(elements) else None
 
 

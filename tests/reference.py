@@ -19,8 +19,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from linbins.field import mod_inverse
-
 
 # Cells of literal_bins per block of multipliers in the reductions below.
 BLOCK_CELLS = 1 << 17
@@ -150,7 +148,7 @@ def canonicalize_triple(p: int, x: int, y: int, z: int) -> int:
     """
     if len({x % p, y % p, z % p}) != 3:
         raise ValueError(f"triple ({x}, {y}, {z}) is not distinct mod {p}")
-    return mod_inverse(y - x, p) * (z - x) % p
+    return pow(y - x, -1, p) * (z - x) % p
 
 
 def csv_body(text: str) -> str:

@@ -267,6 +267,15 @@ def test_non_integer_m_values_exit_two(tmp_path):
     assert "invalid m_values value: '8,x'" in proc.stderr
 
 
+def test_scaling_m_values_not_increasing_exit_two(tmp_path):
+    for values in ("64,16", "16,16"):
+        proc = run_cli("scaling", "--m-values", values, "--samples", "200", cwd=tmp_path)
+        assert proc.returncode == 2
+        message = f"scaling study needs increasing m values, got 16 after {values[:2]}"
+        assert proc.stderr == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scaling_cli_rerun_identical(tmp_path):
     args = ("scaling", "--m-values", "8,16", "--samples", "400", "--seed", "3")
     first = run_cli(*args, "--out", "a.csv", cwd=tmp_path)

@@ -516,6 +516,18 @@ def test_scaling_study_validates_every_m_before_sampling(monkeypatch, m_values):
     assert calls == []
 
 
+@pytest.mark.parametrize("m_values", [[64, 16], [16, 16]])
+def test_scaling_study_refuses_m_values_not_increasing(monkeypatch, m_values):
+    # The report reads the last m as the largest and compares neighbours.
+    calls = []
+    monkeypatch.setattr(estimators, "mc_linear_maxload", lambda *a: calls.append(a))
+    monkeypatch.setattr(estimators, "fully_random_mean", lambda *a: calls.append(a))
+    message = f"^scaling study needs increasing m values, got 16 after {m_values[0]}$"
+    with pytest.raises(ValueError, match=message):
+        scaling_study(m_values, samples=200, seed=0)
+    assert calls == []
+
+
 def test_scaling_study_wraps_derived_seeds():
     rows = scaling_study([2, 4], samples=20, seed=2**64 - 2)
     assert [r.linear.seed for r in rows] == [2**64 - 2, 0]

@@ -7,6 +7,7 @@ import io
 import json
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -41,7 +42,6 @@ from linbins.oracles import (
     count_interval_collisions,
     count_triple_collisions,
     exact_maxload_histogram,
-    interval_lower_bound_active,
     maxloads_b_zero,
     triple_bound_terms,
 )
@@ -324,11 +324,33 @@ def test_check_load_sums_sampled_b_and_range_guard():
         check_load_sums(Modulus(2147483659, 4), alpha=1, beta=0)
 
 
-def test_interval_lower_bound_activation():
-    assert interval_lower_bound_active(Modulus(197, 8))
-    assert not interval_lower_bound_active(Modulus(191, 8))
+def test_interval_lower_bound_activation(tmp_path):
+    # The row and the preamble follow p > 3m^2: (3, 1) sits on 3m^2 itself,
+    # and (11, 2) and (191, 8) lie above 2m^2 but not above 3m^2.
+    for p, m, active in ((3, 1, False), (11, 2, False), (13, 2, True), (191, 8, False)):
+        out = tmp_path / f"{p}-{m}.report.csv"
+        report = run_lemma_checks(p, m, out)
+        assert ("interval-lower-bound" in [c.name for c in report]) == active, (p, m)
+        state = "active" if active else "inactive (requires p > 3m^2)"
+        assert f"# interval_lower_bound={state}\n" in out.read_text(), (p, m)
+
+
+def test_interval_lower_bound_at_its_boundary():
+    # A count of ceil(p^2/(6dm)) at each d meets the bound, one less misses it.
+    # No prime p makes p^2 a multiple of 6dm, so a stand-in modulus (p = 12,
+    # m = 2: 144 = 6*2*2*6) pins the equality case: 6 of 144 is exactly 1/24.
     mod = Modulus(197, 8)
-    assert check_interval_lower_bound(mod, count_interval_collisions(mod, 8)) == (7, 0)
+    sweep = np.array([-(-197 * 197 // (6 * d * 8)) for d in range(2, 9)])
+    assert check_interval_lower_bound(mod, sweep) == (7, 0)
+    for i in range(7):
+        short = sweep.copy()
+        short[i] -= 1
+        assert check_interval_lower_bound(mod, short) == (7, 1), i
+    # Entries past length m are not read.
+    assert check_interval_lower_bound(mod, np.append(sweep, 0)) == (7, 0)
+    stand_in = SimpleNamespace(p=12, m=2)
+    assert check_interval_lower_bound(stand_in, np.array([6])) == (1, 0)
+    assert check_interval_lower_bound(stand_in, np.array([5])) == (1, 1)
 
 
 def test_run_lemma_checks_smoke(tmp_path):

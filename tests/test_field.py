@@ -8,7 +8,6 @@ from linbins.field import (
     Modulus,
     int_type,
     is_prime,
-    mod_inverse,
     next_prime_at_least,
     rem,
 )
@@ -60,20 +59,6 @@ def test_next_prime_at_least_domain():
         next_prime_at_least(1)
     with pytest.raises(ValueError, match="exceeds the supported integer range"):
         next_prime_at_least(2**62 + 1)
-
-
-def test_mod_inverse_exhaustive():
-    for p in (2, 3, 5, 7, 13):
-        for x in range(1, p):
-            assert mod_inverse(x, p) * x % p == 1
-
-
-def test_mod_inverse_examples():
-    assert mod_inverse(3, 13) == 9
-    with pytest.raises(ValueError):
-        mod_inverse(0, 13)
-    with pytest.raises(ValueError):
-        mod_inverse(13, 13)
 
 
 def test_modulus_validation():

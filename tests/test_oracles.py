@@ -30,7 +30,6 @@ from linbins.oracles import (
     count_prescribed_triple,
     count_triple_collisions,
     exact_maxload_histogram,
-    interval_bound_denominator,
     maxload_credits,
     maxloads_b_zero,
     maxloads_for_a,
@@ -250,6 +249,15 @@ def test_interval_sweep_budget_charged_once():
     assert len(sweep) == 5
 
 
+def test_interval_sweep_charges_one_bin_too():
+    # m = 1 answers without counting, but is charged d*p^2 like any other m.
+    mod = Modulus(13, 1)
+    work = 13 * 13 * 13
+    with pytest.raises(WorkBudgetError, match="interval collision count"):
+        count_interval_collisions(mod, 13, budget=work - 1)
+    assert count_interval_collisions(mod, 13, budget=work).tolist() == [13 * 13] * 12
+
+
 @pytest.mark.parametrize(
     "p,m,d_max",
     # Every d <= p at the last three: m = 1 is the sweep's one-bin branch,
@@ -410,24 +418,6 @@ def test_triple_bounds_hold_exhaustively_small():
             assert prob <= Fraction(proof, den), (p, m, d)
             assert prob <= Fraction(statement, den), (p, m, d)
             assert prob <= ceiling_bound(mod, d), (p, m, d)
-
-
-def test_interval_lower_bound_values():
-    mod = Modulus(197, 8)
-    assert Fraction(1, interval_bound_denominator(mod, 2)) == Fraction(1, 96)
-    assert Fraction(1, interval_bound_denominator(mod, 4)) == Fraction(1, 192)
-    assert Fraction(1, interval_bound_denominator(mod, 8)) == Fraction(1, 384)
-    with pytest.raises(ValueError):
-        interval_bound_denominator(mod, 9)
-    with pytest.raises(ValueError):
-        interval_bound_denominator(Modulus(191, 8), 2)  # 191 <= 3 * 64
-
-
-def test_interval_lower_bound_holds():
-    mod = Modulus(197, 8)
-    for d in (2, 4, 8):
-        prob = Fraction(count_interval_collision(mod, d), 197 * 197)
-        assert prob >= Fraction(1, interval_bound_denominator(mod, d))
 
 
 def test_interval_containment_and_monotonicity():
