@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from linbins import oracles
+from linbins.experiments import check_interval_lower_bound
 from linbins.field import Modulus, int_type, is_prime, next_prime_at_least
 from linbins.loads import AffineImage, Explicit, Interval, materialize
 from linbins.oracles import (
@@ -418,6 +419,27 @@ def test_triple_bounds_hold_exhaustively_small():
             assert prob <= Fraction(proof, den), (p, m, d)
             assert prob <= Fraction(statement, den), (p, m, d)
             assert prob <= ceiling_bound(mod, d), (p, m, d)
+
+
+def test_interval_lower_bound_values():
+    # At (197, 8) the bound 1/(6dm) is 1/96, 1/192 and 1/384 at d = 2, 4, 8: the
+    # least count meeting it is ceil(p^2 / (6dm)), and one less misses it.
+    mod = Modulus(197, 8)
+    for d, bound in ((2, Fraction(1, 96)), (4, Fraction(1, 192)), (8, Fraction(1, 384))):
+        least = math.ceil(197 * 197 * bound)
+        sweep = np.full(7, 197 * 197)
+        sweep[d - 2] = least
+        assert check_interval_lower_bound(mod, sweep) == (7, 0), d
+        sweep[d - 2] = least - 1
+        assert check_interval_lower_bound(mod, sweep) == (7, 1), d
+
+
+def test_interval_lower_bound_holds():
+    mod = Modulus(197, 8)
+    for d in (2, 4, 8):
+        prob = Fraction(count_interval_collision(mod, d), 197 * 197)
+        assert prob >= Fraction(1, 6 * d * 8), d
+    assert check_interval_lower_bound(mod, count_interval_collisions(mod, 8)) == (7, 0)
 
 
 def test_interval_containment_and_monotonicity():
