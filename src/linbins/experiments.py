@@ -495,6 +495,11 @@ def run_scaling(
         includes_a_zero=True,
         random_column="computed by Poisson conditioning, not sampled; "
         "random_se bounds |random_mean - exact mean|",
+        linear_estimator="control variate max - beta*(R(a) - E[R]), R(a) the longest run of "
+        ">= 3 keys of [m] sharing a bin class under multiplier a, R(0) = m; beta of the even "
+        "64-sample blocks fitted on the odd ones and the reverse, 0 where R does not vary; "
+        "linear_se from the same terms; E[R] = sum_a R(a) / p: "
+        + " ".join(f"m{r.m}={r.linear.runs_total}/{r.p}" for r in rows),
         workers=workers,
     )
     write_csv(out, columns, data, meta)

@@ -23,6 +23,10 @@ points and replaying them costs O(n log n) per a instead of the O(p*n) of
 scanning every b.  The resulting counts are identical to the literal
 enumeration that the test suite keeps as its one reference.  The replay,
 maxload_credits, yields each a's histogram over b, read by the b-shift check.
+multiplier_runs gives the longest lattice run of [m] under a multiplier, the
+covariate of the Monte Carlo linear estimator, by a lockstep Euclid pass
+over the sampled multipliers; multiplier_runs_total sums it over every a by
+Mobius inversion, with no length-p array.
 Both max-load histograms place the keys only for a < (p+1)/2 and take each
 p - a from its mirror a.  With b = 0, (p-a)*x = p - a*x (mod p) for x != 0,
 so h_{p-a,0} puts x in class (q - r) mod m when h_{a,0} puts it in class r,
@@ -624,3 +628,83 @@ def exact_maxload_histogram(
     else:
         raise ValueError(f"b_mode must be 'all_b' or 'b_zero', got {b_mode!r}")
     return {int(load): int(cnt) for load, cnt in enumerate(hist) if cnt > 0}
+
+
+def multiplier_runs(mod: Modulus, a) -> np.ndarray:
+    """R(a), the longest lattice run of the keys [m] under multiplier a, for each a given.
+
+    R(0) = m.  For a != 0, R(a) is the largest min(ceil(m/x0), floor(q/|k|)),
+    q = floor(p/m), over the pairs with a*x0 = k*m (mod p), 1 <= x0 < m/2 and
+    1 <= |k| <= q/3, or 1 when there is none: keys x0 apart then lie k*m
+    apart in [p], so a run of at least 3 of them shares a bin class.  With
+    c = a/m mod p the pairs solve c*x0 = k (mod p).  A multiplier has at most
+    one primitive pair, since the cross products of two differ by less than
+    p/3 and so are equal, and every multiple of it runs shorter.  As
+    |k|*x0 < p/6, Legendre's theorem makes it a convergent of c/p: a step of
+    Euclid's algorithm on (p, c), whose remainder is |k| and the absolute
+    value of whose Bezout coefficient is x0.  The multipliers run that
+    algorithm in lockstep until the coefficient reaches m/2, each step
+    recording the pair of a step that qualifies.  Every value is an integer
+    below 2^53 in float64, and each quotient the floor of a correctly
+    rounded ratio of integers below 2^31, so the arithmetic is exact.
+    """
+    p, m = mod.p, mod.m
+    q = p // m
+    a = np.asarray(a, dtype=np.int64)
+    runs = np.where(a == 0, m, 1)
+    if m < 3 or q < 3:
+        return runs  # no x0 in [1, m/2) or no k with 1 <= |k| <= q/3
+    at = np.flatnonzero(a)
+    # r0 and r1 are consecutive remainders, u0 and u1 the absolute values of
+    # their coefficients, which alternate in sign: r1 = +-u1*c (mod p).
+    r0, r1 = np.full(at.size, float(p)), (a.ravel()[at] * pow(m, -1, p) % p).astype(float)
+    u0, u1 = np.zeros(at.size), np.ones(at.size)
+    while (live := u1 < m / 2).any():
+        # Drop the finished multipliers once half are.
+        if 2 * np.count_nonzero(live) < live.size:
+            keep = np.flatnonzero(live)
+            at, r0, r1, u0, u1, live = (v[keep] for v in (at, r0, r1, u0, u1, live))
+        hit = np.flatnonzero(live & (r1 <= q // 3))
+        runs.flat[at[hit]] = np.minimum(np.ceil(m / u1[hit]), np.floor(q / r1[hit]))
+        quo = np.floor(r0 / np.maximum(r1, 1.0))
+        r0, r1 = r1, r0 - quo * r1
+        u0, u1 = u1, u0 + quo * u1
+    return runs
+
+
+def _mobius(n: int) -> np.ndarray:
+    """The Mobius function mu(t) for t in [0, n], mu(0) unused."""
+    mu = np.ones(n + 1, dtype=np.int64)
+    composite = np.zeros(n + 1, dtype=bool)
+    for t in range(2, n + 1):
+        if not composite[t]:
+            composite[t::t] = True
+            mu[t::t] *= -1
+            mu[t * t :: t * t] = 0
+    return mu
+
+
+def multiplier_runs_total(mod: Modulus) -> int:
+    """The sum of multiplier_runs over every a in [p], exactly, with no length-p array.
+
+    Each primitive pair (x0, k) with k > 0 names one a and -k names p - a, and
+    an a without one has R(a) = 1.  A pair's R - 1 is 2 + the number of
+    s in [4, m] with R >= s, and R >= s exactly when x0 <= X_s =
+    ceil(m/(s-1)) - 1 and k <= Y_s = floor(floor(p/m)/s).  So the sum is
+    m + (p - 1) + 2*(2*C(3) + C(4) + ... + C(m)), where C(s) counts the
+    coprime pairs in [1, X_s] x [1, Y_s]: the sum over t of
+    mu(t) * floor(X_s/t) * floor(Y_s/t), O(m log m) terms in all.
+    """
+    p, m = mod.p, mod.m
+    s = np.arange(3, m + 1)
+    x, y = -(-m // (s - 1)) - 1, p // m // s
+    terms = np.minimum(x, y)
+    s, x, y, terms = s[terms > 0], x[terms > 0], y[terms > 0], terms[terms > 0]
+    if not s.size:
+        return m + p - 1
+    # One row per (s, t), t = 1..terms[s].
+    row = np.repeat(np.arange(s.size), terms)
+    t = np.arange(row.size) - np.repeat(np.cumsum(terms) - terms, terms) + 1
+    weight = np.where(s == 3, 2, 1)[row]
+    pairs = weight * _mobius(int(terms.max()))[t] * (x[row] // t) * (y[row] // t)
+    return m + p - 1 + 2 * int(pairs.sum())

@@ -6,7 +6,9 @@ literal_bins is the one evaluation of h_{a,b}(x) = ((a*x + b) mod p) mod m
 over every b, by int64 %.  Its reductions are the literal counts each exact
 kernel is checked against: literal_row_counts for the triple and prescribed
 counters, literal_interval_counts for the interval counter, literal_maxloads
-for the max-load scans, histograms and maxload_credits.  _sample_rng builds
+for the max-load scans, histograms and maxload_credits.
+literal_multiplier_runs scans every x0 for the lattice runs that
+oracles.multiplier_runs and multiplier_runs_total compute.  _sample_rng builds
 each block's substream literally, for the stream-lock tests of estimators.
 The dynamic program is the oracle the Monte Carlo estimators are calibrated
 against.  canonicalize_triple is the scalar reference for the (0, 1, d)
@@ -90,6 +92,28 @@ def literal_maxloads(p: int, m: int, keys, a) -> np.ndarray:
         per_row = new.sum(axis=1)
         parts.append(np.maximum.reduceat(runs, np.cumsum(per_row) - per_row))
     return np.concatenate(parts).reshape(np.shape(a) + (p,))
+
+
+def literal_multiplier_runs(p: int, m: int, a=None) -> np.ndarray:
+    """R(a) for every a in [p], or for the multipliers a, by the literal scan over x0.
+
+    R(0) = m.  For a != 0, R(a) is the largest min(ceil(m/x0), floor(q/|k|)),
+    q = floor(p/m), over every x0 in [1, m/2) whose a*x0 mods p (the residue
+    in (-p/2, p/2]) is k*m with 1 <= |k| <= q/3, or 1 when no x0 has one.
+    """
+    a = np.arange(p, dtype=np.int64) if a is None else np.asarray(a, dtype=np.int64).ravel()
+    q = p // m
+    x0 = np.arange(1, (m + 1) // 2, dtype=np.int64)
+    runs = np.where(a == 0, m, 1)
+    step = max(1, BLOCK_CELLS // max(1, len(x0)))
+    for lo in range(0, len(a), step):
+        v = a[lo : lo + step, None] * x0 % p
+        v[v > p // 2] -= p
+        k = np.abs(v) // m
+        pair = (v % m == 0) & (k >= 1) & (3 * k <= q)
+        run = np.where(pair, np.minimum(-(-m // x0), q // np.maximum(k, 1)), 1)
+        runs[lo : lo + step] = np.maximum(runs[lo : lo + step], run.max(axis=1, initial=1))
+    return runs
 
 
 def _sample_rng(seed: int, index: int) -> np.random.Generator:

@@ -22,8 +22,13 @@ from linbins.estimators import (
 )
 from linbins.field import MAX_MODULUS, Modulus, next_prime_at_least
 from linbins.loads import AffineImage, Explicit, Interval, materialize
-from linbins.oracles import exact_maxload_histogram
-from reference import _sample_rng, fully_random_exact_mean, max_load_distribution
+from linbins.oracles import exact_maxload_histogram, multiplier_runs_total
+from reference import (
+    _sample_rng,
+    fully_random_exact_mean,
+    literal_multiplier_runs,
+    max_load_distribution,
+)
 
 EXACT_MEANS = Path(__file__).resolve().parent.parent / "perfbench" / "refs" / "exact_means.json"
 
@@ -38,14 +43,60 @@ def sample_draw(seed, i, high, width):
 
 
 def literal_linear_maxima(mod, key_set, samples, seed):
-    """Per sample: take its (a, b) row from its block's draw, bin the keys, take the max."""
+    """Per sample: take its (a, b) row from its block's draw, bin the keys, take the max.
+
+    Returns the maxima and the multipliers a.
+    """
     p, m = mod.p, mod.m
     s = np.asarray(materialize(key_set, mod), dtype=np.int64)
     maxima = np.empty(samples, dtype=np.int64)
+    multipliers = np.empty(samples, dtype=np.int64)
     for i in range(samples):
         a, b = sample_draw(seed, i, p, 2)
         maxima[i] = np.bincount((int(a) * s + int(b)) % p % m, minlength=m).max()
-    return maxima
+        multipliers[i] = a
+    return maxima, multipliers
+
+
+def cross_fit(maxima, runs, runs_mean):
+    """Mean and standard error of max_i - beta*(R_i - runs_mean), in Fractions.
+
+    Samples of even-numbered 64-sample blocks take the least-squares slope of
+    max on R over the odd-numbered blocks, and the reverse; the slope is 0
+    where the fitting half holds no two distinct R.
+    """
+    n = len(maxima)
+    y, r = [int(v) for v in maxima], [int(v) for v in runs]
+    halves = [[i for i in range(n) if i // BLOCK % 2 == h] for h in (0, 1)]
+    terms = [Fraction(v) for v in y]
+    for own, other in ((halves[0], halves[1]), (halves[1], halves[0])):
+        beta = Fraction(0)
+        if len({r[i] for i in other}) > 1:
+            r_bar = Fraction(sum(r[i] for i in other), len(other))
+            beta = sum((r[i] - r_bar) * y[i] for i in other) / sum(
+                (r[i] - r_bar) ** 2 for i in other
+            )
+        for i in own:
+            terms[i] -= beta * (r[i] - runs_mean)
+    mean = sum(terms) / n
+    var = sum((t - mean) ** 2 for t in terms) / (n - 1) if n > 1 else Fraction(0)
+    return mean, math.sqrt(var / n)
+
+
+def check_linear_estimate(est, mod, seed, maxima, multipliers):
+    """est against a recomputation from its maxima and multipliers.
+
+    The tail is that of the maxima, exactly; the mean and standard error are
+    those of the cross-fitted terms with the literal R, to within 1e-12 for
+    float64 sums of at most a few thousand terms of order 1.
+    """
+    total = multiplier_runs_total(mod)
+    runs = literal_multiplier_runs(mod.p, mod.m, multipliers)
+    mean, std_error = cross_fit(maxima, runs, Fraction(total, mod.p))
+    assert (est.samples, est.seed, est.runs_total) == (len(maxima), seed, total)
+    assert est.tail == _summarize(maxima, seed).tail
+    assert abs(est.mean - float(mean)) <= 1e-12
+    assert abs(est.std_error - std_error) <= 1e-12
 
 
 def literal_random_maxima(m, balls, samples, seed):
@@ -99,15 +150,16 @@ def test_mc_linear_seed_independence():
     assert abs(first.mean - second.mean) <= 6 * combined
 
 
-def test_mc_tail_properties():
+def test_mc_tail_properties(maxima_seen):
     est = mc_linear_maxload(Modulus(257, 16), Interval(16), 3000, 5)
     values = [est.tail[l] for l in sorted(est.tail)]
     assert sorted(est.tail) == list(range(1, max(est.tail) + 1))
     assert all(0.0 <= v <= 1.0 for v in values)
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert est.tail[1] <= 1.0
-    # The mean of an integer-valued max load is the sum of its tail.
-    assert abs(est.mean - sum(values)) < 1e-9
+    # The raw mean of an integer-valued max load is the sum of its tail; the
+    # control-variate mean is not.
+    assert abs(np.mean(maxima_seen[0]) - sum(values)) < 1e-9
 
 
 def test_mc_linear_warns_below_m_squared():
@@ -180,13 +232,15 @@ def test_mc_linear_exact_at_largest_modulus(maxima_seen):
     p = 2147483647  # the largest prime below MAX_MODULUS
     mod, ks, samples, seed = Modulus(p, 32), AffineImage(32, p - 2, p - 1), 200, 1
     elements = materialize(ks, mod)
-    maxima = []
+    maxima, multipliers = [], []
     for i in range(samples):
         a, b = (int(v) for v in sample_draw(seed, i, p, 2))
         bins = [(a * x + b) % p % 32 for x in elements]
         maxima.append(max(bins.count(j) for j in range(32)))
-    assert mc_linear_maxload(mod, ks, samples, seed) == _summarize(np.array(maxima), seed)
+        multipliers.append(a)
+    est = mc_linear_maxload(mod, ks, samples, seed)
     assert maxima_seen == [maxima]
+    check_linear_estimate(est, mod, seed, np.array(maxima), multipliers)
 
 
 @pytest.mark.parametrize("ks,dtype", [(Interval(1), np.int32), (Interval(2), np.int64)])
@@ -225,9 +279,9 @@ def maxima_seen(monkeypatch):
     """Per-sample maxima, in sample order, that each estimate summarises."""
     seen = []
 
-    def recording(maxima, seed):
+    def recording(maxima, seed, *rest):
         seen.append(maxima.tolist())
-        return _summarize(maxima, seed)
+        return _summarize(maxima, seed, *rest)
 
     monkeypatch.setattr(estimators, "_summarize", recording)
     return seen
@@ -253,9 +307,10 @@ def test_mc_linear_stream_locked(monkeypatch, maxima_seen, block_rows, mod, ks, 
     if block_rows is not None:
         width = max(len(materialize(ks, mod)), mod.m)
         monkeypatch.setattr(loads, "BLOCK_CELLS", block_rows * width)
-    expected = literal_linear_maxima(mod, ks, samples, seed)
-    assert mc_linear_maxload(mod, ks, samples, seed) == _summarize(expected, seed)
+    expected, multipliers = literal_linear_maxima(mod, ks, samples, seed)
+    est = mc_linear_maxload(mod, ks, samples, seed)
     assert maxima_seen == [expected.tolist()]
+    check_linear_estimate(est, mod, seed, expected, multipliers)
 
 
 @pytest.mark.parametrize("block_rows", STREAM_BLOCKS)
@@ -320,7 +375,7 @@ def test_mc_independent_of_workers(monkeypatch, maxima_seen):
     assert pools == [2, 3, 2, 3]
     assert maxima_seen[0] == maxima_seen[1] == maxima_seen[2]
     assert maxima_seen[3] == maxima_seen[4] == maxima_seen[5]
-    assert maxima_seen[0] == literal_linear_maxima(*args).tolist()
+    assert maxima_seen[0] == literal_linear_maxima(*args)[0].tolist()
 
 
 def test_max_load_distribution_small_cases():
@@ -491,6 +546,22 @@ def test_linear_calibrated_against_exact_histogram():
     exact = sum(load * count for load, count in hist.items()) / total
     est = mc_linear_maxload(mod, Interval(16), 20000, 7)
     assert abs(est.mean - exact) <= 4 * est.std_error
+
+
+# ROADMAP item 1's exact totals of the max load over every (a, b) on [m],
+# p = nextprime(m^2).
+EXACT_LINEAR_TOTALS = [(16, 257, 167982), (32, 1031, 2797652), (64, 4099, 45349020),
+                       (128, 16411, 736658620)]
+
+
+@pytest.mark.parametrize("m,p,total", EXACT_LINEAR_TOTALS)
+def test_mc_linear_control_variate_within_4se_of_exact(maxima_seen, m, p, total):
+    # Unbiased: within 4 SE of the exact mean.  Effective: at most half the
+    # plain SE of the same samples (correlation 0.95-0.98 gives a third to a fifth).
+    est = mc_linear_maxload(Modulus(p, m), Interval(m), 10_000, 12345)
+    assert abs(est.mean - total / p**2) <= 4 * est.std_error
+    plain = np.std(maxima_seen[0], ddof=1) / math.sqrt(10_000)
+    assert est.std_error <= plain / 2
 
 
 def test_scaling_study_shape():

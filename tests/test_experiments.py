@@ -561,6 +561,10 @@ def test_run_scaling_small(tmp_path):
     # Rerun is byte-identical in the body.
     run_scaling([16, 64], samples=2000, seed=123, out=out)
     assert csv_body(out.read_text()) == body
+    # The preamble names the estimator and the exact sum_a R(a) per m.
+    estimator = [l for l in out.read_text().splitlines() if l.startswith("# linear_estimator=")]
+    assert len(estimator) == 1
+    assert estimator[0].endswith("E[R] = sum_a R(a) / p: m16=458/257 m64=7348/4099")
 
 
 def test_run_scaling_random_column_within_written_bound(tmp_path):

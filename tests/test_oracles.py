@@ -34,6 +34,8 @@ from linbins.oracles import (
     maxload_credits,
     maxloads_b_zero,
     maxloads_for_a,
+    multiplier_runs,
+    multiplier_runs_total,
     triple_bound_terms,
 )
 from reference import (
@@ -41,6 +43,7 @@ from reference import (
     literal_bins,
     literal_interval_counts,
     literal_maxloads,
+    literal_multiplier_runs,
     literal_row_counts,
 )
 
@@ -930,3 +933,33 @@ def test_rows_grouped_once_per_batch(monkeypatch):
         assert np.array_equal(count_triple_collisions(mod, triples, workers=workers), expected)
         assert sizes == pool
         assert calls == [29]
+
+
+# (p, m) for the lattice runs: p below m^2, m = p, m = p - 1, m = 1 and 2,
+# and moduli where no multiplier has a run.
+RUN_CASES = [
+    (257, 16), (331, 12), (1031, 32), (5417, 16), (7919, 17), (101, 10),
+    (101, 100), (13, 3), (11, 2), (5, 5), (13, 1),
+]
+
+
+@pytest.mark.parametrize("p,m", RUN_CASES)
+def test_multiplier_runs_match_the_literal_scan(p, m):
+    mod = Modulus(p, m)
+    literal = literal_multiplier_runs(p, m)
+    assert multiplier_runs(mod, np.arange(p)).tolist() == literal.tolist()
+    assert multiplier_runs_total(mod) == int(literal.sum())
+
+
+@pytest.mark.parametrize("m", [2, 17, 1024, 46340])
+def test_multiplier_runs_at_largest_modulus(m):
+    # Random multipliers, about a fifth of which have a run, and ones built
+    # from a pair (x0, k): a = k*m/x0 mod p.
+    p = 2147483647
+    mod = Modulus(p, m)
+    pairs = [(1, 1), (1, -1), (3, 7), (m // 2 - 1, 1), ((m - 1) // 2, p // m // 3)]
+    built = [k * m * pow(x0, -1, p) % p for x0, k in pairs if x0 >= 1]
+    a = np.concatenate(([0, 1, p - 1], built, np.random.default_rng(m).integers(0, p, 300)))
+    runs = multiplier_runs(mod, a)
+    assert runs.tolist() == [int(literal_multiplier_runs(p, m, [x])[0]) for x in a]
+    assert int(multiplier_runs(mod, int(a[3]))) == runs[3]
