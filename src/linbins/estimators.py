@@ -13,21 +13,26 @@ one loads-kernel block at a time.  Workers
 split the blocks, never a block, and any worker count reproduces the
 sequential result bit for bit.
 
-The linear mean and its standard error are those of a control variate.
-The longest lattice run R(a) of each sampled multiplier
-(oracles.multiplier_runs) tracks the max load given a; its exact mean over
-[p] comes from oracles.multiplier_runs_total, and its slope on the even-
-numbered blocks is fitted on the odd-numbered ones and the reverse.  So the
-mean stays unbiased and does not depend on the worker count.  Its variance
-is that of the plain mean times about 1 - corr(max, R)^2; over every (a, b)
-on [m] the correlation is 0.946, 0.972 and 0.981 at m = 16, 64 and 256, so
-the variance falls 9.5, 18 and 27 times.  The tail is that of the raw
-maxima.
+The linear mean and its standard error are those of a control variate on
+two covariates with exact means.  One is the longest lattice run R(a) of
+each sampled multiplier (oracles.multiplier_runs), which tracks the max load
+given a; its mean over [p] comes from oracles.multiplier_runs_total.  On an
+affine image {alpha*x + beta} it is taken at alpha*a mod p, since
+h_{a,b}(alpha*x + beta) = h_{alpha*a, a*beta + b}(x) and a -> alpha*a
+permutes [p].  The other is the colliding-pair count S2 = sum over bins of
+C(L, 2) of each sample, read from the same bin counts as its max; for any n
+distinct keys its mean over [p]^2 is C(n, 2) * pair_collisions(mod) / p^2.
+Their slopes on the even-numbered blocks are fitted jointly on the
+odd-numbered ones and the reverse, so the mean stays unbiased and does not
+depend on the worker count.  Over every (a, b) on [m] R alone cuts the
+variance of the plain mean 9.5, 14 and 18 times at m = 16, 32 and 64, and R
+with S2 29, 44 and 54 times.  The tail is that of the raw maxima.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -35,7 +40,7 @@ import numpy as np
 
 from . import loads
 from .field import Modulus, int_type, next_prime_at_least, rem
-from .loads import Interval, KeySet, materialize, max_loads
+from .loads import AffineImage, Interval, KeySet, bin_counts, materialize
 from .oracles import map_chunks, multiplier_runs, multiplier_runs_total
 
 # Algorithm name and stream layout recorded in output metadata alongside
@@ -64,9 +69,10 @@ class McEstimate:
     tail maps each threshold l in [1, max observed] to the empirical
     Pr[max_load >= l]; the raw sample mean equals the sum of the tail values.
     mean and std_error are those of the raw maxima for uniform throws.  For
-    the linear family they are those of its control-variate terms, and
-    runs_total is the exact sum over every multiplier of the covariate R
-    those terms centre on its mean runs_total / p (see mc_linear_maxload).
+    the linear family they are those of its control-variate terms, which
+    centre each covariate on its exact mean: runs_total is the sum of R over
+    every multiplier, of mean runs_total / p, and pairs_total the sum of S2
+    over every (a, b), of mean pairs_total / p^2 (see mc_linear_maxload).
     """
 
     mean: float
@@ -75,9 +81,12 @@ class McEstimate:
     samples: int
     seed: int
     runs_total: int | None = None
+    pairs_total: int | None = None
 
 
-def _summarize(maxima: np.ndarray, seed: int, terms=None, runs_total=None) -> McEstimate:
+def _summarize(
+    maxima: np.ndarray, seed: int, terms=None, runs_total=None, pairs_total=None
+) -> McEstimate:
     """The mean and standard error of terms (the maxima if None), the tail of the maxima."""
     n = len(maxima)
     terms = maxima if terms is None else terms
@@ -86,17 +95,19 @@ def _summarize(maxima: np.ndarray, seed: int, terms=None, runs_total=None) -> Mc
     counts = np.bincount(maxima)
     above = counts[::-1].cumsum()[::-1]
     tail = {l: float(above[l]) / n for l in range(1, len(counts))}
-    return McEstimate(mean, std_error, tail, n, seed, runs_total)
+    return McEstimate(mean, std_error, tail, n, seed, runs_total, pairs_total)
 
 
 def _block_maxima(seed, samples, high, width, m, keys, lo_block, hi_block):
-    """Per-sample max loads and first draws of the samples in blocks [lo_block, hi_block).
+    """Per-sample max loads, pair counts and first draws in blocks [lo_block, hi_block).
 
     Block j draws one (rows, width) array from [0, high) out of the Philox
     stream keyed by (seed, j), a row per sample, in passes of whole blocks up
     to loads.BLOCK_CELLS cells.  With keys None a row holds the bins of
     uniform throws; otherwise it is (a, b), and the bins are
-    ((a*x + b) mod high) mod m over the keys x, in the dtype of keys.  The
+    ((a*x + b) mod high) mod m over the keys x, in the dtype of keys.  A
+    sample's max load and its pair count S2 = sum over bins of C(L, 2) =
+    (sum of L^2 - n) / 2 come from the same loads.bin_counts block.  The
     first draws are the multipliers a of linear samples.
 
     The loads kernel asks for the bins of up to loads.BLOCK_CELLS cells at a
@@ -115,7 +126,7 @@ def _block_maxima(seed, samples, high, width, m, keys, lo_block, hi_block):
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     fresh = bitgen.state
     gen = np.random.Generator(bitgen)
-    out, firsts = [], []
+    maxima, pairs, firsts = [], [], []
     for first in range(lo_block, hi_block, per_pass):
         parts = []
         for j in range(first, min(first + per_pass, hi_block)):
@@ -133,12 +144,17 @@ def _block_maxima(seed, samples, high, width, m, keys, lo_block, hi_block):
             bins += draws[lo:hi, 1:]
             return rem(rem(bins, high), m)
 
-        out.append(max_loads(len(draws), n, m, bins_of))
-    return np.concatenate(out), np.concatenate(firsts)
+        top, squares = np.empty((2, len(draws)), dtype=np.int64)
+        for lo, hi, counts in bin_counts(len(draws), n, m, bins_of):
+            top[lo:hi] = counts.max(axis=1)
+            squares[lo:hi] = np.einsum("ij,ij->i", counts, counts)
+        maxima.append(top)
+        pairs.append((squares - n) // 2)
+    return np.concatenate(maxima), np.concatenate(pairs), np.concatenate(firsts)
 
 
 def _sample_maxima(seed, samples, high, width, m, keys, workers):
-    """Check samples and seed, then take the max loads and first draws of samples 0..samples-1."""
+    """Check samples and seed, then take the _block_maxima columns of samples 0..samples-1."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     validate_seed(seed)
@@ -150,26 +166,68 @@ def _sample_maxima(seed, samples, high, width, m, keys, workers):
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _control_variate(maxima: np.ndarray, runs: np.ndarray, runs_mean: float) -> np.ndarray:
-    """Per-sample terms max_i - beta*(R_i - E[R]), beta cross-fitted by halves.
+def _gram(columns: list[np.ndarray]) -> list[list[int]]:
+    """Every dot product of the columns with one another, exactly, as Python ints.
 
-    The samples of even-numbered blocks take the least-squares slope of max on
-    R over the odd-numbered blocks, and the reverse: beta is independent of
-    the samples it corrects, so the mean of the terms is unbiased.  Each slope
-    is one correctly rounded division of exact integer sums, so it is the
-    same on every platform, and 0 for a half whose fitting half holds no two
-    distinct R.
+    In int64 where no partial sum can reach 2^63, else in Python ints: nine
+    pair counts of C(46340, 2) ~ 1.07e9, squared and summed, already would.
+    """
+    columns = [np.asarray(c, dtype=np.int64) for c in columns]
+    top = max(int(np.abs(c).max(initial=0)) for c in columns)
+    if len(columns[0]) * top * top < 2**63:
+        # Dot product by dot product: a stacked (4, n) copy passes glibc's
+        # 128 KiB mmap threshold from n = 4096 and faults in fresh pages.
+        return [[int(u @ v) for v in columns] for u in columns]
+    lists = [c.tolist() for c in columns]
+    return [[sum(map(operator.mul, u, v)) for v in lists] for u in lists]
+
+
+def _control_variate(maxima, runs, pairs, runs_mean: float, pairs_mean: float) -> np.ndarray:
+    """Per-sample terms max_i - beta_R*(R_i - E[R]) - beta_S*(S2_i - E[S2]), cross-fitted.
+
+    The samples of even-numbered blocks take the least-squares slopes of max
+    on (R, S2) over the odd-numbered blocks, and the reverse: the slopes are
+    independent of the samples they correct, so the mean of the terms is
+    unbiased.  They solve the normal equations of the fitting half by
+    Cramer's rule in Python ints, each one correctly rounded division of
+    exact integer sums, so they are the same on every platform.  Where that
+    2x2 system is singular the half fits R alone if R varies there, else S2
+    alone if it varies, else nothing.
     """
     terms = maxima.astype(float)
     odd = np.arange(len(runs)) // SAMPLES_PER_BLOCK % 2 == 1
     for own, other in ((~odd, odd), (odd, ~odd)):
-        r, y = runs[other], maxima[other]
-        r_sum, n = int(r.sum()), len(r)
-        var = n * int(r @ r) - r_sum**2
-        if var:
-            beta = (n * int(r @ y) - r_sum * int(y.sum())) / var
-            terms[own] -= beta * (runs[own] - runs_mean)
+        n = int(np.count_nonzero(other))
+        g = _gram([np.ones(n, dtype=np.int64), runs[other], pairs[other], maxima[other]])
+        # n times the centred sums of products; index 1 is R, 2 is S2, 3 the max.
+        c = [[n * g[i][j] - g[0][i] * g[0][j] for j in range(4)] for i in range(4)]
+        det = c[1][1] * c[2][2] - c[1][2] ** 2
+        beta_r = beta_s = 0.0
+        if det:
+            beta_r = (c[1][3] * c[2][2] - c[2][3] * c[1][2]) / det
+            beta_s = (c[1][1] * c[2][3] - c[1][2] * c[1][3]) / det
+        elif c[1][1]:
+            beta_r = c[1][3] / c[1][1]
+        elif c[2][2]:
+            beta_s = c[2][3] / c[2][2]
+        terms[own] -= beta_r * (runs[own] - runs_mean) + beta_s * (pairs[own] - pairs_mean)
     return terms
+
+
+def pair_collisions(mod: Modulus) -> int:
+    """The (a, b) out of p^2 under which two distinct keys share a bin: (Q + 1)*p - Q*(m - q).
+
+    Q = floor(p/m) and q = p mod m.  For keys x != y, as a runs over [p] so
+    does d = a*(y - x), and each a*x + b runs over [p] with b; u and u + d
+    share a bin for every u when d = 0, for the p - d values of u below the
+    wrap when d = k*m, and for the d values above it when d = p - k*m,
+    k = 1..Q.  So the count is the same for every pair, and sums to
+    p + 2*Q*p - m*Q*(Q + 1).  It is oracles.count_interval_collision(mod, 2)
+    in O(1), and E[S2] = C(n, 2) * pair_collisions(mod) / p^2 on n keys.
+    """
+    p, m = mod.p, mod.m
+    whole, q = divmod(p, m)
+    return (whole + 1) * p - whole * (m - q)
 
 
 def mc_linear_maxload(
@@ -178,9 +236,10 @@ def mc_linear_maxload(
     """Estimate the expected max load under (a, b) drawn uniformly from [p]^2.
 
     The mean and its standard error are those of the control-variate terms
-    max_i - beta*(R(a_i) - E[R]), R = oracles.multiplier_runs and E[R] its
-    exact mean over [p] (see _control_variate); the tail is that of the raw
-    maxima.
+    max_i - beta_R*(R(a_i) - E[R]) - beta_S*(S2_i - E[S2]) (see
+    _control_variate).  R = oracles.multiplier_runs, taken at alpha*a mod p on
+    an AffineImage, and S2 the sample's colliding-pair count; E[R] and E[S2]
+    are exact (see McEstimate).  The tail is that of the raw maxima.
     """
     p, m = mod.p, mod.m
     if p < m * m:
@@ -191,10 +250,14 @@ def mc_linear_maxload(
     # A key set that does not fit [p] is refused here, before any sampling.
     keys = materialize(key_set, mod)
     s = np.asarray(keys, dtype=int_type((p - 1) * (max(keys) + 1)))
-    maxima, multipliers = _sample_maxima(seed, samples, p, 2, m, s, workers)
-    total = multiplier_runs_total(mod)
-    terms = _control_variate(maxima, multiplier_runs(mod, multipliers), total / p)
-    return _summarize(maxima, seed, terms, total)
+    maxima, pairs, multipliers = _sample_maxima(seed, samples, p, 2, m, s, workers)
+    if isinstance(key_set, AffineImage):
+        multipliers = multipliers.astype(np.int64) * (key_set.alpha % p) % p
+    runs_total = multiplier_runs_total(mod)
+    pairs_total = math.comb(len(keys), 2) * pair_collisions(mod)
+    runs = multiplier_runs(mod, multipliers)
+    terms = _control_variate(maxima, runs, pairs, runs_total / p, pairs_total / p**2)
+    return _summarize(maxima, seed, terms, runs_total, pairs_total)
 
 
 def mc_fully_random_maxload(

@@ -495,11 +495,16 @@ def run_scaling(
         includes_a_zero=True,
         random_column="computed by Poisson conditioning, not sampled; "
         "random_se bounds |random_mean - exact mean|",
-        linear_estimator="control variate max - beta*(R(a) - E[R]), R(a) the longest run of "
-        ">= 3 keys of [m] sharing a bin class under multiplier a, R(0) = m; beta of the even "
-        "64-sample blocks fitted on the odd ones and the reverse, 0 where R does not vary; "
-        "linear_se from the same terms; E[R] = sum_a R(a) / p: "
-        + " ".join(f"m{r.m}={r.linear.runs_total}/{r.p}" for r in rows),
+        linear_estimator="control variate max - beta_R*(R(a) - E[R]) - beta_S*(S2 - E[S2]), "
+        "R(a) the longest run of >= 3 keys of [m] sharing a bin class under multiplier a, "
+        "R(0) = m, S2 the pairs of keys sharing a bin; (beta_R, beta_S) of the even 64-sample "
+        "blocks fitted jointly on the odd ones and the reverse, on R alone or S2 alone where "
+        "that system is singular, 0 where neither varies; linear_se from the same terms; "
+        "E[R] = sum_a R(a) / p, E[S2] = sum_(a,b) S2 / p^2: "
+        + "; ".join(
+            f"m{r.m} E[R]={r.linear.runs_total}/{r.p} E[S2]={r.linear.pairs_total}/{r.p**2}"
+            for r in rows
+        ),
         workers=workers,
     )
     write_csv(out, columns, data, meta)

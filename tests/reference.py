@@ -2,11 +2,13 @@
 the exact fully random baseline, the canonical triple reduction and report
 helpers.  Nothing in the package calls these.
 
-literal_bins is the one evaluation of h_{a,b}(x) = ((a*x + b) mod p) mod m
-over every b, by int64 %.  Its reductions are the literal counts each exact
-kernel is checked against: literal_row_counts for the triple and prescribed
-counters, literal_interval_counts for the interval counter, literal_maxloads
-for the max-load scans, histograms and maxload_credits.
+literal_bins is the one evaluation of h_{a,b}(x) = ((a*x + b) mod p) mod m,
+over every b or at the b given, by int64 %.  Its reductions are the literal
+counts each exact kernel is checked against: literal_row_counts for the
+triple and prescribed counters, literal_interval_counts for the interval
+counter, literal_maxloads for the max-load scans, histograms and
+maxload_credits, literal_pair_counts for the colliding-pair counts of the
+linear sampler and their exact mean.
 literal_multiplier_runs scans every x0 for the lattice runs that
 oracles.multiplier_runs and multiplier_runs_total compute.  _sample_rng builds
 each block's substream literally, for the stream-lock tests of estimators.
@@ -26,14 +28,20 @@ import numpy as np
 BLOCK_CELLS = 1 << 17
 
 
-def literal_bins(p: int, m: int, keys, a) -> np.ndarray:
-    """h_{a,b}(x) = ((a*x + b) mod p) mod m by int64 %, for every b in [p] and every key.
+def literal_bins(p: int, m: int, keys, a, b=None) -> np.ndarray:
+    """h_{a,b}(x) = ((a*x + b) mod p) mod m by int64 %, for every key.
 
-    a is one multiplier or an array of them; entry [..., b, i] is key i's bin,
-    of shape np.shape(a) + (p, len(keys)).
+    a is one multiplier or an array of them.  With b None the bins are those
+    of every b in [p]: entry [..., b, i] is key i's bin, of shape
+    np.shape(a) + (p, len(keys)).  Otherwise b has the shape of a, and entry
+    [..., i] is key i's bin under (a, b), of shape np.shape(a) + (len(keys),).
     """
-    a = np.asarray(a, dtype=np.int64)[..., None, None]
-    h = a * np.asarray(keys, dtype=np.int64) + np.arange(p, dtype=np.int64)[:, None]
+    a = np.asarray(a, dtype=np.int64)[..., None]
+    if b is None:
+        a, b = a[..., None], np.arange(p, dtype=np.int64)[:, None]
+    else:
+        b = np.asarray(b, dtype=np.int64)[..., None]
+    h = a * np.asarray(keys, dtype=np.int64) + b
     h %= p
     h %= m
     return h
@@ -74,24 +82,46 @@ def literal_interval_counts(p: int, m: int, d_max: int) -> list[int]:
     return counts.tolist()
 
 
-def literal_maxloads(p: int, m: int, keys, a) -> np.ndarray:
-    """Max load of h_{a,b} on the keys for every b in [p], of shape np.shape(a) + (p,).
+def _row_runs(p: int, m: int, keys, a, b=None):
+    """Per block of (a, b): runs of equal bins, row after row, and where each row's runs start.
 
-    Each (a, b)'s bins are sorted and the longest run of equal ones is its max
-    load, so no count per bin is held: p*m cells would not fit at m = 2^15.
+    The rows are (a, b) for every b in [p] with b None, else the pairs given.
+    Each row's bins are sorted, so no count per bin is held: p*m cells would
+    not fit at m = 2^15.
     """
     n = len(keys)
-    parts = []
-    for block in _blocks(p, n, a):
-        h = literal_bins(p, m, keys, block).reshape(-1, n)
+    blocks = [(block, None) for block in _blocks(p, n, a)] if b is None else [(a, b)]
+    for block_a, block_b in blocks:
+        h = literal_bins(p, m, keys, block_a, block_b).reshape(-1, n)
         h.sort(axis=1)
         new = np.ones(h.shape, dtype=bool)
         np.not_equal(h[:, 1:], h[:, :-1], out=new[:, 1:])
         # Runs in row order: each row's first run starts at its first cell.
         runs = np.diff(np.flatnonzero(new), append=h.size)
         per_row = new.sum(axis=1)
-        parts.append(np.maximum.reduceat(runs, np.cumsum(per_row) - per_row))
+        yield runs, np.cumsum(per_row) - per_row
+
+
+def literal_maxloads(p: int, m: int, keys, a) -> np.ndarray:
+    """Max load of h_{a,b} on the keys for every b in [p], of shape np.shape(a) + (p,).
+
+    The max load of each (a, b) is its longest run of equal sorted bins.
+    """
+    parts = [np.maximum.reduceat(runs, starts) for runs, starts in _row_runs(p, m, keys, a)]
     return np.concatenate(parts).reshape(np.shape(a) + (p,))
+
+
+def literal_pair_counts(p: int, m: int, keys, a, b=None) -> np.ndarray:
+    """S2 = sum over bins of C(L, 2), the pairs of keys sharing a bin under h_{a,b}.
+
+    For every b in [p] with b None, of shape np.shape(a) + (p,); else for the
+    pairs (a, b) given, of shape np.shape(a).
+    """
+    parts = [
+        np.add.reduceat(runs * (runs - 1) // 2, starts)
+        for runs, starts in _row_runs(p, m, keys, a, b)
+    ]
+    return np.concatenate(parts).reshape(np.shape(a) + ((p,) if b is None else ()))
 
 
 def literal_multiplier_runs(p: int, m: int, a=None) -> np.ndarray:

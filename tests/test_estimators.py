@@ -13,20 +13,27 @@ import pytest
 
 from linbins import estimators, loads, oracles
 from linbins.estimators import (
+    _control_variate,
     _summarize,
     fully_random_mean,
     mc_fully_random_maxload,
     mc_linear_maxload,
+    pair_collisions,
     scaling_study,
     tail_log_slope,
 )
 from linbins.field import MAX_MODULUS, Modulus, next_prime_at_least
 from linbins.loads import AffineImage, Explicit, Interval, materialize
-from linbins.oracles import exact_maxload_histogram, multiplier_runs_total
+from linbins.oracles import (
+    count_interval_collision,
+    exact_maxload_histogram,
+    multiplier_runs_total,
+)
 from reference import (
     _sample_rng,
     fully_random_exact_mean,
     literal_multiplier_runs,
+    literal_pair_counts,
     max_load_distribution,
 )
 
@@ -45,55 +52,79 @@ def sample_draw(seed, i, high, width):
 def literal_linear_maxima(mod, key_set, samples, seed):
     """Per sample: take its (a, b) row from its block's draw, bin the keys, take the max.
 
-    Returns the maxima and the multipliers a.
+    Returns the maxima and the (samples, 2) draws (a, b).
     """
     p, m = mod.p, mod.m
     s = np.asarray(materialize(key_set, mod), dtype=np.int64)
     maxima = np.empty(samples, dtype=np.int64)
-    multipliers = np.empty(samples, dtype=np.int64)
+    draws = np.empty((samples, 2), dtype=np.int64)
     for i in range(samples):
-        a, b = sample_draw(seed, i, p, 2)
+        a, b = draws[i] = sample_draw(seed, i, p, 2)
         maxima[i] = np.bincount((int(a) * s + int(b)) % p % m, minlength=m).max()
-        multipliers[i] = a
-    return maxima, multipliers
+    return maxima, draws
 
 
-def cross_fit(maxima, runs, runs_mean):
-    """Mean and standard error of max_i - beta*(R_i - runs_mean), in Fractions.
+def cross_fit(maxima, runs, pairs, runs_mean, pairs_mean):
+    """Mean and SE of max_i - beta_R*(R_i - runs_mean) - beta_S*(S2_i - pairs_mean), in Fractions.
 
-    Samples of even-numbered 64-sample blocks take the least-squares slope of
-    max on R over the odd-numbered blocks, and the reverse; the slope is 0
-    where the fitting half holds no two distinct R.
+    Samples of even-numbered 64-sample blocks take the least-squares slopes
+    of max on (R, S2) over the odd-numbered blocks, and the reverse.  Where
+    R and S2 are collinear on the fitting half the slopes are those of R
+    alone if R varies there, of S2 alone if S2 varies, else 0.
     """
     n = len(maxima)
-    y, r = [int(v) for v in maxima], [int(v) for v in runs]
+    y, r, s = ([int(v) for v in column] for column in (maxima, runs, pairs))
     halves = [[i for i in range(n) if i // BLOCK % 2 == h] for h in (0, 1)]
     terms = [Fraction(v) for v in y]
     for own, other in ((halves[0], halves[1]), (halves[1], halves[0])):
-        beta = Fraction(0)
-        if len({r[i] for i in other}) > 1:
-            r_bar = Fraction(sum(r[i] for i in other), len(other))
-            beta = sum((r[i] - r_bar) * y[i] for i in other) / sum(
-                (r[i] - r_bar) ** 2 for i in other
-            )
+
+        def cov(u, v):
+            if not other:
+                return Fraction(0)
+            u_bar = Fraction(sum(u[i] for i in other), len(other))
+            v_bar = Fraction(sum(v[i] for i in other), len(other))
+            return sum((u[i] - u_bar) * (v[i] - v_bar) for i in other)
+
+        rr, ss, rs, ry, sy = cov(r, r), cov(s, s), cov(r, s), cov(r, y), cov(s, y)
+        det = rr * ss - rs**2
+        beta_r = beta_s = Fraction(0)
+        if det:
+            beta_r, beta_s = (ry * ss - sy * rs) / det, (rr * sy - rs * ry) / det
+        elif rr:
+            beta_r = ry / rr
+        elif ss:
+            beta_s = sy / ss
         for i in own:
-            terms[i] -= beta * (r[i] - runs_mean)
+            terms[i] -= beta_r * (r[i] - runs_mean) + beta_s * (s[i] - pairs_mean)
     mean = sum(terms) / n
     var = sum((t - mean) ** 2 for t in terms) / (n - 1) if n > 1 else Fraction(0)
     return mean, math.sqrt(var / n)
 
 
-def check_linear_estimate(est, mod, seed, maxima, multipliers):
-    """est against a recomputation from its maxima and multipliers.
+def check_linear_estimate(est, mod, ks, seed, maxima, draws):
+    """est against a recomputation from its maxima and draws (a, b).
 
     The tail is that of the maxima, exactly; the mean and standard error are
-    those of the cross-fitted terms with the literal R, to within 1e-12 for
-    float64 sums of at most a few thousand terms of order 1.
+    those of the cross-fitted terms with the literal R, at alpha*a on an
+    affine image, and the literal S2, to within 1e-12 for float64 sums of at
+    most a few thousand terms of order 1.  The covariates' totals are exact;
+    test_pair_collisions_* check pair_collisions itself.
     """
-    total = multiplier_runs_total(mod)
-    runs = literal_multiplier_runs(mod.p, mod.m, multipliers)
-    mean, std_error = cross_fit(maxima, runs, Fraction(total, mod.p))
-    assert (est.samples, est.seed, est.runs_total) == (len(maxima), seed, total)
+    p, m = mod.p, mod.m
+    keys = materialize(ks, mod)
+    multipliers = [int(a) for a, _ in draws]
+    if isinstance(ks, AffineImage):
+        multipliers = [a * ks.alpha % p for a in multipliers]
+    runs = literal_multiplier_runs(p, m, multipliers)
+    a, b = np.asarray(draws, dtype=np.int64).T
+    pairs = literal_pair_counts(p, m, keys, a, b)
+    runs_total = multiplier_runs_total(mod)
+    pairs_total = math.comb(len(keys), 2) * pair_collisions(mod)
+    mean, std_error = cross_fit(
+        maxima, runs, pairs, Fraction(runs_total, p), Fraction(pairs_total, p * p)
+    )
+    assert (est.samples, est.seed) == (len(maxima), seed)
+    assert (est.runs_total, est.pairs_total) == (runs_total, pairs_total)
     assert est.tail == _summarize(maxima, seed).tail
     assert abs(est.mean - float(mean)) <= 1e-12
     assert abs(est.std_error - std_error) <= 1e-12
@@ -232,15 +263,15 @@ def test_mc_linear_exact_at_largest_modulus(maxima_seen):
     p = 2147483647  # the largest prime below MAX_MODULUS
     mod, ks, samples, seed = Modulus(p, 32), AffineImage(32, p - 2, p - 1), 200, 1
     elements = materialize(ks, mod)
-    maxima, multipliers = [], []
+    maxima, draws = [], []
     for i in range(samples):
         a, b = (int(v) for v in sample_draw(seed, i, p, 2))
         bins = [(a * x + b) % p % 32 for x in elements]
         maxima.append(max(bins.count(j) for j in range(32)))
-        multipliers.append(a)
+        draws.append((a, b))
     est = mc_linear_maxload(mod, ks, samples, seed)
     assert maxima_seen == [maxima]
-    check_linear_estimate(est, mod, seed, np.array(maxima), multipliers)
+    check_linear_estimate(est, mod, ks, seed, np.array(maxima), draws)
 
 
 @pytest.mark.parametrize("ks,dtype", [(Interval(1), np.int32), (Interval(2), np.int64)])
@@ -250,13 +281,13 @@ def test_mc_linear_hash_type_at_largest_modulus(monkeypatch, ks, dtype):
     p, m, samples, seed = 2147483647, 32, 100, 4
     mod = Modulus(p, m)
     placed = []
-    real = estimators.max_loads
+    real = estimators.bin_counts
 
     def recording(rows, n, m, bins_of):
         placed.append(bins_of(0, rows))
         return real(rows, n, m, bins_of)
 
-    monkeypatch.setattr(estimators, "max_loads", recording)
+    monkeypatch.setattr(estimators, "bin_counts", recording)
     mc_linear_maxload(mod, ks, samples, seed)
     bins = np.concatenate(placed)
     assert bins.dtype == dtype
@@ -307,10 +338,10 @@ def test_mc_linear_stream_locked(monkeypatch, maxima_seen, block_rows, mod, ks, 
     if block_rows is not None:
         width = max(len(materialize(ks, mod)), mod.m)
         monkeypatch.setattr(loads, "BLOCK_CELLS", block_rows * width)
-    expected, multipliers = literal_linear_maxima(mod, ks, samples, seed)
+    expected, draws = literal_linear_maxima(mod, ks, samples, seed)
     est = mc_linear_maxload(mod, ks, samples, seed)
     assert maxima_seen == [expected.tolist()]
-    check_linear_estimate(est, mod, seed, expected, multipliers)
+    check_linear_estimate(est, mod, ks, seed, expected, draws)
 
 
 @pytest.mark.parametrize("block_rows", STREAM_BLOCKS)
@@ -556,12 +587,107 @@ EXACT_LINEAR_TOTALS = [(16, 257, 167982), (32, 1031, 2797652), (64, 4099, 453490
 
 @pytest.mark.parametrize("m,p,total", EXACT_LINEAR_TOTALS)
 def test_mc_linear_control_variate_within_4se_of_exact(maxima_seen, m, p, total):
-    # Unbiased: within 4 SE of the exact mean.  Effective: at most half the
-    # plain SE of the same samples (correlation 0.95-0.98 gives a third to a fifth).
+    # Unbiased: within 4 SE of the exact mean.  Effective: at most a quarter
+    # of the plain SE of the same samples (a fifth to an eighth with R and
+    # S2; R alone gives a third at m = 16).
     est = mc_linear_maxload(Modulus(p, m), Interval(m), 10_000, 12345)
     assert abs(est.mean - total / p**2) <= 4 * est.std_error
     plain = np.std(maxima_seen[0], ddof=1) / math.sqrt(10_000)
-    assert est.std_error <= plain / 2
+    assert est.std_error <= plain / 4
+
+
+def test_mc_linear_control_variate_on_an_affine_image(maxima_seen):
+    # R taken at alpha*a: the image of [24] has the max loads of [24] under
+    # (alpha*a, a*beta + b), so the control variate is as effective as on
+    # the interval (R at a gives 0.00323 against the interval's 0.00289), and
+    # its mean within 4 SE of the interval's exact mean.
+    mod = Modulus(577, 24)
+    hist = exact_maxload_histogram(mod, Interval(24), b_mode="all_b")
+    exact = Fraction(sum(load * count for load, count in hist.items()), mod.p**2)
+    est = mc_linear_maxload(mod, AffineImage(24, 77, 5), 10_000, 12345)
+    assert abs(est.mean - float(exact)) <= 4 * est.std_error
+    plain = np.std(maxima_seen[0], ddof=1) / math.sqrt(10_000)
+    assert est.std_error <= plain / 4
+    assert est.std_error <= 1.05 * mc_linear_maxload(mod, Interval(24), 10_000, 12345).std_error
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 31, 257])
+def test_pair_collisions_match_the_interval_counter(p):
+    for m in range(1, p + 1):
+        mod = Modulus(p, m)
+        assert pair_collisions(mod) == count_interval_collision(mod, 2), m
+
+
+@pytest.mark.parametrize(
+    "p,m,ks",
+    [
+        (13, 3, Interval(13)),
+        (13, 1, Interval(5)),
+        (13, 13, Interval(13)),
+        (13, 4, Interval(1)),
+        (31, 5, AffineImage(7, 12, 30)),
+        (31, 31, AffineImage(4, 3, 1)),
+        (31, 6, Explicit((0, 1, 5, 17, 29, 30))),
+        (29, 1, Explicit((3, 28))),
+        (257, 16, Interval(16)),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:p=.* is below m")
+def test_pair_counts_sum_to_their_exact_mean(p, m, ks):
+    # Summed over every (a, b), the colliding-pair count S2 of n distinct
+    # keys is C(n, 2) times the count for one pair, whatever the keys.
+    mod = Modulus(p, m)
+    keys = materialize(ks, mod)
+    total = int(literal_pair_counts(p, m, keys, range(p)).sum())
+    assert total == math.comb(len(keys), 2) * pair_collisions(mod)
+    assert mc_linear_maxload(mod, ks, 1, 0).pairs_total == total
+
+
+def synthetic_fit(maxima, runs, pairs, runs_mean, pairs_mean):
+    """_control_variate's terms against the Fraction recomputation cross_fit."""
+    terms = _control_variate(
+        np.asarray(maxima), np.asarray(runs), np.asarray(pairs),
+        float(runs_mean), float(pairs_mean),
+    )
+    mean, std_error = cross_fit(maxima, runs, pairs, runs_mean, pairs_mean)
+    assert abs(terms.mean() - float(mean)) <= 1e-12
+    assert abs(terms.std(ddof=1) / math.sqrt(len(terms)) - std_error) <= 1e-12
+    return terms
+
+
+def test_control_variate_exact_where_int64_sums_would_wrap():
+    # Pair counts up to C(46340, 2) ~ 1.07e9: their squares summed over a
+    # half of 128 samples pass 2^63, so the normal equations are formed in
+    # Python ints.
+    rng = np.random.default_rng(5)
+    top = math.comb(46340, 2)
+    runs = rng.integers(1, 40, 256)
+    pairs = np.where(rng.random(256) < 0.5, top - rng.integers(0, 1000, 256),
+                     rng.integers(0, top, 256))
+    maxima = 2 + runs // 8 + pairs // (top // 3) + rng.integers(0, 2, 256)
+    assert 128 * int(pairs.max()) ** 2 >= 2**63
+    terms = synthetic_fit(maxima, runs, pairs, Fraction(41, 3), Fraction(top, 2))
+    # Both slopes are fitted: the terms vary less than the maxima.
+    assert terms.std() < maxima.std() / 2
+
+
+@pytest.mark.parametrize(
+    "runs,pairs",
+    [
+        (lambda i: 3, lambda i: i % 7),  # R constant: S2 alone
+        (lambda i: i % 5, lambda i: 6),  # S2 constant, as on one key: R alone
+        (lambda i: i % 5, lambda i: 2 * (i % 5) + 1),  # collinear: R alone
+        (lambda i: 1, lambda i: 0),  # neither varies: the plain maxima
+    ],
+    ids=["r-constant", "s2-constant", "collinear", "neither-varies"],
+)
+def test_control_variate_singular_fits(runs, pairs):
+    n = 200
+    maxima = [2 + (i * 7 % 11) // 4 for i in range(n)]
+    r, s = [runs(i) for i in range(n)], [pairs(i) for i in range(n)]
+    terms = synthetic_fit(maxima, r, s, Fraction(5, 2), Fraction(7, 4))
+    if len(set(r)) == len(set(s)) == 1:
+        assert terms.tolist() == maxima
 
 
 def test_scaling_study_shape():

@@ -561,10 +561,14 @@ def test_run_scaling_small(tmp_path):
     # Rerun is byte-identical in the body.
     run_scaling([16, 64], samples=2000, seed=123, out=out)
     assert csv_body(out.read_text()) == body
-    # The preamble names the estimator and the exact sum_a R(a) per m.
+    # The preamble names the estimator and the exact means of R and S2 per m:
+    # E[S2] = C(m, 2) * pair_collisions / p^2, 120 * 4129 / 257^2 at m = 16.
     estimator = [l for l in out.read_text().splitlines() if l.startswith("# linear_estimator=")]
     assert len(estimator) == 1
-    assert estimator[0].endswith("E[R] = sum_a R(a) / p: m16=458/257 m64=7348/4099")
+    assert estimator[0].endswith(
+        "E[R] = sum_a R(a) / p, E[S2] = sum_(a,b) S2 / p^2: "
+        "m16 E[R]=458/257 E[S2]=495480/66049; m64 E[R]=7348/4099 E[S2]=529262496/16801801"
+    )
 
 
 def test_run_scaling_random_column_within_written_bound(tmp_path):
