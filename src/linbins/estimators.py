@@ -13,20 +13,31 @@ one loads-kernel block at a time.  Workers
 split the blocks, never a block, and any worker count reproduces the
 sequential result bit for bit.
 
-The linear mean and its standard error are those of a control variate on
-two covariates with exact means.  One is the longest lattice run R(a) of
-each sampled multiplier (oracles.multiplier_runs), which tracks the max load
-given a; its mean over [p] comes from oracles.multiplier_runs_total.  On an
-affine image {alpha*x + beta} it is taken at alpha*a mod p, since
+The linear mean is post-stratified on the multiplier.  A few structured
+multipliers are taken exactly (linear_stratum): a = 0, under which every b
+puts all keys in one bin, and on an interval or affine image every a whose
+longest lattice run R(a) (oracles.multiplier_runs) reaches r0, listed by
+oracles.long_run_multipliers.  Their max loads over every b come from
+oracles.maxload_total, their pair counts in closed form.  The
+samples outside that stratum give a control variate on two covariates with
+exact means over the other multipliers.  One is R(a), which tracks the max
+load given a; its total over [p] comes from oracles.multiplier_runs_total.
+On an affine image {alpha*x + beta} it is taken at alpha*a mod p, since
 h_{a,b}(alpha*x + beta) = h_{alpha*a, a*beta + b}(x) and a -> alpha*a
-permutes [p].  The other is the colliding-pair count S2 = sum over bins of
+permutes [p]; the stratum is tested there too, and its totals are those of
+the interval.  The other is the colliding-pair count S2 = sum over bins of
 C(L, 2) of each sample, read from the same bin counts as its max; for any n
-distinct keys its mean over [p]^2 is C(n, 2) * pair_collisions(mod) / p^2.
+distinct keys its total over [p]^2 is C(n, 2) * pair_collisions(mod).
 Their slopes on the even-numbered blocks are fitted jointly on the
 odd-numbered ones and the reverse, so the mean stays unbiased and does not
 depend on the worker count.  Over every (a, b) on [m] R alone cuts the
 variance of the plain mean 9.5, 14 and 18 times at m = 16, 32 and 64, and R
-with S2 29, 44 and 54 times.  The tail is that of the raw maxima.
+with S2 29, 44 and 54 times.  At 10,000 samples the stratum holds 53, 59
+and 71 multipliers there (r0 = 3, 5 and 9), and at the same sample count
+cuts the SE^2 of R with S2 another 1.69, 1.49 and 1.45 times: at m = 16 the
+residual variance 0.0892 of the fit over every (a, b) is 0.0666 over the
+multipliers outside the stratum, whose weight is 204/257.  The tail is that
+of the raw maxima.
 """
 
 from __future__ import annotations
@@ -41,7 +52,14 @@ import numpy as np
 from . import loads
 from .field import Modulus, int_type, next_prime_at_least, rem
 from .loads import AffineImage, Interval, KeySet, bin_counts, materialize
-from .oracles import map_chunks, multiplier_runs, multiplier_runs_total
+from .oracles import (
+    long_run_counts,
+    long_run_multipliers,
+    map_chunks,
+    maxload_total,
+    multiplier_runs,
+    multiplier_runs_total,
+)
 
 # Algorithm name and stream layout recorded in output metadata alongside
 # every estimate.
@@ -63,16 +81,32 @@ def validate_seed(seed: int) -> None:
 
 
 @dataclass(frozen=True)
+class Stratum:
+    """The multipliers the linear estimator takes exactly, and their exact totals.
+
+    They are a = 0 and, on an Interval or AffineImage, every a with R(a) >=
+    r0, R taken at alpha*a on an AffineImage; on other key sets a = 0 alone,
+    and r0 is None.  size counts them.  max_total and pairs_total sum the max
+    load and S2 over them and every b, runs_total sums R over them.
+    """
+
+    r0: int | None
+    size: int
+    max_total: int
+    runs_total: int
+    pairs_total: int
+
+
+@dataclass(frozen=True)
 class McEstimate:
     """Mean, normal-approximation standard error, and tail of sampled max loads.
 
     tail maps each threshold l in [1, max observed] to the empirical
     Pr[max_load >= l]; the raw sample mean equals the sum of the tail values.
     mean and std_error are those of the raw maxima for uniform throws.  For
-    the linear family they are those of its control-variate terms, which
-    centre each covariate on its exact mean: runs_total is the sum of R over
-    every multiplier, of mean runs_total / p, and pairs_total the sum of S2
-    over every (a, b), of mean pairs_total / p^2 (see mc_linear_maxload).
+    the linear family they are the stratified estimate of mc_linear_maxload:
+    runs_total is the sum of R over every multiplier, pairs_total the sum of
+    S2 over every (a, b), and stratum the part taken exactly.
     """
 
     mean: float
@@ -82,24 +116,27 @@ class McEstimate:
     seed: int
     runs_total: int | None = None
     pairs_total: int | None = None
+    stratum: Stratum | None = None
 
 
-def _summarize(
-    maxima: np.ndarray, seed: int, terms=None, runs_total=None, pairs_total=None
-) -> McEstimate:
-    """The mean and standard error of terms (the maxima if None), the tail of the maxima."""
+def _mean_se(values) -> tuple[float, float]:
+    """The mean of the values and its standard error, 0 for fewer than two."""
+    n = len(values)
+    std_error = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(values.mean()), std_error
+
+
+def _summarize(maxima: np.ndarray, seed: int, estimate=None, *totals) -> McEstimate:
+    """The (mean, std_error) estimate (the maxima's if None), the tail of the maxima."""
     n = len(maxima)
-    terms = maxima if terms is None else terms
-    mean = float(terms.mean())
-    std_error = float(terms.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     counts = np.bincount(maxima)
     above = counts[::-1].cumsum()[::-1]
     tail = {l: float(above[l]) / n for l in range(1, len(counts))}
-    return McEstimate(mean, std_error, tail, n, seed, runs_total, pairs_total)
+    return McEstimate(*(estimate or _mean_se(maxima)), tail, n, seed, *totals)
 
 
 def _block_maxima(seed, samples, high, width, m, keys, lo_block, hi_block):
-    """Per-sample max loads, pair counts and first draws in blocks [lo_block, hi_block).
+    """Per-sample max loads, pair counts and multipliers in blocks [lo_block, hi_block).
 
     Block j draws one (rows, width) array from [0, high) out of the Philox
     stream keyed by (seed, j), a row per sample, in passes of whole blocks up
@@ -107,8 +144,8 @@ def _block_maxima(seed, samples, high, width, m, keys, lo_block, hi_block):
     uniform throws; otherwise it is (a, b), and the bins are
     ((a*x + b) mod high) mod m over the keys x, in the dtype of keys.  A
     sample's max load and its pair count S2 = sum over bins of C(L, 2) =
-    (sum of L^2 - n) / 2 come from the same loads.bin_counts block.  The
-    first draws are the multipliers a of linear samples.
+    (sum of L^2 - n) / 2 come from the same loads.bin_counts block, and its
+    multiplier is the first draw a.  Uniform throws give their maxima alone.
 
     The loads kernel asks for the bins of up to loads.BLOCK_CELLS cells at a
     time, and each request hashes only those rows, also where one block of
@@ -135,22 +172,25 @@ def _block_maxima(seed, samples, high, width, m, keys, lo_block, hi_block):
             rows = min(SAMPLES_PER_BLOCK, samples - j * SAMPLES_PER_BLOCK)
             parts.append(gen.integers(0, high, size=(rows, width), dtype=dtype))
         draws = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        top = np.empty(len(draws), dtype=np.int64)
+        maxima.append(top)
+        if keys is None:
+            for lo, hi, counts in bin_counts(len(draws), n, m, lambda lo, hi: draws[lo:hi]):
+                top[lo:hi] = counts.max(axis=1)
+            continue
         firsts.append(draws[:, 0].copy())  # a view would keep every pass's draws
 
         def bins_of(lo, hi):
-            if keys is None:
-                return draws[lo:hi]
             bins = draws[lo:hi, :1] * keys
             bins += draws[lo:hi, 1:]
             return rem(rem(bins, high), m)
 
-        top, squares = np.empty((2, len(draws)), dtype=np.int64)
+        squares = np.empty(len(draws), dtype=np.int64)
         for lo, hi, counts in bin_counts(len(draws), n, m, bins_of):
             top[lo:hi] = counts.max(axis=1)
             squares[lo:hi] = np.einsum("ij,ij->i", counts, counts)
-        maxima.append(top)
         pairs.append((squares - n) // 2)
-    return np.concatenate(maxima), np.concatenate(pairs), np.concatenate(firsts)
+    return tuple(np.concatenate(column) for column in (maxima, pairs, firsts) if column)
 
 
 def _sample_maxima(seed, samples, high, width, m, keys, workers):
@@ -182,20 +222,21 @@ def _gram(columns: list[np.ndarray]) -> list[list[int]]:
     return [[sum(map(operator.mul, u, v)) for v in lists] for u in lists]
 
 
-def _control_variate(maxima, runs, pairs, runs_mean: float, pairs_mean: float) -> np.ndarray:
-    """Per-sample terms max_i - beta_R*(R_i - E[R]) - beta_S*(S2_i - E[S2]), cross-fitted.
+def _control_variate(maxima, runs, pairs, runs_mean, pairs_mean, index) -> np.ndarray:
+    """Terms max_i - beta_R*(R_i - runs_mean) - beta_S*(S2_i - pairs_mean), cross-fitted.
 
-    The samples of even-numbered blocks take the least-squares slopes of max
-    on (R, S2) over the odd-numbered blocks, and the reverse: the slopes are
-    independent of the samples they correct, so the mean of the terms is
-    unbiased.  They solve the normal equations of the fitting half by
-    Cramer's rule in Python ints, each one correctly rounded division of
-    exact integer sums, so they are the same on every platform.  Where that
-    2x2 system is singular the half fits R alone if R varies there, else S2
-    alone if it varies, else nothing.
+    index holds each row's sample number.  The samples of even-numbered
+    blocks take the least-squares slopes of max on (R, S2) over the
+    odd-numbered blocks, and the reverse: the slopes are independent of the
+    samples they correct, so the mean of the terms is unbiased.  They solve
+    the normal equations of the fitting half by Cramer's rule in Python
+    ints, each one correctly rounded division of exact integer sums, so they
+    are the same on every platform.  Where that 2x2 system is singular the
+    half fits R alone if R varies there, else S2 alone if it varies, else
+    nothing.
     """
     terms = maxima.astype(float)
-    odd = np.arange(len(runs)) // SAMPLES_PER_BLOCK % 2 == 1
+    odd = (index & SAMPLES_PER_BLOCK) != 0
     for own, other in ((~odd, odd), (odd, ~odd)):
         n = int(np.count_nonzero(other))
         g = _gram([np.ones(n, dtype=np.int64), runs[other], pairs[other], maxima[other]])
@@ -230,16 +271,75 @@ def pair_collisions(mod: Modulus) -> int:
     return (whole + 1) * p - whole * (m - q)
 
 
+def _interval_pair_totals(mod: Modulus, n: int, a: np.ndarray) -> int:
+    """The sum of S2 over every b and each multiplier a != 0 given, on the keys [n].
+
+    The n - d pairs of keys d apart differ by s = a*d mod p in [p], and share
+    a bin for p - s values of b when m divides s and for s values when m
+    divides p - s, as in pair_collisions: O(n) per multiplier.
+    """
+    p, m = mod.p, mod.m
+    d = np.arange(1, n, dtype=np.int64)
+    # A multiplier's total is at most p*C(n, 2); past int64 it is taken in Python ints.
+    weights = n - d if p * math.comb(n, 2) < 2**63 else (n - d).astype(object)
+    total = 0
+    # Blocks of multipliers of at most loads.BLOCK_CELLS cells.
+    for rows in np.array_split(a, -(-len(a) * n // loads.BLOCK_CELLS) or 1):
+        s = rows[:, None] * d % p
+        per_pair = np.where(s % m == 0, p - s, 0) + np.where((p - s) % m == 0, s, 0)
+        total += sum((per_pair @ weights).tolist())
+    return total
+
+
+def linear_stratum(mod: Modulus, key_set: KeySet, samples: int) -> Stratum:
+    """The exact stratum of mc_linear_maxload for this many samples, with its totals.
+
+    a = 0 puts every key in one bin for every b, so it adds p*n to the max
+    total, p*C(n, 2) to the pair total and m to the run total.  On an
+    Interval or AffineImage of n keys the stratum also holds every a with
+    R(a) >= r0, where r0 is the smallest s >= 3 whose stratum, a = 0
+    included, has at most max(1, samples/128) members.  Their totals are
+    those of [n] at the members, the h_{a,b} of an affine image being those
+    of [n] at alpha*a.  oracles.maxload_total gives the max total of the
+    members with k > 0 and _interval_pair_totals their pair total; each
+    mirror p - a has the same totals, since [n] = (n - 1) - [n].
+    """
+    p, m = mod.p, mod.m
+    n = len(materialize(key_set, mod))
+    zero = Stratum(None, 1, p * n, m, p * math.comb(n, 2))
+    if not isinstance(key_set, (Interval, AffineImage)):
+        return zero
+    counts = long_run_counts(mod)
+    r0 = next(s for s in range(3, len(counts)) if 128 * (1 + 2 * counts[s]) <= max(128, samples))
+    a, runs = long_run_multipliers(mod, r0)
+    return Stratum(
+        r0,
+        1 + 2 * len(a),
+        zero.max_total + 2 * maxload_total(p, m, range(n), a),
+        m + 2 * int(runs.sum()),
+        zero.pairs_total + 2 * _interval_pair_totals(mod, n, a),
+    )
+
+
 def mc_linear_maxload(
     mod: Modulus, key_set: KeySet, samples: int, seed: int, workers: int = 1
 ) -> McEstimate:
     """Estimate the expected max load under (a, b) drawn uniformly from [p]^2.
 
-    The mean and its standard error are those of the control-variate terms
-    max_i - beta_R*(R(a_i) - E[R]) - beta_S*(S2_i - E[S2]) (see
-    _control_variate).  R = oracles.multiplier_runs, taken at alpha*a mod p on
-    an AffineImage, and S2 the sample's colliding-pair count; E[R] and E[S2]
-    are exact (see McEstimate).  The tail is that of the raw maxima.
+    Post-stratified on the multiplier: the multipliers of linear_stratum
+    enter by their exact totals, and the samples outside it estimate the
+    mean over the other p - |S| multipliers by the control-variate terms
+    max_i - beta_R*(R(a_i) - E'[R]) - beta_S*(S2_i - E'[S2]) (see
+    _control_variate).  R = oracles.multiplier_runs, taken at alpha*a mod p
+    on an AffineImage, and S2 the sample's colliding-pair count.  Their
+    means over the other multipliers are exact: E'[R] = (runs_total -
+    sum_S R)/(p - |S|) and E'[S2] = (pairs_total - sum_S S2)/(p*(p - |S|)),
+    with runs_total and pairs_total as in McEstimate.  The mean is
+    sum_S max/p^2 + w*(mean of the terms), w = (p - |S|)/p, and the standard
+    error w*sd/sqrt(number of terms).  w > 0, since |S| <= 1 + 2*C(3) < 1 + p/3
+    (oracles.long_run_counts).  Where no sample lies outside the stratum the
+    mean and standard error are those of the raw maxima.  The tail is that
+    of the raw maxima.
     """
     p, m = mod.p, mod.m
     if p < m * m:
@@ -256,8 +356,23 @@ def mc_linear_maxload(
     runs_total = multiplier_runs_total(mod)
     pairs_total = math.comb(len(keys), 2) * pair_collisions(mod)
     runs = multiplier_runs(mod, multipliers)
-    terms = _control_variate(maxima, runs, pairs, runs_total / p, pairs_total / p**2)
-    return _summarize(maxima, seed, terms, runs_total, pairs_total)
+    stratum = linear_stratum(mod, key_set, samples)
+    exact = multipliers == 0
+    if stratum.r0 is not None:
+        exact |= runs >= stratum.r0
+    rest = p - stratum.size
+    index = np.flatnonzero(~exact)
+    estimate = None
+    if index.size:
+        terms = _control_variate(
+            maxima[index], runs[index], pairs[index],
+            (runs_total - stratum.runs_total) / rest,
+            (pairs_total - stratum.pairs_total) / (p * rest),
+            index,
+        )
+        mean, std_error = _mean_se(terms)
+        estimate = (stratum.max_total / p + rest * mean) / p, rest / p * std_error
+    return _summarize(maxima, seed, estimate, runs_total, pairs_total, stratum)
 
 
 def mc_fully_random_maxload(

@@ -253,7 +253,7 @@ def check_b_shift_containment(mod: Modulus, at_zero: np.ndarray) -> tuple[int, i
     p, m = mod.p, mod.m
     load = np.arange(m + 1)
     violations = 0
-    for lo, hi, credit in maxload_credits(p, m, range(m), 0, p):
+    for lo, hi, credit in maxload_credits(p, m, range(m), np.arange(p)):
         l0 = at_zero[lo:hi, None]
         violations += int(credit[(load // 2 > l0) | (l0 > 2 * load)].sum())
     return p * p, violations
@@ -492,18 +492,26 @@ def run_scaling(
         samples=samples,
         seed=seed,
         generator=GENERATOR_NAME,
-        includes_a_zero=True,
+        includes_a_zero="as an exact stratum of the linear estimate, not by sampling",
         random_column="computed by Poisson conditioning, not sampled; "
         "random_se bounds |random_mean - exact mean|",
-        linear_estimator="control variate max - beta_R*(R(a) - E[R]) - beta_S*(S2 - E[S2]), "
-        "R(a) the longest run of >= 3 keys of [m] sharing a bin class under multiplier a, "
-        "R(0) = m, S2 the pairs of keys sharing a bin; (beta_R, beta_S) of the even 64-sample "
-        "blocks fitted jointly on the odd ones and the reverse, on R alone or S2 alone where "
-        "that system is singular, 0 where neither varies; linear_se from the same terms; "
-        "E[R] = sum_a R(a) / p, E[S2] = sum_(a,b) S2 / p^2: "
+        linear_estimator="stratified: the multipliers a = 0 and every a with R(a) >= r0 are "
+        "taken exactly, R(a) the longest run of >= 3 keys of [m] sharing a bin class under "
+        "multiplier a, R(0) = m, and r0 the smallest s >= 3 whose stratum S has at most "
+        "max(1, samples/128) members; the samples outside S give the control variate "
+        "max - beta_R*(R(a) - E'[R]) - beta_S*(S2 - E'[S2]), S2 the pairs of keys sharing "
+        "a bin, with E'[R] = (sum_a R(a) - sum_S R) / (p - |S|) and "
+        "E'[S2] = (sum_(a,b) S2 - sum_S S2) / (p*(p - |S|)); (beta_R, beta_S) of the even "
+        "64-sample blocks fitted jointly on the odd ones and the reverse, on R alone or S2 "
+        "alone where that system is singular, 0 where neither varies; "
+        "linear_mean = sum_S max / p^2 + w * (mean of the terms) and "
+        "linear_se = w * sd / sqrt(terms), w = (p - |S|) / p, sum_S max and sum_S S2 over "
+        "every b: "
         + "; ".join(
-            f"m{r.m} E[R]={r.linear.runs_total}/{r.p} E[S2]={r.linear.pairs_total}/{r.p**2}"
-            for r in rows
+            f"m{r.m} sum_a R(a)={r.linear.runs_total} sum_(a,b) S2={r.linear.pairs_total} "
+            f"r0={s.r0} |S|={s.size} sum_S max={s.max_total} sum_S R={s.runs_total} "
+            f"sum_S S2={s.pairs_total}"
+            for r, s in ((r, r.linear.stratum) for r in rows)
         ),
         workers=workers,
     )

@@ -23,10 +23,14 @@ points and replaying them costs O(n log n) per a instead of the O(p*n) of
 scanning every b.  The resulting counts are identical to the literal
 enumeration that the test suite keeps as its one reference.  The replay,
 maxload_credits, yields each a's histogram over b, read by the b-shift check.
+maxload_total sums the max load over every b from the same wrap points by
+two sorts instead of a step per event, for a few multipliers at large n.
 multiplier_runs gives the longest lattice run of [m] under a multiplier, the
 covariate of the Monte Carlo linear estimator, by a lockstep Euclid pass
 over the sampled multipliers; multiplier_runs_total sums it over every a by
-Mobius inversion, with no length-p array.
+Mobius inversion, with no length-p array.  long_run_counts counts, and
+long_run_multipliers lists, the multipliers with R(a) >= s that the
+estimator takes exactly.
 Both max-load histograms place the keys only for a < (p+1)/2 and take each
 p - a from its mirror a.  With b = 0, (p-a)*x = p - a*x (mod p) for x != 0,
 so h_{p-a,0} puts x in class (q - r) mod m when h_{a,0} puts it in class r,
@@ -36,7 +40,7 @@ and p - a have equal histograms; on other key sets every a runs.
 Every array reduction in these kernels is field.rem, in place and cheaper
 than numpy's %; maxloads_for_a, kept for the tracer's name, still takes %.
 The max-load placements run in field.int_type's choice for the largest value
-each call forms: a*x below (hi_a - 1)*max(S), and the all-b wrap points
+each call forms: a*x below max(a)*max(S), and the all-b wrap points
 p - v at most p.  That is int32 at every m up to 1024 on [m],
 at about half the cost of int64; the triple and interval counters and
 maxloads_for_a stay in int64.
@@ -506,11 +510,12 @@ def maxloads_for_a(mod: Modulus, ks: KeySet, a: int) -> np.ndarray:
 _EVENT_BLOCK_CELLS = 1 << 19
 
 
-def maxload_credits(p, m, elements, lo_a, hi_a):
+def maxload_credits(p, m, elements, multipliers):
     """Per-a histograms of the max load over every b, by wrap events.
 
-    Yields (lo, hi, credit) per block of multipliers a in [lo_a, hi_a);
-    credit[r, L] is the number of b with max load L at a = lo + r.
+    Yields (lo, hi, credit) per block of the multipliers, an array of a in
+    [p]; credit[r, L] is the number of b with max load L at a =
+    multipliers[lo + r].  Callers over a range of a pass np.arange(lo_a, hi_a).
     For fixed a, key x sits in class r_x = v_x mod m of the b-rotated bins
     until b reaches its wrap point c_x = p - v_x (p when v_x = 0, i.e. never),
     where it moves to class (r_x - p) mod m.  Rows of a block are replayed in
@@ -523,12 +528,15 @@ def maxload_credits(p, m, elements, lo_a, hi_a):
     these counts and credit, load_base + load, so a step does no index
     arithmetic.
     """
-    dtype = int_type((hi_a - 1) * max(elements))
+    multipliers = np.asarray(multipliers)
+    if not multipliers.size:
+        return
+    dtype = int_type(int(multipliers.max()) * max(elements))
     s = np.asarray(elements, dtype=dtype)
     n, q = len(s), p % m
     step = max(1, _EVENT_BLOCK_CELLS // (n + m + 1))
-    for blk in range(lo_a, hi_a, step):
-        a = np.arange(blk, min(blk + step, hi_a), dtype=dtype)
+    for blk in range(0, len(multipliers), step):
+        a = multipliers[blk : blk + step].astype(dtype)
         rows = np.arange(len(a), dtype=np.int64)
         # Key x sits in class v_x mod m = (p - c_x) mod m, so sorting the
         # wrap points alone orders the events and gives each one's class.
@@ -569,10 +577,90 @@ def maxload_credits(p, m, elements, lo_a, hi_a):
         yield blk, blk + len(a), credit.reshape(-1, n + 1)
 
 
+# Cap on the sort keys plus class counts per block of maxload_total: 64 KiB
+# arrays, under glibc's mmap threshold, for a traced peak of 0.4 MiB on
+# 1024 keys at m = 1024.
+_LEVEL_BLOCK_CELLS = 1 << 13
+
+
+def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:
+    """The sums of x before each entry."""
+    total = np.cumsum(x)
+    total -= x
+    return total
+
+
+def maxload_total(p, m, elements, multipliers) -> int:
+    """The sum of the max load over every b and each of the multipliers, by level sets.
+
+    The same totals as sum(credit @ range(n + 1)) over maxload_credits, with
+    no step per event: the max load at b is the number of levels l >= 1 at
+    which some class holds at least l keys, so the total is the sum over
+    (a, l) of the measure of those b.  A class's count changes only at the
+    wrap points c_x of its keys (see maxload_credits): one sort of the 2n
+    leave and join events by (a, class, c_x) and a running sum give the
+    count each event leaves behind, so each event ends the level it drops
+    from or starts the level it reaches.  A second sort by (a, level, c_x)
+    and a running sum of starts less ends give N_l, the classes at or above
+    l.  Each (a, l) is covered from the start (N_l > 0 at b = 0) or from
+    its starts that leave N_l = 1, until its ends that leave N_l = 0 or p.
+    The linear estimator's stratum at m = 1024, 35 multipliers of 1024
+    keys, takes 4 ms here and 8 ms in the replay, whose steps are paid per
+    block of rows, at a quarter of its traced memory (2-vCPU Xeon).
+    """
+    s = np.asarray(elements, dtype=np.int64)
+    n, q = len(s), p % m
+    pb, cb = p.bit_length(), (m - 1).bit_length()
+    multipliers = np.asarray(multipliers, dtype=np.int64)
+    # A key packs (a, class) or (a, level) above pb bits of c_x and one of
+    # kind (1 = join, a start); p < 2^31 and n < p keep it below 2^63.
+    step = min(
+        max(1, _LEVEL_BLOCK_CELLS // (2 * n + (1 << cb))), (1 << 62 - pb) // max(1 << cb, n + 1)
+    )
+    total = 0
+    for blk in range(0, len(multipliers), step):
+        a = multipliers[blk : blk + step]
+        rows = len(a)
+        v = rem(a[:, None] * s, p)
+        wrap = p - v
+        row = np.arange(rows, dtype=np.int64)[:, None] << cb
+        leave = rem(v, m) + row
+        join = rem(leave - row - q, m) + row
+        # Every key starts in the class it leaves; base is a class's count
+        # before its first event less the running sum at that point.
+        init = np.bincount(leave.ravel(), minlength=rows << cb)
+        base = init - _exclusive_cumsum(np.bincount(join.ravel(), minlength=rows << cb) - init)
+        key = np.concatenate([(leave << pb | wrap).ravel() << 1, (join << pb | wrap).ravel() << 1 | 1])
+        key.sort()
+        start = key & 1
+        group = key >> pb + 1
+        # The count an event leaves is the level it starts; one above, the level it ends.
+        level = np.cumsum(2 * start - 1) + base[group] + 1 - start
+        levels = int(max(level.max(), init.max())) + 1
+        key = ((group >> cb) * levels + level << pb | key >> 1 & (1 << pb) - 1) << 1 | start
+        key.sort()
+        # held[a, l]: the classes holding at least l >= 1 keys at b = 0.
+        held = np.bincount(init + np.repeat(np.arange(rows) * levels, 1 << cb), minlength=rows * levels)
+        held = held.reshape(rows, levels)[:, ::-1].cumsum(axis=1)[:, ::-1].ravel()
+        held[::levels] = 0
+        start = key & 1
+        group = key >> pb + 1
+        delta = 2 * start - 1
+        net = np.bincount(group, weights=delta, minlength=rows * levels).astype(np.int64)
+        above = np.cumsum(delta) + (held - _exclusive_cumsum(net))[group]
+        wrap = key >> 1 & (1 << pb) - 1
+        # An end leaving N_l = 0 closes a covered stretch at its c_x, a start
+        # leaving N_l = 1 opens one; what is still open closes at p.
+        edge = above == start
+        total += int(wrap[edge].sum()) - 2 * int(wrap[edge & (start == 1)].sum())
+        total += p * int(np.count_nonzero(held + net))
+    return total
+
+
 def _maxload_hist_all_b_chunk(p, m, elements, lo_a, hi_a):
     """Max-load histogram over a in [lo_a, hi_a) and every b."""
     hist = np.zeros(len(elements) + 1, dtype=np.int64)
-    for _, _, credit in maxload_credits(p, m, elements, lo_a, hi_a):
+    for _, _, credit in maxload_credits(p, m, elements, np.arange(lo_a, hi_a)):
         hist += credit.sum(axis=0)
     return hist
 
@@ -684,27 +772,61 @@ def _mobius(n: int) -> np.ndarray:
     return mu
 
 
+def long_run_counts(mod: Modulus) -> np.ndarray:
+    """C(s), the multipliers with R(a) >= s and k > 0 in their primitive pair, s = 0..max(m, 2) + 1.
+
+    A multiplier with a primitive pair (x0, k) has R(a) >= s, for s >= 3,
+    exactly when x0 <= X_s = ceil(m/(s-1)) - 1 and |k| <= Y_s =
+    floor(floor(p/m)/s).  So C(s) counts the coprime pairs in [1, X_s] x
+    [1, Y_s]: the sum over t of mu(t) * floor(X_s/t) * floor(Y_s/t), O(m log m)
+    terms over every s.  Entries below s = 3 are 0, and so is the last, where
+    X_s = 0.
+    """
+    p, m = mod.p, mod.m
+    counts = np.zeros(max(m, 2) + 2, dtype=np.int64)
+    s = np.arange(3, len(counts))
+    x, y = -(-m // (s - 1)) - 1, p // m // s
+    terms = np.minimum(x, y)
+    s, x, y, terms = s[terms > 0], x[terms > 0], y[terms > 0], terms[terms > 0]
+    if s.size:
+        # One row per (s, t), t = 1..terms[s].
+        starts = np.cumsum(terms) - terms
+        row = np.repeat(np.arange(s.size), terms)
+        t = np.arange(row.size) - starts[row] + 1
+        pairs = _mobius(int(terms.max()))[t] * (x[row] // t) * (y[row] // t)
+        counts[s] = np.add.reduceat(pairs, starts)
+    return counts
+
+
+def long_run_multipliers(mod: Modulus, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The multipliers with R(a) >= s and k > 0 in their primitive pair, and their R.
+
+    They are the a = k*m*x0^-1 mod p over the C(s) coprime pairs (x0, k) of
+    long_run_counts, for s >= 3, each with R(a) = min(ceil(m/x0),
+    floor(floor(p/m)/k)).  Their mirrors p - a, of pair (x0, -k) and the same
+    R, are the other C(s) multipliers with R >= s; a = 0, with R(0) = m, is
+    neither.
+    """
+    p, m = mod.p, mod.m
+    if s < 3:
+        raise ValueError(f"long runs start at s = 3, got {s}")
+    x_max, y_max = -(-m // (s - 1)) - 1, p // m // s
+    x0, k = np.meshgrid(np.arange(1, x_max + 1), np.arange(1, y_max + 1), indexing="ij")
+    coprime = np.gcd(x0, k) == 1
+    x0, k = x0[coprime], k[coprime]
+    # Any pair has k <= Y_s, so p >= 3m > x0 and x0 is invertible.
+    inverse = {x: pow(x, -1, p) for x in set(x0.tolist())}
+    a = k * m % p * np.array([inverse[x] for x in x0.tolist()], dtype=np.int64) % p
+    return a, np.minimum(-(-m // x0), p // m // k)
+
+
 def multiplier_runs_total(mod: Modulus) -> int:
     """The sum of multiplier_runs over every a in [p], exactly, with no length-p array.
 
     Each primitive pair (x0, k) with k > 0 names one a and -k names p - a, and
     an a without one has R(a) = 1.  A pair's R - 1 is 2 + the number of
-    s in [4, m] with R >= s, and R >= s exactly when x0 <= X_s =
-    ceil(m/(s-1)) - 1 and k <= Y_s = floor(floor(p/m)/s).  So the sum is
-    m + (p - 1) + 2*(2*C(3) + C(4) + ... + C(m)), where C(s) counts the
-    coprime pairs in [1, X_s] x [1, Y_s]: the sum over t of
-    mu(t) * floor(X_s/t) * floor(Y_s/t), O(m log m) terms in all.
+    s in [4, m] with R >= s.  So the sum is m + (p - 1) + 2*(2*C(3) + C(4) +
+    ... + C(m)), with C(s) from long_run_counts.
     """
-    p, m = mod.p, mod.m
-    s = np.arange(3, m + 1)
-    x, y = -(-m // (s - 1)) - 1, p // m // s
-    terms = np.minimum(x, y)
-    s, x, y, terms = s[terms > 0], x[terms > 0], y[terms > 0], terms[terms > 0]
-    if not s.size:
-        return m + p - 1
-    # One row per (s, t), t = 1..terms[s].
-    row = np.repeat(np.arange(s.size), terms)
-    t = np.arange(row.size) - np.repeat(np.cumsum(terms) - terms, terms) + 1
-    weight = np.where(s == 3, 2, 1)[row]
-    pairs = weight * _mobius(int(terms.max()))[t] * (x[row] // t) * (y[row] // t)
-    return m + p - 1 + 2 * int(pairs.sum())
+    counts = long_run_counts(mod)
+    return mod.m + mod.p - 1 + 2 * int(counts[3] + counts[3:].sum())

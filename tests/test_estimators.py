@@ -32,6 +32,7 @@ from linbins.oracles import (
 from reference import (
     _sample_rng,
     fully_random_exact_mean,
+    literal_maxloads,
     literal_multiplier_runs,
     literal_pair_counts,
     max_load_distribution,
@@ -64,17 +65,19 @@ def literal_linear_maxima(mod, key_set, samples, seed):
     return maxima, draws
 
 
-def cross_fit(maxima, runs, pairs, runs_mean, pairs_mean):
+def cross_fit(maxima, runs, pairs, runs_mean, pairs_mean, index=None):
     """Mean and SE of max_i - beta_R*(R_i - runs_mean) - beta_S*(S2_i - pairs_mean), in Fractions.
 
-    Samples of even-numbered 64-sample blocks take the least-squares slopes
-    of max on (R, S2) over the odd-numbered blocks, and the reverse.  Where
-    R and S2 are collinear on the fitting half the slopes are those of R
-    alone if R varies there, of S2 alone if S2 varies, else 0.
+    index holds each row's sample number (0, 1, 2, ... if None).  Samples of
+    even-numbered 64-sample blocks take the least-squares slopes of max on
+    (R, S2) over the odd-numbered blocks, and the reverse.  Where R and S2
+    are collinear on the fitting half the slopes are those of R alone if R
+    varies there, of S2 alone if S2 varies, else 0.
     """
     n = len(maxima)
+    index = range(n) if index is None else index
     y, r, s = ([int(v) for v in column] for column in (maxima, runs, pairs))
-    halves = [[i for i in range(n) if i // BLOCK % 2 == h] for h in (0, 1)]
+    halves = [[i for i in range(n) if index[i] // BLOCK % 2 == h] for h in (0, 1)]
     terms = [Fraction(v) for v in y]
     for own, other in ((halves[0], halves[1]), (halves[1], halves[0])):
 
@@ -96,18 +99,65 @@ def cross_fit(maxima, runs, pairs, runs_mean, pairs_mean):
             beta_s = sy / ss
         for i in own:
             terms[i] -= beta_r * (r[i] - runs_mean) + beta_s * (s[i] - pairs_mean)
-    mean = sum(terms) / n
-    var = sum((t - mean) ** 2 for t in terms) / (n - 1) if n > 1 else Fraction(0)
+    return plain_mean_se(terms)
+
+
+def plain_mean_se(values):
+    """The mean of the values in Fractions, and its standard error, 0 for fewer than two."""
+    n = len(values)
+    mean = sum(map(Fraction, values), Fraction(0)) / n
+    var = sum((v - mean) ** 2 for v in values) / (n - 1) if n > 1 else Fraction(0)
     return mean, math.sqrt(var / n)
+
+
+def literal_stratum(mod, ks, samples):
+    """estimators.linear_stratum by the literal scans, and which multipliers it holds.
+
+    Returns the Stratum and a test of membership at alpha*a.  On an
+    Interval or AffineImage r0 is the smallest s >= 3 with 128*(1 + #{a != 0 :
+    R(a) >= s}) <= max(128, samples), R by literal_multiplier_runs.  Where
+    that leaves room for a = 0 alone, r0 is one past the longest run of any
+    a != 0, which a = m has: min(m, floor(p/m)) by its pair (1, 1), and no
+    scan of [p] is needed.  The members' totals come from literal_maxloads,
+    literal_pair_counts and literal_multiplier_runs on [n], a = 0's from its
+    one bin: p*n, p*C(n, 2) and m.
+    """
+    p, m = mod.p, mod.m
+    n = len(materialize(ks, mod))
+    if not isinstance(ks, (Interval, AffineImage)):
+        return estimators.Stratum(None, 1, p * n, m, p * math.comb(n, 2)), lambda a, r: a == 0
+    if 128 * 3 > max(128, samples):
+        r0, members = max(3, 1 + int(literal_multiplier_runs(p, m, [m])[0])), []
+    else:
+        runs = literal_multiplier_runs(p, m)[1:]
+        r0 = next(s for s in itertools.count(3)
+                  if 128 * (1 + np.count_nonzero(runs >= s)) <= samples)
+        members = (np.flatnonzero(runs >= r0) + 1).tolist()
+
+    def total(reduction, *args):
+        return int(reduction(p, m, *args, members).sum()) if members else 0
+
+    stratum = estimators.Stratum(
+        r0,
+        1 + len(members),
+        p * n + total(literal_maxloads, range(n)),
+        m + total(literal_multiplier_runs),
+        p * math.comb(n, 2) + total(literal_pair_counts, range(n)),
+    )
+    return stratum, lambda a, r: a == 0 or r >= r0
 
 
 def check_linear_estimate(est, mod, ks, seed, maxima, draws):
     """est against a recomputation from its maxima and draws (a, b).
 
-    The tail is that of the maxima, exactly; the mean and standard error are
-    those of the cross-fitted terms with the literal R, at alpha*a on an
-    affine image, and the literal S2, to within 1e-12 for float64 sums of at
-    most a few thousand terms of order 1.  The covariates' totals are exact;
+    The tail is that of the maxima, exactly; the stratum is literal_stratum,
+    and the mean and standard error are those of the stratified estimate:
+    sum_S max/p^2 + w*(mean of the cross-fitted terms of the samples outside
+    S), with the literal R, at alpha*a on an affine image, the literal S2 and
+    their exact means over the multipliers outside S; SE w*sd/sqrt(count).
+    With no sample outside S they are the plain mean and SE of the maxima.
+    All in Fractions, to within 1e-12 for float64 sums of at most a few
+    thousand terms of order 1.  The covariates' totals are exact;
     test_pair_collisions_* check pair_collisions itself.
     """
     p, m = mod.p, mod.m
@@ -120,11 +170,22 @@ def check_linear_estimate(est, mod, ks, seed, maxima, draws):
     pairs = literal_pair_counts(p, m, keys, a, b)
     runs_total = multiplier_runs_total(mod)
     pairs_total = math.comb(len(keys), 2) * pair_collisions(mod)
-    mean, std_error = cross_fit(
-        maxima, runs, pairs, Fraction(runs_total, p), Fraction(pairs_total, p * p)
-    )
+    stratum, member = literal_stratum(mod, ks, len(maxima))
+    index = [i for i, (a, r) in enumerate(zip(multipliers, runs)) if not member(a, r)]
+    rest = p - stratum.size
+    if index:
+        mean, std_error = cross_fit(
+            maxima[index], runs[index], pairs[index],
+            Fraction(runs_total - stratum.runs_total, rest),
+            Fraction(pairs_total - stratum.pairs_total, p * rest),
+            index,
+        )
+        mean = Fraction(stratum.max_total, p * p) + Fraction(rest, p) * mean
+        std_error *= rest / p
+    else:
+        mean, std_error = plain_mean_se(maxima.tolist())
     assert (est.samples, est.seed) == (len(maxima), seed)
-    assert (est.runs_total, est.pairs_total) == (runs_total, pairs_total)
+    assert (est.runs_total, est.pairs_total, est.stratum) == (runs_total, pairs_total, stratum)
     assert est.tail == _summarize(maxima, seed).tail
     assert abs(est.mean - float(mean)) <= 1e-12
     assert abs(est.std_error - std_error) <= 1e-12
@@ -596,6 +657,17 @@ def test_mc_linear_control_variate_within_4se_of_exact(maxima_seen, m, p, total)
     assert est.std_error <= plain / 4
 
 
+def test_mc_linear_calibrated_over_seeds():
+    # The stratified SE is calibrated: over 50 seeds of 2,000 samples the
+    # z-scores against the exact mean spread like a standard normal's.
+    mod = Modulus(257, 16)
+    exact = 167982 / 257**2
+    z = [(est.mean - exact) / est.std_error
+         for est in (mc_linear_maxload(mod, Interval(16), 2000, seed) for seed in range(50))]
+    assert 0.8 <= np.std(z, ddof=1) <= 1.2
+    assert max(map(abs, z)) <= 4.5
+
+
 def test_mc_linear_control_variate_on_an_affine_image(maxima_seen):
     # R taken at alpha*a: the image of [24] has the max loads of [24] under
     # (alpha*a, a*beta + b), so the control variate is as effective as on
@@ -643,11 +715,92 @@ def test_pair_counts_sum_to_their_exact_mean(p, m, ks):
     assert mc_linear_maxload(mod, ks, 1, 0).pairs_total == total
 
 
+@pytest.mark.parametrize(
+    "mod,ks,samples,r0,size",
+    [
+        (Modulus(257, 16), Interval(16), 10_000, 3, 53),
+        (Modulus(257, 16), Interval(16), 2000, 5, 15),
+        (Modulus(577, 24), Interval(24), 10_000, 4, 59),
+        (Modulus(577, 24), AffineImage(24, 77, 5), 10_000, 4, 59),
+        (Modulus(577, 24), Interval(24), 383, 25, 1),
+        (Modulus(331, 12), Interval(9), 5000, 4, 27),
+        (Modulus(13, 1), Interval(5), 1000, 3, 1),
+        (Modulus(1031, 32), Explicit((0, 3, 4, 10, 515, 1030)), 10_000, None, 1),
+    ],
+)
+def test_linear_stratum_matches_the_literal_totals(mod, ks, samples, r0, size):
+    # The r0 rule, the member count and the three totals against the literal
+    # scans; an affine image's are its interval's.
+    stratum = estimators.linear_stratum(mod, ks, samples)
+    assert (stratum.r0, stratum.size) == (r0, size)
+    assert stratum.size <= max(1, samples / 128)
+    assert stratum == literal_stratum(mod, ks, samples)[0]
+    if r0 is not None:
+        # sum_S R is m plus twice multiplier_runs on the listed half.
+        half, _ = oracles.long_run_multipliers(mod, r0)
+        assert stratum.runs_total == mod.m + 2 * int(oracles.multiplier_runs(mod, half).sum())
+
+
+def test_interval_pair_totals_past_int64():
+    # At p = 2^31 - 1 the bound p*C(n, 2) on a multiplier's pair total on
+    # [100000] passes 2^63, so the closed form is summed in Python ints.
+    p, m, n = 2147483647, 32, 100_000
+    assert p * math.comb(n, 2) >= 2**63
+    a = [1, 32, p - 1, 12345]
+    expected = 0
+    for x in a:
+        for d in range(1, n):
+            s = x * d % p
+            expected += (n - d) * ((p - s) * (s % m == 0) + s * ((p - s) % m == 0))
+    assert expected >= 2**63
+    assert estimators._interval_pair_totals(Modulus(p, m), n, np.array(a)) == expected
+
+
+def test_mc_linear_with_every_sample_in_the_stratum(maxima_seen):
+    # Seed 437 draws a = 0 first: the one sample lies in the stratum {0}, so
+    # nothing estimates the other multipliers, and the mean and SE are those
+    # of the raw maxima.
+    mod = Modulus(257, 16)
+    assert sample_draw(437, 0, 257, 2)[0] == 0
+    est = mc_linear_maxload(mod, Interval(16), 1, 437)
+    assert (est.mean, est.std_error, est.tail) == (16.0, 0.0, {l: 1.0 for l in range(1, 17)})
+    assert est.stratum == estimators.Stratum(17, 1, 257 * 16, 16, 257 * 120)
+    assert maxima_seen == [[16]]
+
+
+@pytest.mark.parametrize("ks", [Interval(16), Explicit((0, 1, 5, 17, 100, 256))])
+def test_mc_linear_takes_a_zero_exactly(maxima_seen, ks):
+    # Seed 2 draws a = 0 at sample 55 of 100.  At 100 samples the stratum is
+    # {0}: on [16] r0 = 17 lies past R(0) = 16, so only the test a = 0 drops
+    # that sample from the cross-fit.
+    mod = Modulus(257, 16)
+    maxima, draws = literal_linear_maxima(mod, ks, 100, 2)
+    assert np.flatnonzero(draws[:, 0] == 0).tolist() == [55]
+    est = mc_linear_maxload(mod, ks, 100, 2)
+    assert est.stratum.size == 1 and est.stratum.r0 in (17, None)
+    check_linear_estimate(est, mod, ks, 2, maxima, draws)
+
+
+def test_mc_linear_stratum_independent_of_workers(monkeypatch):
+    # 1,000 samples leave a stratum of 7 multipliers, and the samples drawn
+    # there drop out of the cross-fit; any pool split gives the same estimate.
+    monkeypatch.setattr(oracles, "_MIN_PARALLEL_WORK", 0)
+    monkeypatch.setattr(oracles, "_available_cores", lambda: 4)
+    mod, ks = Modulus(577, 24), Interval(24)
+    linear = [mc_linear_maxload(mod, ks, 1000, 9, workers=w) for w in (1, 2, 3)]
+    assert linear[0] == linear[1] == linear[2]
+    assert linear[0].stratum.size == 7
+    maxima, draws = literal_linear_maxima(mod, ks, 1000, 9)
+    runs = literal_multiplier_runs(mod.p, mod.m, draws[:, 0])
+    assert np.count_nonzero((draws[:, 0] == 0) | (runs >= linear[0].stratum.r0)) > 0
+    check_linear_estimate(linear[0], mod, ks, 9, maxima, draws)
+
+
 def synthetic_fit(maxima, runs, pairs, runs_mean, pairs_mean):
     """_control_variate's terms against the Fraction recomputation cross_fit."""
     terms = _control_variate(
         np.asarray(maxima), np.asarray(runs), np.asarray(pairs),
-        float(runs_mean), float(pairs_mean),
+        float(runs_mean), float(pairs_mean), np.arange(len(maxima)),
     )
     mean, std_error = cross_fit(maxima, runs, pairs, runs_mean, pairs_mean)
     assert abs(terms.mean() - float(mean)) <= 1e-12

@@ -242,9 +242,9 @@ def test_partition_determinism_splits_the_event_kernel(monkeypatch):
     assert check_partition_determinism(mod, wrong, whole) == (4, 3)
     real = oracles.maxload_credits
 
-    def skewed(p, m, elements, lo_a, hi_a):
-        for lo, hi, credit in real(p, m, elements, lo_a, hi_a):
-            if lo_a > 0:
+    def skewed(p, m, elements, multipliers):
+        for lo, hi, credit in real(p, m, elements, multipliers):
+            if multipliers[0] > 0:
                 credit[0, 0] += 1
             yield lo, hi, credit
 
@@ -561,13 +561,17 @@ def test_run_scaling_small(tmp_path):
     # Rerun is byte-identical in the body.
     run_scaling([16, 64], samples=2000, seed=123, out=out)
     assert csv_body(out.read_text()) == body
-    # The preamble names the estimator and the exact means of R and S2 per m:
-    # E[S2] = C(m, 2) * pair_collisions / p^2, 120 * 4129 / 257^2 at m = 16.
+    # The preamble names the estimator, the exact totals of R and S2 per m,
+    # sum_(a,b) S2 = C(m, 2) * pair_collisions = 120 * 4129 at m = 16, and the
+    # stratum: at 2000 samples r0 = 5 and 17, the first s whose stratum has at
+    # most 15 members (tests/test_estimators.py checks its totals).
     estimator = [l for l in out.read_text().splitlines() if l.startswith("# linear_estimator=")]
     assert len(estimator) == 1
     assert estimator[0].endswith(
-        "E[R] = sum_a R(a) / p, E[S2] = sum_(a,b) S2 / p^2: "
-        "m16 E[R]=458/257 E[S2]=495480/66049; m64 E[R]=7348/4099 E[S2]=529262496/16801801"
+        "w = (p - |S|) / p, sum_S max and sum_S S2 over every b: "
+        "m16 sum_a R(a)=458 sum_(a,b) S2=495480 r0=5 |S|=15 sum_S max=29438 sum_S R=124 "
+        "sum_S S2=175298; m64 sum_a R(a)=7348 sum_(a,b) S2=529262496 r0=17 |S|=15 "
+        "sum_S max=1846090 sum_S R=492 sum_S S2=50300422"
     )
 
 

@@ -31,7 +31,10 @@ from linbins.oracles import (
     count_prescribed_triple,
     count_triple_collisions,
     exact_maxload_histogram,
+    long_run_counts,
+    long_run_multipliers,
     maxload_credits,
+    maxload_total,
     maxloads_b_zero,
     maxloads_for_a,
     multiplier_runs,
@@ -618,7 +621,7 @@ def test_maxload_credits_match_per_a_scan(monkeypatch, mod, ks, block_rows):
         # Blocks of a few rows; p = 577, 13 leave a partial last block.
         monkeypatch.setattr(oracles, "_EVENT_BLOCK_CELLS", block_rows * (n + mod.m + 1))
     covered = 0
-    for lo, hi, credit in maxload_credits(mod.p, mod.m, elements, 0, mod.p):
+    for lo, hi, credit in maxload_credits(mod.p, mod.m, elements, np.arange(mod.p)):
         assert lo == covered and credit.shape == (hi - lo, n + 1)
         for a in range(lo, hi):
             expected = np.bincount(maxload_grid(mod, ks)[a], minlength=n + 1)
@@ -627,9 +630,47 @@ def test_maxload_credits_match_per_a_scan(monkeypatch, mod, ks, block_rows):
     assert covered == mod.p
 
 
+TOTAL_CASES = CREDIT_CASES + [
+    (Modulus(11, 2), Interval(1), None),
+    (Modulus(17, 3), Interval(17), 2),
+    (Modulus(331, 12), Interval(9), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "mod,ks,block_rows",
+    TOTAL_CASES,
+    ids=[f"p{mod.p}-m{mod.m}-{type(ks).__name__}-{rows}" for mod, ks, rows in TOTAL_CASES],
+)
+def test_maxload_total_matches_per_a_scan(monkeypatch, mod, ks, block_rows):
+    # The sum of the max load over every b, for each a alone and for every a
+    # at once, in blocks of block_rows multipliers where it is set.
+    elements = materialize(ks, mod)
+    if block_rows is not None:
+        cells = block_rows * (2 * len(elements) + (1 << (mod.m - 1).bit_length()))
+        monkeypatch.setattr(oracles, "_LEVEL_BLOCK_CELLS", cells)
+    grid = maxload_grid(mod, ks)
+    for a in range(mod.p):
+        assert maxload_total(mod.p, mod.m, elements, [a]) == int(grid[a].sum()), a
+    assert maxload_total(mod.p, mod.m, elements, np.arange(mod.p)) == int(grid.sum())
+    assert maxload_total(mod.p, mod.m, elements, []) == 0
+
+
+def test_maxload_total_at_largest_modulus():
+    # At p = 2^31 - 1 a sort key holds 31 bits of wrap point under 15 bits of
+    # class or level: the totals equal the replay's.
+    p, m = 2**31 - 1, 1 << 15
+    elements = [0, 1, 2, 5, 1000, 1 << 30, p - 1]
+    assert maxload_total(p, m, elements, []) == 0
+    load = np.arange(len(elements) + 1)
+    for a in [1, 2, 3, 12345, 1 << 30, p - 1]:
+        [(_, _, credit)] = maxload_credits(p, m, elements, [a])
+        assert maxload_total(p, m, elements, [a]) == int(credit[0] @ load), a
+
+
 @pytest.mark.parametrize("m", [32767, 32768])
 def test_maxload_credits_either_side_of_int32_products(m):
-    # The kernel forms v = a*x in int_type((hi_a - 1) * max key): with key
+    # The kernel forms v = a*x in int_type(max multiplier * max key): with key
     # 65536 and one multiplier per call, int32 up to a = 32767, int64 from
     # a = 32768.
     p = 65537
@@ -637,9 +678,9 @@ def test_maxload_credits_either_side_of_int32_products(m):
     assert int_type(32768 * 65536) is np.int64
     elements = [0, 1, 2, 3, 4, 5, 6, 65536]
     for a in (1, 2, 3, 4096, 32767, 32768, 65535, 65536):
-        [(lo, hi, credit)] = maxload_credits(p, m, elements, a, a + 1)
+        [(lo, hi, credit)] = maxload_credits(p, m, elements, [a])
         expected = np.bincount(literal_maxloads(p, m, elements, a), minlength=len(elements) + 1)
-        assert (lo, hi) == (a, a + 1)
+        assert (lo, hi) == (0, 1)
         assert credit[0].tolist() == expected.tolist(), a
 
 
@@ -963,3 +1004,23 @@ def test_multiplier_runs_at_largest_modulus(m):
     runs = multiplier_runs(mod, a)
     assert runs.tolist() == [int(literal_multiplier_runs(p, m, [x])[0]) for x in a]
     assert int(multiplier_runs(mod, int(a[3]))) == runs[3]
+
+
+@pytest.mark.parametrize("p,m", [(257, 16), (577, 24), (331, 12), (13, 3), (11, 2), (13, 1)])
+def test_long_run_multipliers_match_the_literal_scan(p, m):
+    # For every s >= 3: the C(s) multipliers with k > 0 and their mirrors p - a
+    # are exactly the a != 0 with R(a) >= s, and R is multiplier_runs on the list.
+    mod = Modulus(p, m)
+    literal = literal_multiplier_runs(p, m)
+    counts = long_run_counts(mod)
+    assert counts[:3].tolist() == [0, 0, 0] and counts[-1] == 0
+    assert len(counts) == max(m, 2) + 2
+    for s in range(3, len(counts)):
+        a, runs = long_run_multipliers(mod, s)
+        assert len(set(a.tolist())) == len(a) == counts[s], s
+        members = sorted(a.tolist() + (p - a).tolist())
+        assert members == (np.flatnonzero(literal[1:] >= s) + 1).tolist(), s
+        assert runs.tolist() == multiplier_runs(mod, a).tolist() == literal[a].tolist()
+    assert counts[3] > 0 or m < 3 or p // m < 3
+    with pytest.raises(ValueError, match="s = 3"):
+        long_run_multipliers(mod, 2)
