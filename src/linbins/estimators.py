@@ -291,25 +291,25 @@ def _interval_pair_totals(mod: Modulus, n: int, a: np.ndarray) -> int:
     return total
 
 
-def linear_stratum(mod: Modulus, key_set: KeySet, samples: int) -> Stratum:
+def linear_stratum(
+    mod: Modulus, key_set: KeySet, samples: int, n: int, counts: np.ndarray
+) -> Stratum:
     """The exact stratum of mc_linear_maxload for this many samples, with its totals.
 
-    a = 0 puts every key in one bin for every b, so it adds p*n to the max
-    total, p*C(n, 2) to the pair total and m to the run total.  On an
-    Interval or AffineImage of n keys the stratum also holds every a with
-    R(a) >= r0, where r0 is the smallest s >= 3 whose stratum, a = 0
-    included, has at most max(1, samples/128) members.  Their totals are
-    those of [n] at the members, the h_{a,b} of an affine image being those
-    of [n] at alpha*a.  oracles.maxload_total gives the max total of the
+    key_set holds n keys, and counts = oracles.long_run_counts(mod).  a = 0
+    puts every key in one bin for every b, so it adds p*n to the max total,
+    p*C(n, 2) to the pair total and m to the run total.  On an Interval or
+    AffineImage the stratum also holds every a with R(a) >= r0, where r0 is
+    the smallest s >= 3 whose stratum, a = 0 included, has at most
+    max(1, samples/128) members.  Their totals are those of [n] at the
+    members, the h_{a,b} of an affine image being those of [n] at alpha*a.  oracles.maxload_total gives the max total of the
     members with k > 0 and _interval_pair_totals their pair total; each
     mirror p - a has the same totals, since [n] = (n - 1) - [n].
     """
     p, m = mod.p, mod.m
-    n = len(materialize(key_set, mod))
     zero = Stratum(None, 1, p * n, m, p * math.comb(n, 2))
     if not isinstance(key_set, (Interval, AffineImage)):
         return zero
-    counts = long_run_counts(mod)
     r0 = next(s for s in range(3, len(counts)) if 128 * (1 + 2 * counts[s]) <= max(128, samples))
     a, runs = long_run_multipliers(mod, r0)
     return Stratum(
@@ -353,10 +353,11 @@ def mc_linear_maxload(
     maxima, pairs, multipliers = _sample_maxima(seed, samples, p, 2, m, s, workers)
     if isinstance(key_set, AffineImage):
         multipliers = multipliers.astype(np.int64) * (key_set.alpha % p) % p
-    runs_total = multiplier_runs_total(mod)
+    counts = long_run_counts(mod)
+    runs_total = multiplier_runs_total(mod, counts)
     pairs_total = math.comb(len(keys), 2) * pair_collisions(mod)
     runs = multiplier_runs(mod, multipliers)
-    stratum = linear_stratum(mod, key_set, samples)
+    stratum = linear_stratum(mod, key_set, samples, len(keys), counts)
     exact = multipliers == 0
     if stratum.r0 is not None:
         exact |= runs >= stratum.r0
@@ -401,20 +402,38 @@ def _coefficient_n(a: np.ndarray, b: np.ndarray, n: int) -> float:
     return float(np.dot(a[lo:hi], b[n - hi + 1 : n - lo + 1][::-1])) if lo < hi else 0.0
 
 
+# Coefficients below TAU at either end of a factor of fully_random_mean are dropped.
+TAU = 2.0**-120
+_ZERO = (0, np.zeros(1))
+
+
+def _window(lo: int, c: np.ndarray, n: int) -> tuple[int, np.ndarray]:
+    """z^lo c(z) cut at degree n, as (lowest degree, coefficients) with the
+    leading and trailing coefficients below TAU dropped; _ZERO if none is left."""
+    keep = np.flatnonzero(c[: max(0, n + 1 - lo)] >= TAU)
+    return (lo + int(keep[0]), c[keep[0] : keep[-1] + 1]) if keep.size else _ZERO
+
+
+def _product(x: tuple[int, np.ndarray], y: tuple[int, np.ndarray], n: int):
+    """The window of the product of the windows x and y."""
+    return _window(x[0] + y[0], np.convolve(x[1], y[1]), n)
+
+
 def _power_coefficient(w: np.ndarray, m: int, n: int) -> float:
-    """[z^n] w(z)^m for m >= 2, by repeated squaring truncated at degree n.
+    """[z^n] w(z)^m for m >= 2, by repeated squaring of windows (_window).
 
     The last product gives only its degree-n coefficient, as a dot product.
     """
-    result, square = None, w[: n + 1]
+    result, square = None, _window(0, w, n)
     while m > 1:
         if m & 1:
-            result = square if result is None else np.convolve(result, square)[: n + 1]
+            result = square if result is None else _product(result, square, n)
         m >>= 1
         if m == 1 and result is None:
-            return _coefficient_n(square, square, n)
-        square = np.convolve(square, square)[: n + 1]
-    return _coefficient_n(result, square, n)
+            result = square
+            break
+        square = _product(square, square, n)
+    return _coefficient_n(result[1], square[1], n - result[0] - square[0])
 
 
 def fully_random_mean(m: int, balls: int) -> tuple[float, float]:
@@ -426,8 +445,12 @@ def fully_random_mean(m: int, balls: int) -> tuple[float, float]:
     holds the weights w_k ~ lam^k / k! for k <= t.  A common factor of the
     weights and the value of lam cancel in that ratio, so w is built outward
     from its mode floor(n/m) by ratios of the float lam = n/m and then divided
-    by its float sum.  N is taken by repeated squaring with np.convolve.  The
-    mean is ceil(n/m) + sum over t >= ceil(n/m) of 1 - Pr[max <= t].
+    by its float sum.  N is taken by repeated squaring with np.convolve on
+    windows: each factor keeps its degrees up to n, less the leading and
+    trailing coefficients below TAU = 2^-120.  Its mass lies within
+    O(sqrt(degree)) of its mean, so at m = n = 8192 no factor keeps more than
+    1,132 of the n + 1 coefficients.  The mean is ceil(n/m) + sum over
+    t >= ceil(n/m) of 1 - Pr[max <= t].
 
     The bound, with u = 2^-53 and gamma_k = k u / (1 - k u):
     - Weight k is within relative gamma_(2|k - mode| + 1) of an exact
@@ -449,9 +472,21 @@ def fully_random_mean(m: int, balls: int) -> tuple[float, float]:
       terms left out and cannot be trusted below its rounding error.
     - The T terms 1 - Pr[max <= t] and their sum add at most
       gamma_(T + 2) * mean.
+    - The dropped coefficients.  Cutting at degree n is exact, and dropping
+      only removes non-negative mass.  S_j = w^(2^j) enters w^m
+      floor(m/2^j) times and each partial product once, and every other
+      factor sums to at most 1, so has coefficients at most 1: a coefficient
+      dropped from S_j lowers [z^n] of the last product by at most m/2^j
+      times itself.  With at most n + 1 coefficients below TAU dropped per
+      window, N(t) and N(n) lose at most (2m + K)(n + 1) TAU <= D =
+      4m(n + 1) TAU, the 4 over 2m + K <= 3m covering the rounding of what
+      is compared with TAU, of the sum of w and of N(n).  So with
+      delta = D / N(n) each Pr[max <= t] moves by at most
+      delta / (1 - delta), and the sum by T delta / (1 - delta).
     The total, rel * sum Pr[max <= t] / (1 - rel) + gamma_(T + 2) * mean +
-    tail, is scaled by 1 + rel, which covers its own few roundings and the
-    underflow.  `scaling` adds the rounding of the mean it writes.
+    tail + T delta / (1 - delta), is scaled by 1 + rel, which covers its own
+    few roundings and the underflow.  `scaling` adds the rounding of the mean
+    it writes.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -463,7 +498,7 @@ def fully_random_mean(m: int, balls: int) -> tuple[float, float]:
     lam, mode = n / m, n // m
     up = np.cumprod(lam / np.arange(mode + 1, n + 1))
     down = np.cumprod(np.arange(mode, 0, -1) / lam)[::-1]
-    w = np.trim_zeros(np.concatenate((down, [1.0], up)), "b")
+    w = np.concatenate((down, [1.0], up))
     w /= w.sum()
     depth = m.bit_length() - 1 + bin(m).count("1") - 1
     rel = _gamma(2 * (4 * n + m + depth * (n + 1)) + 1)
@@ -482,7 +517,9 @@ def fully_random_mean(m: int, balls: int) -> tuple[float, float]:
         at_most += cdf
         mean += 1 - cdf
         t += 1
+    drop = 4 * m * (n + 1) * TAU / total
     bound = rel * at_most / (1 - rel) + _gamma(t - first + 2) * mean + tail
+    bound += (t - first) * drop / (1 - drop)
     return mean, bound * (1 + rel)
 
 

@@ -820,13 +820,12 @@ def long_run_multipliers(mod: Modulus, s: int) -> tuple[np.ndarray, np.ndarray]:
     return a, np.minimum(-(-m // x0), p // m // k)
 
 
-def multiplier_runs_total(mod: Modulus) -> int:
-    """The sum of multiplier_runs over every a in [p], exactly, with no length-p array.
+def multiplier_runs_total(mod: Modulus, counts: np.ndarray) -> int:
+    """The sum of multiplier_runs over every a in [p], from counts = long_run_counts(mod).
 
     Each primitive pair (x0, k) with k > 0 names one a and -k names p - a, and
     an a without one has R(a) = 1.  A pair's R - 1 is 2 + the number of
     s in [4, m] with R >= s.  So the sum is m + (p - 1) + 2*(2*C(3) + C(4) +
-    ... + C(m)), with C(s) from long_run_counts.
+    ... + C(m)), exactly and with no length-p array.
     """
-    counts = long_run_counts(mod)
     return mod.m + mod.p - 1 + 2 * int(counts[3] + counts[3:].sum())

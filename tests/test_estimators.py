@@ -168,7 +168,7 @@ def check_linear_estimate(est, mod, ks, seed, maxima, draws):
     runs = literal_multiplier_runs(p, m, multipliers)
     a, b = np.asarray(draws, dtype=np.int64).T
     pairs = literal_pair_counts(p, m, keys, a, b)
-    runs_total = multiplier_runs_total(mod)
+    runs_total = multiplier_runs_total(mod, oracles.long_run_counts(mod))
     pairs_total = math.comb(len(keys), 2) * pair_collisions(mod)
     stratum, member = literal_stratum(mod, ks, len(maxima))
     index = [i for i, (a, r) in enumerate(zip(multipliers, runs)) if not member(a, r)]
@@ -616,6 +616,64 @@ def test_fully_random_mean_float_term_covers_each_threshold(monkeypatch, m, ball
         assert abs(Fraction(n_t / total) - cdf[t]) <= rel * cdf[t], t
 
 
+# repr of fully_random_mean(m, m)[0] before the squaring kept windows, when
+# every product kept all n + 1 coefficients (Python 3.11.7, numpy 2.4.6).
+UNTRIMMED_MEANS = {
+    1024: 5.52617631703278,
+    2048: 5.883531507450263,
+    4096: 6.24788088086923,
+    8192: 6.577319925026824,
+    16384: 6.9191665080589,
+}
+
+
+@pytest.mark.parametrize("m", sorted(UNTRIMMED_MEANS))
+def test_fully_random_mean_windows_agree_with_the_untrimmed_squaring(m):
+    mean, bound = fully_random_mean(m, m)
+    assert abs(mean - UNTRIMMED_MEANS[m]) <= bound + 1e-11
+
+
+def dropped_coefficients(monkeypatch):
+    """A list that counts, in its one entry, the coefficients _window drops below TAU."""
+    dropped = [0]
+    window = estimators._window
+
+    def record(lo, c, n):
+        out = window(lo, c, n)
+        kept = 0 if out is estimators._ZERO else len(out[1])
+        dropped[0] += len(c[: max(0, n + 1 - lo)]) - kept
+        return out
+
+    monkeypatch.setattr(estimators, "_window", record)
+    return dropped
+
+
+@pytest.mark.parametrize("m, balls, drops", [(16, 64, True), (36, 34, True), (64, 16, False)])
+def test_fully_random_mean_within_its_bound_where_windows_drop(monkeypatch, m, balls, drops):
+    # Against the Fraction dynamic program where n != m.  At (16, 64) and
+    # (36, 34) the windows drop coefficients below TAU; at (64, 16) the
+    # smallest weight, (1/4)^16/16! relative to the mode, is far above it.
+    dropped = dropped_coefficients(monkeypatch)
+    mean, bound = fully_random_mean(m, balls)
+    assert abs(Fraction(mean) - fully_random_exact_mean(m, balls)) <= Fraction(bound) < 1e-9
+    assert (dropped[0] > 0) == drops
+
+
+def test_fully_random_mean_convolves_windows(monkeypatch):
+    # At m = 8192 every factor is a window around its mean, not a product of
+    # all n + 1 coefficients: the longest convolution input is 1,132.
+    lengths = []
+    convolve = np.convolve
+
+    def record(a, b):
+        lengths.extend((len(a), len(b)))
+        return convolve(a, b)
+
+    monkeypatch.setattr(estimators.np, "convolve", record)
+    fully_random_mean(8192, 8192)
+    assert lengths and max(lengths) < (8192 + 1) / 2
+
+
 def test_fully_random_mean_validates():
     assert fully_random_mean(1, 7) == (7.0, 0.0)
     with pytest.raises(ValueError):
@@ -731,7 +789,8 @@ def test_pair_counts_sum_to_their_exact_mean(p, m, ks):
 def test_linear_stratum_matches_the_literal_totals(mod, ks, samples, r0, size):
     # The r0 rule, the member count and the three totals against the literal
     # scans; an affine image's are its interval's.
-    stratum = estimators.linear_stratum(mod, ks, samples)
+    n = len(materialize(ks, mod))
+    stratum = estimators.linear_stratum(mod, ks, samples, n, oracles.long_run_counts(mod))
     assert (stratum.r0, stratum.size) == (r0, size)
     assert stratum.size <= max(1, samples / 128)
     assert stratum == literal_stratum(mod, ks, samples)[0]
@@ -794,6 +853,26 @@ def test_mc_linear_stratum_independent_of_workers(monkeypatch):
     runs = literal_multiplier_runs(mod.p, mod.m, draws[:, 0])
     assert np.count_nonzero((draws[:, 0] == 0) | (runs >= linear[0].stratum.r0)) > 0
     check_linear_estimate(linear[0], mod, ks, 9, maxima, draws)
+
+
+@pytest.mark.parametrize("ks", [Interval(24), AffineImage(24, 77, 5), Explicit((0, 3, 4, 10))])
+def test_mc_linear_counts_long_runs_and_keys_once(monkeypatch, ks):
+    # One call takes long_run_counts once, for the run total and the stratum
+    # alike, and builds the key set once.
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapper
+
+    for module in (estimators, oracles):
+        for name in ("long_run_counts", "materialize"):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    mc_linear_maxload(Modulus(577, 24), ks, 1000, 9)
+    assert sorted(calls) == ["long_run_counts", "materialize"]
 
 
 def synthetic_fit(maxima, runs, pairs, runs_mean, pairs_mean):
