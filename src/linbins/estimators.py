@@ -8,10 +8,9 @@ draw: sample i depends only on (seed, i), whatever the sample count.  They
 are also the same values in int32 as in int64, so the samplers draw in
 field.int_type's choice for the range and hash in int32 where a*x + b fits.
 Each range of blocks re-keys one generator per block, to the stream a fresh
-one would draw, draws consecutive blocks together, and hashes and bins them
-one loads-kernel block at a time.  Workers
-split the blocks, never a block, and any worker count reproduces the
-sequential result bit for bit.
+one would draw, and the linear family hashes and bins the whole range's
+(a, b) in one loads.bin_counts pass.  Workers split the blocks, never a
+block, and any worker count reproduces the sequential result bit for bit.
 
 The linear mean is post-stratified on the multiplier.  A few structured
 multipliers are taken exactly (linear_stratum): a = 0, under which every b
@@ -50,8 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import loads
-from .field import Modulus, int_type, next_prime_at_least, rem
-from .loads import AffineImage, Interval, KeySet, bin_counts, materialize
+from .field import Modulus, int_type, next_prime_at_least
+from .loads import AffineImage, Interval, KeySet, bin_counts, hashed_bins, materialize, max_loads
 from .oracles import (
     long_run_counts,
     long_run_multipliers,
@@ -139,58 +138,43 @@ def _block_maxima(seed, samples, high, width, m, keys, lo_block, hi_block):
     """Per-sample max loads, pair counts and multipliers in blocks [lo_block, hi_block).
 
     Block j draws one (rows, width) array from [0, high) out of the Philox
-    stream keyed by (seed, j), a row per sample, in passes of whole blocks up
-    to loads.BLOCK_CELLS cells.  With keys None a row holds the bins of
-    uniform throws; otherwise it is (a, b), and the bins are
-    ((a*x + b) mod high) mod m over the keys x, in the dtype of keys.  A
-    sample's max load and its pair count S2 = sum over bins of C(L, 2) =
-    (sum of L^2 - n) / 2 come from the same loads.bin_counts block, and its
-    multiplier is the first draw a.  Uniform throws give their maxima alone.
-
-    The loads kernel asks for the bins of up to loads.BLOCK_CELLS cells at a
-    time, and each request hashes only those rows, also where one block of
-    draws is more (four requests per block at m = 1024).  Whole-pass hash
-    arrays of 256 KiB, twice glibc's default mmap threshold, made the page
-    faults of a call depend on the process's earlier allocations: 7,500
-    minor faults at m = 1024 in some fresh processes, 100 in others.
+    stream keyed by (seed, j), a row per sample.  With keys None a row holds
+    the bins of uniform throws, binned in passes of as many whole blocks as
+    fit in loads.BLOCK_CELLS cells; only their maxima are returned.  Else a
+    row is (a, b): the whole range is drawn first, 8 bytes a sample in int32,
+    and one loads.bin_counts pass places the keys x at ((a*x + b) mod high)
+    mod m by loads.hashed_bins.  A sample's max load and its pair count S2 =
+    sum over bins of C(L, 2) = (sum of L^2 - n) / 2 come from the same
+    counts, and its multiplier is its draw a.
     """
     dtype = int_type(high - 1)
-    n = width if keys is None else len(keys)
-    per_pass = max(1, loads.BLOCK_CELLS // (SAMPLES_PER_BLOCK * max(n, m)))
     # One generator, set before each block to the state a fresh one keyed
     # (seed, j) starts in.  The key is explicit uint64: a list would go through
     # float64 for seeds >= 2^63 and merge neighbouring seeds into one stream.
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     fresh = bitgen.state
     gen = np.random.Generator(bitgen)
-    maxima, pairs, firsts = [], [], []
-    for first in range(lo_block, hi_block, per_pass):
+
+    def draw(first, last):
         parts = []
-        for j in range(first, min(first + per_pass, hi_block)):
+        for j in range(first, last):
             fresh["state"]["key"][1] = j
             bitgen.state = fresh
             rows = min(SAMPLES_PER_BLOCK, samples - j * SAMPLES_PER_BLOCK)
             parts.append(gen.integers(0, high, size=(rows, width), dtype=dtype))
-        draws = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        top = np.empty(len(draws), dtype=np.int64)
-        maxima.append(top)
-        if keys is None:
-            for lo, hi, counts in bin_counts(len(draws), n, m, lambda lo, hi: draws[lo:hi]):
-                top[lo:hi] = counts.max(axis=1)
-            continue
-        firsts.append(draws[:, 0].copy())  # a view would keep every pass's draws
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-        def bins_of(lo, hi):
-            bins = draws[lo:hi, :1] * keys
-            bins += draws[lo:hi, 1:]
-            return rem(rem(bins, high), m)
-
-        squares = np.empty(len(draws), dtype=np.int64)
-        for lo, hi, counts in bin_counts(len(draws), n, m, bins_of):
-            top[lo:hi] = counts.max(axis=1)
-            squares[lo:hi] = np.einsum("ij,ij->i", counts, counts)
-        pairs.append((squares - n) // 2)
-    return tuple(np.concatenate(column) for column in (maxima, pairs, firsts) if column)
+    if keys is None:
+        step = max(1, loads.BLOCK_CELLS // (SAMPLES_PER_BLOCK * max(width, m)))
+        passes = (draw(j, min(j + step, hi_block)) for j in range(lo_block, hi_block, step))
+        maxima = [max_loads(len(d), width, m, lambda lo, hi: d[lo:hi]) for d in passes]
+        return (np.concatenate(maxima),)
+    draws, n = draw(lo_block, hi_block), len(keys)
+    top, squares = np.empty((2, len(draws)), dtype=np.int64)
+    for lo, hi, counts in bin_counts(len(draws), n, m, hashed_bins(keys, high, m, *draws.T)):
+        top[lo:hi] = counts.max(axis=1)
+        squares[lo:hi] = np.einsum("ij,ij->i", counts, counts)
+    return top, (squares - n) // 2, draws[:, 0]
 
 
 def _sample_maxima(seed, samples, high, width, m, keys, workers):

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .estimators import GENERATOR_NAME, scaling_study, tail_log_slope, validate_seed
-from .field import Modulus, int_type, rem
-from .loads import AffineImage, Explicit, Interval, bin_counts, materialize
+from .field import Modulus, int_type
+from .loads import AffineImage, Explicit, Interval, bin_counts, hashed_bins, materialize
 from .oracles import (
     check_partition_determinism,
     count_interval_collisions,
@@ -204,27 +204,23 @@ def _zero_free(mod: Modulus) -> Explicit:
 def check_load_sums(mod: Modulus, alpha: int, beta: int) -> tuple[int, int]:
     """Per-bin loads must sum to |S|; exhaustive over (a, b) at small p.
 
-    The loads come from loads.bin_counts, the kernel behind the b = 0 scans
-    and the Monte Carlo maxima; the all-(a, b) histograms replay
-    maxload_credits.  Above p^2 = 90000 only b in {0, 1, p//2, p-1} is checked.
+    The loads come from loads.bin_counts on loads.hashed_bins, the kernel
+    and placement behind the b = 0 scans and the Monte Carlo maxima; the
+    all-(a, b) histograms replay maxload_credits.  Above p^2 = 90000 only b
+    in {0, 1, p//2, p-1} is checked.
     """
     p, m = mod.p, mod.m
     bs = range(p) if p * p <= 90_000 else (0, 1, p // 2, p - 1)
-    rows = p * len(bs)  # row r is the pair (r div |bs|, bs[r mod |bs|])
+    # Row r is (a, b) = (r div |bs|, bs[r mod |bs|]); uint16 halves a and b at p = 257.
+    rows = p * len(bs)
+    a = np.repeat(np.arange(p, dtype=np.min_scalar_type(p - 1)), len(bs))
+    b = np.tile(np.asarray(bs, dtype=a.dtype), p)
     checked = violations = 0
     for ks in (Interval(m), AffineImage(m, alpha, beta), _zero_free(mod)):
         elements = materialize(ks, mod)
-        # int32 where the row indices and a*x + b fit, as in the placements checked.
-        dtype = int_type(max(rows - 1, (p - 1) * (max(elements) + 1)))
-        s, b = np.asarray(elements, dtype=dtype), np.asarray(bs, dtype=dtype)
-
-        def bins_of(lo, hi):
-            a, j = np.divmod(np.arange(lo, hi, dtype=dtype), len(b))
-            v = a[:, None] * s
-            v += b[j, None]
-            return rem(rem(v, p), m)
-
-        for _, _, counts in bin_counts(rows, len(s), m, bins_of):
+        # int32 where a*x + b fits, as in the placements checked.
+        s = np.asarray(elements, dtype=int_type((p - 1) * (max(elements) + 1)))
+        for _, _, counts in bin_counts(rows, len(s), m, hashed_bins(s, p, m, a, b)):
             violations += int(np.count_nonzero(counts.sum(axis=1) != len(s)))
         checked += rows
     return checked, violations

@@ -83,18 +83,19 @@ def int_type(bound: int) -> type:
     return np.int32 if bound < 1 << 31 else np.int64
 
 
-def rem(x: np.ndarray, n: int) -> np.ndarray:
+def rem(x: np.ndarray, n: int, q: np.ndarray | None = None) -> np.ndarray:
     """x % n for an int32 or int64 array x and n >= 1, negative x included, written into x.
 
     A power of two n is one mask, x & (n - 1), which in two's complement is
     the floor-mod of negative x too.  Otherwise: numpy floor-divides by a
     scalar through one precomputed reciprocal but takes remainders element
-    by element, so x - n*(x // n) costs about half.
+    by element, so x - n*(x // n) costs about half.  The quotients go to q,
+    an array of x's shape, where one is given.
     """
     if n & (n - 1) == 0:
         x &= n - 1
         return x
-    q = x // n
+    q = np.floor_divide(x, n, out=q)
     q *= n
     x -= q
     return x

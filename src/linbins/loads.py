@@ -7,7 +7,7 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .field import Modulus
+from .field import Modulus, rem
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,29 @@ def load_profile(a: int, b: int, mod: Modulus, ks: KeySet) -> list[int]:
 
 # Cells per block of bin_counts: rows times max(n, m), which bounds both the
 # placed keys and the per-row bin counts.
-BLOCK_CELLS = 1 << 14
+BLOCK_CELLS = 1 << 15
+
+
+def hashed_bins(keys: np.ndarray, p: int, m: int, a: np.ndarray, b=None) -> Callable:
+    """bins_of for bin_counts: row r holds ((a[r]*x + b[r]) mod p) mod m, b = 0 if None.
+
+    Rows take the dtype of the keys x, which must hold a*x + b.  Each block
+    is hashed in place, with its quotients, in buffers sized by the first
+    call; a call overwrites the last call's rows, never keys, a, b.
+    """
+    buffers = None
+
+    def bins_of(lo, hi):
+        nonlocal buffers
+        if buffers is None:  # bin_counts asks for its largest block first
+            buffers = np.empty((2, hi - lo, len(keys)), dtype=keys.dtype)
+        out, q = buffers[:, : hi - lo]
+        np.multiply(a[lo:hi, None], keys, out=out)
+        if b is not None:
+            out += b[lo:hi, None]
+        return rem(rem(out, p, q), m, q)
+
+    return bins_of
 
 
 def bin_counts(
@@ -96,23 +118,21 @@ def bin_counts(
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Per-bin loads of `rows` hash functions placing n keys into m bins.
 
-    bins_of(lo, hi) returns the (hi - lo, n) bin indices of rows lo..hi-1.  It
-    is called once per block, in row order, so callers build blocks lazily.
-    Yields (lo, hi, counts) with counts of shape (hi - lo, m), from one
-    bincount per block.  Row r's bin i gets the code r*m + i in the bins' own
-    dtype, in a new array: the array bins_of returns is never written.
+    bins_of(lo, hi) returns the (hi - lo, n) bin indices of rows lo..hi-1,
+    once per block and in row order, so callers build blocks lazily.  Yields
+    (lo, hi, counts), counts a new (hi - lo, m) array from one bincount per
+    block.  Row r's bin i gets the code r*m + i < max(BLOCK_CELLS, m), so int32
+    offsets never overflow, in one intp buffer per call that bincount reads
+    without a copy; the bins themselves are never written.
     """
     step = max(1, BLOCK_CELLS // max(n, m))
-    offsets = None
+    offsets = np.arange(min(step, rows), dtype=np.int32)[:, None] * m
+    codes = np.empty(offsets.size * n, dtype=np.intp)
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
         bins = bins_of(lo, hi)
-        if offsets is None:
-            # Codes stay below BLOCK_CELLS when a block has more than one row
-            # and equal the bins when it has one, so int32 bins hold them.
-            offsets = (np.arange(min(step, rows)) * m).astype(bins.dtype)[:, None]
-        codes = (bins + offsets[: hi - lo]).ravel()
-        yield lo, hi, np.bincount(codes, minlength=(hi - lo) * m).reshape(hi - lo, m)
+        np.add(bins, offsets[: hi - lo], out=codes[: bins.size].reshape(bins.shape))
+        yield lo, hi, np.bincount(codes[: bins.size], minlength=(hi - lo) * m).reshape(hi - lo, m)
 
 
 def max_loads(rows: int, n: int, m: int, bins_of: Callable[[int, int], np.ndarray]) -> np.ndarray:

@@ -53,7 +53,7 @@ import os
 import numpy as np
 
 from .field import Modulus, int_type, rem
-from .loads import KeySet, bin_counts, materialize, max_loads
+from .loads import KeySet, bin_counts, hashed_bins, materialize, max_loads
 
 # Refuse exhaustive calls whose cost exceeds this, unless the caller raises
 # the budget.  Collision counts are charged the hash evaluations of the
@@ -454,8 +454,7 @@ def _b_zero_placement(p, m, elements, lo_a, hi_a):
     """loads.bin_counts arguments placing the keys under h_{a,0}, a in [lo_a, hi_a)."""
     dtype = int_type((hi_a - 1) * max(elements))
     s = np.asarray(elements, dtype=dtype)
-    a = np.arange(lo_a, hi_a, dtype=dtype)
-    return len(a), len(s), m, lambda lo, hi: rem(rem(a[lo:hi, None] * s, p), m)
+    return hi_a - lo_a, len(s), m, hashed_bins(s, p, m, np.arange(lo_a, hi_a, dtype=dtype))
 
 
 def _maxloads_b_zero_chunk(p, m, elements, lo_a, hi_a):

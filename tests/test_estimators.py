@@ -434,6 +434,48 @@ def test_mc_fully_random_stream_locked(monkeypatch, maxima_seen, block_rows, m, 
     assert maxima_seen == [expected.tolist()]
 
 
+def block_by_block_columns(seed, samples, p, m, keys):
+    """The linear sampler's maxima, pair counts and multipliers, one 64-sample block at a time.
+
+    Each block is drawn from a fresh generator keyed (seed, j), hashed with %
+    and counted by one bincount; S2 is summed as C(L, 2) over the bins.
+    """
+    columns = []
+    for j in range(-(-samples // BLOCK)):
+        rows = min(BLOCK, samples - j * BLOCK)
+        a, b = _sample_rng(seed, j).integers(0, p, size=(rows, 2)).T
+        codes = (a[:, None] * keys + b[:, None]) % p % m + m * np.arange(rows)[:, None]
+        counts = np.bincount(codes.ravel(), minlength=rows * m).reshape(rows, m)
+        columns.append((counts.max(axis=1), (counts * (counts - 1) // 2).sum(axis=1), a))
+    return [np.concatenate(column) for column in zip(*columns)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("samples", [10001, 64 * 157 + 1])
+@pytest.mark.parametrize("m", [16, 24, 1000])
+def test_one_pass_sampler_matches_block_by_block(monkeypatch, workers, samples, m):
+    # Each range of sample blocks is drawn whole and binned in one bin_counts
+    # pass; both sample counts end on a partial block, and at two workers a
+    # forced pool splits the blocks between two ranges.
+    monkeypatch.setattr(oracles, "_MIN_PARALLEL_WORK", 0)
+    monkeypatch.setattr(oracles, "_available_cores", lambda: 2)
+    passes = []
+    real = estimators.bin_counts
+
+    def recording(rows, n, m, bins_of):
+        passes.append(rows)
+        return real(rows, n, m, bins_of)
+
+    monkeypatch.setattr(estimators, "bin_counts", recording)
+    p, seed = next_prime_at_least(m * m), 2**63 + 7
+    keys = np.arange(m, dtype=np.int32)
+    columns = estimators._sample_maxima(seed, samples, p, 2, m, keys, workers)
+    expected = block_by_block_columns(seed, samples, p, m, keys.astype(np.int64))
+    assert [c.tolist() for c in columns] == [c.tolist() for c in expected]
+    # A pool's workers bin in their own processes.
+    assert passes == ([samples] if workers == 1 else [])
+
+
 def test_mc_samples_are_prefix_stable(maxima_seen):
     mod, ks = Modulus(577, 24), AffineImage(24, 77, 5)
     mc_linear_maxload(mod, ks, 100, 8)

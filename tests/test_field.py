@@ -123,10 +123,16 @@ def test_rem_equals_numpy_remainder(n):
         x = np.concatenate([x, np.random.default_rng(n).integers(-top - 1, top, 1000, dtype=dtype)])
         expected = (x % n).tolist()
         assert expected == [v % n for v in x.tolist()]
-        out = rem(x, n)
-        assert out is x
-        assert out.dtype == dtype
-        assert out.tolist() == expected
+        quotients = np.empty_like(x)
+        for q in (None, quotients):
+            y = x.copy()
+            out = rem(y, n, q)
+            assert out is y
+            assert out.dtype == dtype
+            assert out.tolist() == expected
+        if n & (n - 1):
+            # The floor division writes its quotients into the buffer given.
+            assert quotients.tolist() == (x // n * n).tolist()
 
 
 def test_rem_on_blocks_of_products():

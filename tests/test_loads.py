@@ -10,6 +10,7 @@ from linbins.loads import (
     Explicit,
     Interval,
     bin_counts,
+    hashed_bins,
     load_profile,
     materialize,
     max_loads,
@@ -119,9 +120,12 @@ def test_bin_counts_yields_per_bin_loads_block_by_block(monkeypatch):
 @pytest.mark.parametrize(
     "rows,n,m,sizes",
     [
-        (400, 50, 100, [163, 163, 74]),  # the last block partial
-        (5, 1, 1 << 14, [1] * 5),  # one row per block
-        (4, 3, (1 << 14) + 3, [1] * 4),  # more bins than BLOCK_CELLS
+        # BLOCK_CELLS = 2^15: 2^15 // 100 = 327 rows per block, the last partial.
+        (400, 50, 100, [327, 73]),
+        (5, 1, 1 << 14, [2, 2, 1]),  # codes up to 2 * 2^14 - 1 in a block
+        (4, 3, (1 << 14) + 3, [1] * 4),  # two rows would pass BLOCK_CELLS
+        (5, 1, 1 << 15, [1] * 5),  # one row per block
+        (4, 3, (1 << 15) + 3, [1] * 4),  # more bins than BLOCK_CELLS
     ],
 )
 def test_bin_counts_same_for_int32_and_int64_bins_and_never_writes_them(rows, n, m, sizes):
@@ -133,3 +137,28 @@ def test_bin_counts_same_for_int32_and_int64_bins_and_never_writes_them(rows, n,
         assert np.array_equal(placed, bins), dtype
         assert [hi - lo for lo, hi, _ in blocks] == sizes
         assert np.concatenate([c for _, _, c in blocks]).tolist() == expected, dtype
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("p,m,with_b", [(1031, 24, True), (1031, 32, True), (1031, 24, False)])
+def test_hashed_bins_reuse_keeps_counts_and_inputs(monkeypatch, dtype, p, m, with_b):
+    # Seven-row blocks of 40 keys: bin_counts reuses its code buffer and
+    # hashed_bins its hash and quotient buffers for every block, so every
+    # block's counts must survive the blocks after it, and the placement's
+    # inputs must come out unwritten.
+    monkeypatch.setattr(loads, "BLOCK_CELLS", 7 * 40)
+    rng = np.random.default_rng(3)
+    keys = rng.choice(p, size=40, replace=False).astype(dtype)
+    a, b = rng.integers(0, p, size=(2, 30)).astype(dtype)
+    inputs = [keys.copy(), a.copy(), b.copy()]
+    bins_of = hashed_bins(keys, p, m, a, b if with_b else None)
+    blocks = list(bin_counts(30, 40, m, bins_of))
+    assert [(lo, hi) for lo, hi, _ in blocks] == [(0, 7), (7, 14), (14, 21), (21, 28), (28, 30)]
+    assert all(np.array_equal(x, y) for x, y in zip((keys, a, b), inputs))
+    shift = b if with_b else np.zeros_like(b)
+    expected = [
+        np.bincount([(int(ar) * int(x) + int(br)) % p % m for x in keys], minlength=m).tolist()
+        for ar, br in zip(a, shift)
+    ]
+    assert np.concatenate([c for _, _, c in blocks]).tolist() == expected
+    assert bins_of(28, 30).dtype == dtype
