@@ -50,7 +50,7 @@ import numpy as np
 
 from . import loads
 from .field import Modulus, int_type, next_prime_at_least
-from .loads import AffineImage, Interval, KeySet, bin_counts, hashed_bins, materialize, max_loads
+from .loads import AffineImage, Interval, KeySet, bin_counts, materialize
 from .oracles import (
     long_run_counts,
     long_run_multipliers,
@@ -139,13 +139,13 @@ def _block_maxima(seed, samples, high, width, m, keys, lo_block, hi_block):
 
     Block j draws one (rows, width) array from [0, high) out of the Philox
     stream keyed by (seed, j), a row per sample.  With keys None a row holds
-    the bins of uniform throws, binned in passes of as many whole blocks as
-    fit in loads.BLOCK_CELLS cells; only their maxima are returned.  Else a
-    row is (a, b): the whole range is drawn first, 8 bytes a sample in int32,
-    and one loads.bin_counts pass places the keys x at ((a*x + b) mod high)
-    mod m by loads.hashed_bins.  A sample's max load and its pair count S2 =
-    sum over bins of C(L, 2) = (sum of L^2 - n) / 2 come from the same
-    counts, and its multiplier is its draw a.
+    the bins of uniform throws, counted by one bincount per pass of as many
+    whole blocks as fit in loads.BLOCK_CELLS cells; only their maxima are
+    returned.  Else a row is (a, b): the whole range is drawn first, 8 bytes
+    a sample in int32, and one loads.bin_counts pass places the keys x at
+    ((a*x + b) mod high) mod m and counts them.  A sample's max load and its
+    pair count S2 = sum over bins of C(L, 2) = (sum of L^2 - n) / 2 come
+    from the same counts, and its multiplier is its draw a.
     """
     dtype = int_type(high - 1)
     # One generator, set before each block to the state a fresh one keyed
@@ -166,12 +166,16 @@ def _block_maxima(seed, samples, high, width, m, keys, lo_block, hi_block):
 
     if keys is None:
         step = max(1, loads.BLOCK_CELLS // (SAMPLES_PER_BLOCK * max(width, m)))
-        passes = (draw(j, min(j + step, hi_block)) for j in range(lo_block, hi_block, step))
-        maxima = [max_loads(len(d), width, m, lambda lo, hi: d[lo:hi]) for d in passes]
+        maxima = []
+        for j in range(lo_block, hi_block, step):
+            d = draw(j, min(j + step, hi_block))
+            codes = d + np.arange(len(d), dtype=np.intp)[:, None] * m
+            counts = np.bincount(codes.ravel(), minlength=len(d) * m)
+            maxima.append(counts.reshape(len(d), m).max(axis=1))
         return (np.concatenate(maxima),)
     draws, n = draw(lo_block, hi_block), len(keys)
     top, squares = np.empty((2, len(draws)), dtype=np.int64)
-    for lo, hi, counts in bin_counts(len(draws), n, m, hashed_bins(keys, high, m, *draws.T)):
+    for lo, hi, counts in bin_counts(keys, high, m, *draws.T):
         top[lo:hi] = counts.max(axis=1)
         squares[lo:hi] = np.einsum("ij,ij->i", counts, counts)
     return top, (squares - n) // 2, draws[:, 0]

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .estimators import GENERATOR_NAME, scaling_study, tail_log_slope, validate_seed
 from .field import Modulus, int_type
-from .loads import AffineImage, Explicit, Interval, bin_counts, hashed_bins, materialize
+from .loads import AffineImage, Explicit, Interval, bin_counts, materialize
 from .oracles import (
     check_partition_determinism,
     count_interval_collisions,
@@ -204,15 +204,14 @@ def _zero_free(mod: Modulus) -> Explicit:
 def check_load_sums(mod: Modulus, alpha: int, beta: int) -> tuple[int, int]:
     """Per-bin loads must sum to |S|; exhaustive over (a, b) at small p.
 
-    The loads come from loads.bin_counts on loads.hashed_bins, the kernel
-    and placement behind the b = 0 scans and the Monte Carlo maxima; the
+    The loads come from loads.bin_counts, the one kernel that places and
+    counts the keys of the b = 0 scans and the Monte Carlo maxima; the
     all-(a, b) histograms replay maxload_credits.  Above p^2 = 90000 only b
     in {0, 1, p//2, p-1} is checked.
     """
     p, m = mod.p, mod.m
     bs = range(p) if p * p <= 90_000 else (0, 1, p // 2, p - 1)
     # Row r is (a, b) = (r div |bs|, bs[r mod |bs|]); uint16 halves a and b at p = 257.
-    rows = p * len(bs)
     a = np.repeat(np.arange(p, dtype=np.min_scalar_type(p - 1)), len(bs))
     b = np.tile(np.asarray(bs, dtype=a.dtype), p)
     checked = violations = 0
@@ -220,9 +219,9 @@ def check_load_sums(mod: Modulus, alpha: int, beta: int) -> tuple[int, int]:
         elements = materialize(ks, mod)
         # int32 where a*x + b fits, as in the placements checked.
         s = np.asarray(elements, dtype=int_type((p - 1) * (max(elements) + 1)))
-        for _, _, counts in bin_counts(rows, len(s), m, hashed_bins(s, p, m, a, b)):
+        for _, _, counts in bin_counts(s, p, m, a, b):
             violations += int(np.count_nonzero(counts.sum(axis=1) != len(s)))
-        checked += rows
+        checked += len(a)
     return checked, violations
 
 

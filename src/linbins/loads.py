@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -91,53 +91,41 @@ def load_profile(a: int, b: int, mod: Modulus, ks: KeySet) -> list[int]:
 BLOCK_CELLS = 1 << 15
 
 
-def hashed_bins(keys: np.ndarray, p: int, m: int, a: np.ndarray, b=None) -> Callable:
-    """bins_of for bin_counts: row r holds ((a[r]*x + b[r]) mod p) mod m, b = 0 if None.
-
-    Rows take the dtype of the keys x, which must hold a*x + b.  Each block
-    is hashed in place, with its quotients, in buffers sized by the first
-    call; a call overwrites the last call's rows, never keys, a, b.
-    """
-    buffers = None
-
-    def bins_of(lo, hi):
-        nonlocal buffers
-        if buffers is None:  # bin_counts asks for its largest block first
-            buffers = np.empty((2, hi - lo, len(keys)), dtype=keys.dtype)
-        out, q = buffers[:, : hi - lo]
-        np.multiply(a[lo:hi, None], keys, out=out)
-        if b is not None:
-            out += b[lo:hi, None]
-        return rem(rem(out, p, q), m, q)
-
-    return bins_of
-
-
 def bin_counts(
-    rows: int, n: int, m: int, bins_of: Callable[[int, int], np.ndarray]
+    keys: np.ndarray, p: int, m: int, a: np.ndarray, b: np.ndarray | None = None
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Per-bin loads of `rows` hash functions placing n keys into m bins.
+    """Per-bin loads of h_r(x) = ((a[r]*x + b[r]) mod p) mod m on the keys, b = 0 if None.
 
-    bins_of(lo, hi) returns the (hi - lo, n) bin indices of rows lo..hi-1,
-    once per block and in row order, so callers build blocks lazily.  Yields
-    (lo, hi, counts), counts a new (hi - lo, m) array from one bincount per
-    block.  Row r's bin i gets the code r*m + i < max(BLOCK_CELLS, m), so int32
-    offsets never overflow, in one intp buffer per call that bincount reads
-    without a copy; the bins themselves are never written.
+    Yields (lo, hi, counts) block by block in row order, counts a new
+    (hi - lo, m) array from one bincount.  Each block is hashed in place in
+    the dtype of the keys, which must hold a*x + b, in a hash and a quotient
+    buffer allocated once per call; keys, a and b are never written.  Row
+    r's bin i gets the code r*m + i < max(BLOCK_CELLS, m), so int32 offsets
+    never overflow, in one intp buffer per call that bincount reads without
+    a copy.
     """
+    rows, n = len(a), len(keys)
     step = max(1, BLOCK_CELLS // max(n, m))
-    offsets = np.arange(min(step, rows), dtype=np.int32)[:, None] * m
-    codes = np.empty(offsets.size * n, dtype=np.intp)
+    width = min(step, rows)
+    offsets = np.arange(width, dtype=np.int32)[:, None] * m
+    codes = np.empty((width, n), dtype=np.intp)
+    hashed = np.empty((width, n), dtype=keys.dtype)
+    quotients = np.empty_like(hashed)
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
-        bins = bins_of(lo, hi)
-        np.add(bins, offsets[: hi - lo], out=codes[: bins.size].reshape(bins.shape))
-        yield lo, hi, np.bincount(codes[: bins.size], minlength=(hi - lo) * m).reshape(hi - lo, m)
+        h, q, c = hashed[: hi - lo], quotients[: hi - lo], codes[: hi - lo]
+        np.multiply(a[lo:hi, None], keys, out=h)
+        if b is not None:
+            h += b[lo:hi, None]
+        np.add(rem(rem(h, p, q), m, q), offsets[: hi - lo], out=c)
+        yield lo, hi, np.bincount(c.ravel(), minlength=(hi - lo) * m).reshape(hi - lo, m)
 
 
-def max_loads(rows: int, n: int, m: int, bins_of: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """Max load of each of `rows` hash functions: the row max of bin_counts."""
-    out = np.empty(rows, dtype=np.int64)
-    for lo, hi, counts in bin_counts(rows, n, m, bins_of):
+def max_loads(
+    keys: np.ndarray, p: int, m: int, a: np.ndarray, b: np.ndarray | None = None
+) -> np.ndarray:
+    """Max load of each row's hash function: the row max of bin_counts."""
+    out = np.empty(len(a), dtype=np.int64)
+    for lo, hi, counts in bin_counts(keys, p, m, a, b):
         out[lo:hi] = counts.max(axis=1)
     return out

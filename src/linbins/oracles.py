@@ -38,12 +38,13 @@ q = p mod m, and key 0 stays in class 0.  Over every b, on a key set with
 S = c - S (mod p) for some centre c, h_{a,b}(c - x) = h_{p-a,b+ac}(x), so a
 and p - a have equal histograms; on other key sets every a runs.
 Every array reduction in these kernels is field.rem, in place and cheaper
-than numpy's %; maxloads_for_a, kept for the tracer's name, still takes %.
+than numpy's %.  The b = 0 scans and maxloads_for_a hash and count the keys
+in the one kernel loads.bin_counts.
 The max-load placements run in field.int_type's choice for the largest value
-each call forms: a*x below max(a)*max(S), and the all-b wrap points
-p - v at most p.  That is int32 at every m up to 1024 on [m],
-at about half the cost of int64; the triple and interval counters and
-maxloads_for_a stay in int64.
+each call forms: a*x + b below max(a)*max(S) + max(b), and the all-b wrap
+points p - v at most p.  That is int32 at every m up to 1024 on [m],
+at about half the cost of int64; the triple and interval counters stay in
+int64.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import os
 import numpy as np
 
 from .field import Modulus, int_type, rem
-from .loads import KeySet, bin_counts, hashed_bins, materialize, max_loads
+from .loads import KeySet, bin_counts, materialize, max_loads
 
 # Refuse exhaustive calls whose cost exceeds this, unless the caller raises
 # the budget.  Collision counts are charged the hash evaluations of the
@@ -453,8 +454,7 @@ def triple_bound_terms(mod: Modulus, d: int) -> tuple[int, int, int]:
 def _b_zero_placement(p, m, elements, lo_a, hi_a):
     """loads.bin_counts arguments placing the keys under h_{a,0}, a in [lo_a, hi_a)."""
     dtype = int_type((hi_a - 1) * max(elements))
-    s = np.asarray(elements, dtype=dtype)
-    return hi_a - lo_a, len(s), m, hashed_bins(s, p, m, np.arange(lo_a, hi_a, dtype=dtype))
+    return np.asarray(elements, dtype=dtype), p, m, np.arange(lo_a, hi_a, dtype=dtype)
 
 
 def _maxloads_b_zero_chunk(p, m, elements, lo_a, hi_a):
@@ -499,9 +499,10 @@ def maxloads_for_a(mod: Modulus, ks: KeySet, a: int) -> np.ndarray:
     p, m = mod.p, mod.m
     if not 0 <= a < p:
         raise ValueError(f"a={a} out of range for p={p}")
-    v = a * np.asarray(materialize(ks, mod), dtype=np.int64) % p
-    b = np.arange(p, dtype=np.int64)
-    return max_loads(p, len(v), m, lambda lo, hi: (v + b[lo:hi, None]) % p % m)
+    elements = materialize(ks, mod)
+    dtype = int_type(a * max(elements) + p - 1)
+    keys = np.asarray(elements, dtype=dtype)
+    return max_loads(keys, p, m, np.full(p, a, dtype=dtype), np.arange(p, dtype=dtype))
 
 
 # Cap on cells per array in the wrap-event kernel; smaller blocks stay in

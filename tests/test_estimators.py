@@ -338,23 +338,27 @@ def test_mc_linear_exact_at_largest_modulus(maxima_seen):
 @pytest.mark.parametrize("ks,dtype", [(Interval(1), np.int32), (Interval(2), np.int64)])
 def test_mc_linear_hash_type_at_largest_modulus(monkeypatch, ks, dtype):
     # a*x + b reaches (p - 1)*(max key + 1): 2^31 - 2 on [1], which int32
-    # holds, and 2^32 - 4 on [2], which it does not.
+    # holds, and 2^32 - 4 on [2], which it does not.  bin_counts hashes in
+    # the dtype of the keys it is given.
     p, m, samples, seed = 2147483647, 32, 100, 4
     mod = Modulus(p, m)
-    placed = []
+    key_types, counts = [], []
     real = estimators.bin_counts
 
-    def recording(rows, n, m, bins_of):
-        placed.append(bins_of(0, rows))
-        return real(rows, n, m, bins_of)
+    def recording(keys, p, m, a, b=None):
+        key_types.append(keys.dtype)
+        for lo, hi, block in real(keys, p, m, a, b):
+            counts.append(block.copy())
+            yield lo, hi, block
 
     monkeypatch.setattr(estimators, "bin_counts", recording)
     mc_linear_maxload(mod, ks, samples, seed)
-    bins = np.concatenate(placed)
-    assert bins.dtype == dtype
+    assert key_types == [dtype]
     draws = (map(int, sample_draw(seed, i, p, 2)) for i in range(samples))
     elements = materialize(ks, mod)
-    assert bins.tolist() == [[(a * x + b) % p % m for x in elements] for a, b in draws]
+    bins = [[(a * x + b) % p % m for x in elements] for a, b in draws]
+    expected = [np.bincount(row, minlength=m).tolist() for row in bins]
+    assert np.concatenate(counts).tolist() == expected
 
 
 def test_generator_name_records_block_layout():
@@ -462,9 +466,9 @@ def test_one_pass_sampler_matches_block_by_block(monkeypatch, workers, samples, 
     passes = []
     real = estimators.bin_counts
 
-    def recording(rows, n, m, bins_of):
-        passes.append(rows)
-        return real(rows, n, m, bins_of)
+    def recording(keys, p, m, a, b=None):
+        passes.append(len(a))
+        return real(keys, p, m, a, b)
 
     monkeypatch.setattr(estimators, "bin_counts", recording)
     p, seed = next_prime_at_least(m * m), 2**63 + 7

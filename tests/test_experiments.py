@@ -301,16 +301,16 @@ def test_check_canonical_equality_refuses_negative_seed():
 
 
 def test_check_load_sums_counts_dropped_keys(monkeypatch):
-    # Seven-row blocks; every row of each key set's first block loses a key.
+    # Seven-row blocks; every row of each key set's first block loses a key
+    # from its fullest bin.
     monkeypatch.setattr(loads, "BLOCK_CELLS", 7 * 3)
     real = experiments.bin_counts
 
-    def dropping(rows, n, m, bins_of):
-        def first_block_short(lo, hi):
-            bins = bins_of(lo, hi)
-            return bins[:, 1:] if lo == 0 else bins
-
-        return real(rows, n, m, first_block_short)
+    def dropping(keys, p, m, a, b=None):
+        for lo, hi, counts in real(keys, p, m, a, b):
+            if lo == 0:
+                counts[np.arange(hi), counts.argmax(axis=1)] -= 1
+            yield lo, hi, counts
 
     monkeypatch.setattr(experiments, "bin_counts", dropping)
     assert check_load_sums(Modulus(13, 3), alpha=5, beta=2) == (507, 3 * 7)

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from linbins import loads
-from linbins.field import Modulus
+from linbins.field import Modulus, next_prime_at_least
 from linbins.loads import (
     AffineImage,
     Explicit,
     Interval,
     bin_counts,
-    hashed_bins,
     load_profile,
     materialize,
     max_loads,
@@ -79,42 +78,39 @@ def test_load_sums_exhaustive_small_p():
                 assert profile == np.bincount(bins[b], minlength=3).tolist(), (ks, a, b)
 
 
-def test_max_loads_asks_for_blocks_in_row_order(monkeypatch):
+def literal_counts(p, m, keys, a, b=None):
+    """Per-row bin loads of the literal bins of the keys under (a[r], b[r]), b = 0 if None."""
+    bins = literal_bins(p, m, keys, a, np.zeros_like(a) if b is None else b)
+    return [np.bincount(row, minlength=m).tolist() for row in bins]
+
+
+def test_max_loads_matches_literal_bins_across_blocks(monkeypatch):
     monkeypatch.setattr(loads, "BLOCK_CELLS", 3 * 5)
     rng = np.random.default_rng(0)
-    bins = rng.integers(0, 5, size=(11, 4))
-    asked = []
-
-    def bins_of(lo, hi):
-        asked.append((lo, hi))
-        return bins[lo:hi]
-
-    out = max_loads(11, 4, 5, bins_of)
-    assert asked == [(0, 3), (3, 6), (6, 9), (9, 11)]
-    assert out.tolist() == [np.bincount(row, minlength=5).max() for row in bins]
+    keys = rng.choice(31, size=4, replace=False)
+    a, b = rng.integers(0, 31, size=(2, 11))
+    for shift in (None, b):
+        expected = [max(row) for row in literal_counts(31, 5, keys, a, shift)]
+        assert max_loads(keys, 31, 5, a, shift).tolist() == expected
 
 
 def test_max_loads_caps_blocks_by_bin_count(monkeypatch):
     # One key into many bins: the per-row counts, not the keys, set the block.
     monkeypatch.setattr(loads, "BLOCK_CELLS", 40)
-    asked = []
-
-    def bins_of(lo, hi):
-        asked.append(hi - lo)
-        return np.full((hi - lo, 1), 19)
-
-    assert max_loads(5, 1, 20, bins_of).tolist() == [1] * 5
-    assert max(asked) == 2
+    keys, a = np.array([7]), np.arange(5)
+    assert max_loads(keys, 23, 20, a).tolist() == [1] * 5
+    assert [hi - lo for lo, hi, _ in bin_counts(keys, 23, 20, a)] == [2, 2, 1]
 
 
 def test_bin_counts_yields_per_bin_loads_block_by_block(monkeypatch):
     monkeypatch.setattr(loads, "BLOCK_CELLS", 3 * 5)
     rng = np.random.default_rng(1)
-    bins = rng.integers(0, 5, size=(11, 4))
-    blocks = list(bin_counts(11, 4, 5, lambda lo, hi: bins[lo:hi]))
+    keys = rng.choice(31, size=4, replace=False)
+    a, b = rng.integers(0, 31, size=(2, 11))
+    blocks = list(bin_counts(keys, 31, 5, a, b))
     assert [(lo, hi) for lo, hi, _ in blocks] == [(0, 3), (3, 6), (6, 9), (9, 11)]
     counts = np.concatenate([c for _, _, c in blocks])
-    assert counts.tolist() == [np.bincount(row, minlength=5).tolist() for row in bins]
+    assert counts.tolist() == literal_counts(31, 5, keys, a, b)
 
 
 @pytest.mark.parametrize(
@@ -129,36 +125,37 @@ def test_bin_counts_yields_per_bin_loads_block_by_block(monkeypatch):
     ],
 )
 def test_bin_counts_same_for_int32_and_int64_bins_and_never_writes_them(rows, n, m, sizes):
-    bins = np.random.default_rng(2).integers(0, m, size=(rows, n))
-    expected = [np.bincount(row, minlength=m).tolist() for row in bins]
+    # The bins take the dtype of the keys; multipliers below 2^31 / p keep
+    # a*x + b within int32.
+    p = next_prime_at_least(2 * m)
+    rng = np.random.default_rng(2)
+    keys = rng.choice(p, size=n, replace=False)
+    a = rng.integers(0, (1 << 31) // p, size=rows)
+    b = rng.integers(0, p, size=rows)
+    expected = literal_counts(p, m, keys, a, b)
     for dtype in (np.int32, np.int64):
-        placed = bins.astype(dtype)
-        blocks = list(bin_counts(rows, n, m, lambda lo, hi: placed[lo:hi]))
-        assert np.array_equal(placed, bins), dtype
+        typed_keys, typed_a, typed_b = (x.astype(dtype) for x in (keys, a, b))
+        blocks = list(bin_counts(typed_keys, p, m, typed_a, typed_b))
+        typed = (typed_keys, typed_a, typed_b)
+        assert all(np.array_equal(x, y) for x, y in zip(typed, (keys, a, b))), dtype
         assert [hi - lo for lo, hi, _ in blocks] == sizes
         assert np.concatenate([c for _, _, c in blocks]).tolist() == expected, dtype
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 @pytest.mark.parametrize("p,m,with_b", [(1031, 24, True), (1031, 32, True), (1031, 24, False)])
-def test_hashed_bins_reuse_keeps_counts_and_inputs(monkeypatch, dtype, p, m, with_b):
-    # Seven-row blocks of 40 keys: bin_counts reuses its code buffer and
-    # hashed_bins its hash and quotient buffers for every block, so every
-    # block's counts must survive the blocks after it, and the placement's
-    # inputs must come out unwritten.
+def test_bin_counts_reuse_keeps_counts_and_inputs(monkeypatch, dtype, p, m, with_b):
+    # Seven-row blocks of 40 keys: bin_counts reuses its hash, quotient and
+    # code buffers for every block, so every block's counts must survive the
+    # blocks after it, and keys, a and b must come out unwritten.
     monkeypatch.setattr(loads, "BLOCK_CELLS", 7 * 40)
     rng = np.random.default_rng(3)
     keys = rng.choice(p, size=40, replace=False).astype(dtype)
     a, b = rng.integers(0, p, size=(2, 30)).astype(dtype)
+    shift = b if with_b else None
     inputs = [keys.copy(), a.copy(), b.copy()]
-    bins_of = hashed_bins(keys, p, m, a, b if with_b else None)
-    blocks = list(bin_counts(30, 40, m, bins_of))
+    blocks = list(bin_counts(keys, p, m, a, shift))
     assert [(lo, hi) for lo, hi, _ in blocks] == [(0, 7), (7, 14), (14, 21), (21, 28), (28, 30)]
     assert all(np.array_equal(x, y) for x, y in zip((keys, a, b), inputs))
-    shift = b if with_b else np.zeros_like(b)
-    expected = [
-        np.bincount([(int(ar) * int(x) + int(br)) % p % m for x in keys], minlength=m).tolist()
-        for ar, br in zip(a, shift)
-    ]
-    assert np.concatenate([c for _, _, c in blocks]).tolist() == expected
-    assert bins_of(28, 30).dtype == dtype
+    counts = np.concatenate([c for _, _, c in blocks])
+    assert counts.tolist() == literal_counts(p, m, keys, a, shift)
